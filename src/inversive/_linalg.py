@@ -1,12 +1,17 @@
 """Dense linear algebra over the scalar backends (internal).
 
-Everything works coefficient-by-coefficient over a field: Fraction, Quartic2,
-or float. The float path uses partial pivoting and treats entries within the
-module tolerance as zero; the exact paths take the first nonzero pivot.
+Matrices of Python ints, which is how the rational backend hands over its
+lifted rows, go through `bareiss`: fraction-free elimination whose every
+entry stays an integer minor of the input. Fraction, Quartic2 and float
+matrices go through `rref`, coefficient-by-coefficient over the field; the
+float path uses partial pivoting and treats entries within the module
+tolerance as zero, the exact paths take the first nonzero pivot. `rank` and
+`nullspace` pick the routine from the entry type.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import List, Sequence, Tuple
 
 from .exactnum import get_epsilon, is_zero
@@ -21,6 +26,16 @@ def _is_float_matrix(rows) -> bool:
         for x in r:
             return isinstance(x, float)
     return False
+
+
+def _is_int_matrix(rows) -> bool:
+    return bool(rows) and all(type(x) is int for r in rows for x in r)
+
+
+def scaled_to_integers(xs: Sequence) -> Tuple[int, List[int]]:
+    """(D, [x * D for x in xs]) for rationals xs with least common denominator D."""
+    d = lcm(*(x.denominator for x in xs))
+    return d, [x.numerator * (d // x.denominator) for x in xs]
 
 
 def _pick_pivot(rows, col: int, start: int, use_float: bool) -> int:
@@ -63,73 +78,65 @@ def rref(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List], List[int]]:
     return m, pivots
 
 
+def bareiss(rows: Sequence[Sequence[int]], ncols: int,
+            reduced: bool = True) -> Tuple[List[List[int]], List[int]]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss
+    1968) and its pivot columns; with reduced=False only the rows below each
+    pivot are eliminated, which is all the rank needs.
+
+    The reduced result is the reduced row echelon form scaled by d, the last
+    pivot: every pivot row carries d at its pivot column and zeros at the
+    others. Every entry is a minor of the row-permuted input, so each division
+    is exact. With full row rank and one free column f, the nullspace vector
+    (d at f, -row[f] at each pivot) is, up to one common sign, the vector of
+    signed maximal minors.
+    """
+    m = _copy(rows)
+    pivots: List[int] = []
+    prev = 1
+    r = 0
+    for col in range(ncols):
+        if r >= len(m):
+            break
+        i = next((i for i in range(r, len(m)) if m[i][col]), -1)
+        if i < 0:
+            continue
+        m[r], m[i] = m[i], m[r]
+        top = m[r]
+        p = top[col]
+        for j in range(0 if reduced else r + 1, len(m)):
+            if j != r:
+                row = m[j]
+                f = row[col]
+                m[j] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
+        pivots.append(col)
+        r += 1
+    return m, pivots
+
+
 def rank(rows: Sequence[Sequence], ncols: int) -> int:
+    if _is_int_matrix(rows):
+        return len(bareiss(rows, ncols, reduced=False)[1])
     return len(rref(rows, ncols)[1])
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> List[List]:
-    """Basis of the right nullspace, one vector per free column."""
+    """Basis of the right nullspace, one vector per free column; integer
+    vectors for an integer matrix."""
     if not rows:
         rows = []
-    m, pivots = rref(rows, ncols)
+    exact_int = _is_int_matrix(rows)
+    m, pivots = bareiss(rows, ncols) if exact_int else rref(rows, ncols)
+    scale = m[0][pivots[0]] if exact_int and pivots else 1
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
         vec = [0] * ncols
-        vec[free] = 1
+        vec[free] = scale
         for row_idx, pcol in enumerate(pivots):
             vec[pcol] = -m[row_idx][free]
         basis.append(vec)
     return basis
-
-
-def det(rows: Sequence[Sequence]):
-    """Determinant over a field, by elimination with division."""
-    n = len(rows)
-    m = _copy(rows)
-    use_float = _is_float_matrix(m)
-    sign = 1
-    result = 1
-    for col in range(n):
-        i = _pick_pivot(m, col, col, use_float)
-        if i < 0:
-            return 0 * (m[0][0] if n else 0)
-        if i != col:
-            m[col], m[i] = m[i], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        result = result * pivot
-        for j in range(col + 1, n):
-            if not is_zero(m[j][col]):
-                factor = m[j][col] / pivot
-                m[j] = [a - factor * b for a, b in zip(m[j], m[col])]
-    return sign * result
-
-
-def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Bareiss determinant for integer matrices; exact, no fractions."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]

@@ -96,7 +96,7 @@ def _jsonify(x: Any) -> Any:
         return [_jsonify(v) for v in x]
     if isinstance(x, dict):
         return {str(k): _jsonify(v) for k, v in x.items()}
-    return str(x)
+    raise TypeError("no JSON encoding for %s" % type(x).__name__)
 
 
 def _print_report(command: str, parameters: Dict, verdict: str,

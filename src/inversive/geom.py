@@ -3,7 +3,10 @@
 A generalized sphere in R^n with the point at infinity adjoined is the zero
 set of c*<x,x> + <b,x> + a with <b,b> - 4ca > 0; c = 0 gives an extended
 hyperplane through infinity. Everything here is backend-generic: exact over
-rationals or the quartic field, tolerance-based over floats.
+rationals or the quartic field, tolerance-based over floats. The lifted-row
+predicates (`sphere_through`, `concyclic`, `on_common_sphere`) run on integer
+rows and fraction-free elimination for rationals, and on field elimination
+for the quartic and float backends.
 """
 
 from __future__ import annotations
@@ -227,8 +230,15 @@ def separated(x: Point, y: Point, s: Hypersphere) -> bool:
 
 def lift_row(p: Point, backend: str = "rational") -> List[Scalar]:
     """Row (<x,x>, x, 1) of the sphere-coefficient system; infinity lifts to
-    (1, 0, .., 0), the equation forcing c = 0."""
-    one = promote(1, backend) if backend != "rational" else Fraction(1)
+    (1, 0, .., 0), the equation forcing c = 0. On the rational backend it is
+    the integer row (sum X_i^2, X_i * D, D^2), X = x * D for the common
+    denominator D of x, which `_linalg` eliminates fraction-free."""
+    if backend == "rational":
+        if p.is_infinity:
+            return [1] + [0] * (p.dim + 1)
+        d, xs = _linalg.scaled_to_integers(p.coords)
+        return [sum(v * v for v in xs), *(v * d for v in xs), d * d]
+    one = promote(1, backend)
     zero = one - one
     if p.is_infinity:
         return [one] + [zero] * p.dim + [zero]
@@ -250,7 +260,8 @@ def sphere_through(points: Sequence[Point]) -> Hypersphere:
     """The unique generalized (n-1)-sphere through n+1 points of R^n_inf.
 
     Affinely degenerate inputs (or any containing infinity) come back with
-    c = 0. Inputs that fail to pin down a unique sphere raise.
+    c = 0. Inputs that fail to pin down a unique sphere raise; over the
+    rationals the coefficients are the signed maximal minors of the lift.
     """
     points, k = _uniform(points)
     n = points[0].dim

@@ -29,7 +29,7 @@ from .euclid import GreatFlat, GreatIntersection
 from .exactnum import Quartic2
 from .geom import Flat, Hypersphere, Point, Scalar, SubSphere
 from .moebius import HyperplaneReflection, MoebiusMap, SphereInversion
-from .wcp import CgpReport, FiniteImageMap, FivePointRefutation, WcpViolation
+from .wcp import FiniteImageMap, FivePointRefutation, WcpViolation
 
 __all__ = [
     "FormatError",
@@ -45,7 +45,6 @@ __all__ = [
     "decode_scalar",
     "decode_separation_witness",
     "decode_sphere",
-    "encode_cgp_report",
     "encode_coloring",
     "encode_config",
     "encode_great_flat",
@@ -461,12 +460,4 @@ def encode_refutation(r: FivePointRefutation) -> Dict[str, Any]:
         "witness": encode_polychromatic_witness(r.witness),
         "domain_points": [encode_point(p) for p in r.domain_points],
         "images": [encode_point(p) for p in r.images],
-    }
-
-
-def encode_cgp_report(r: CgpReport) -> Dict[str, Any]:
-    return {
-        "verdict": r.verdict,
-        "circle": None if r.circle is None else encode_sphere(r.circle),
-        "on_circle": [encode_point(p) for p in r.on_circle],
     }

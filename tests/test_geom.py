@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
+from inversive import _linalg
 from inversive.exactnum import Quartic2, THETA, SQRT2, BackendMismatch
 from inversive.geom import (
     CR_INFINITY,
@@ -19,6 +20,7 @@ from inversive.geom import (
     SubSphere,
     concyclic,
     cross_ratio,
+    on_common_sphere,
     on_sphere,
     power_condition,
     separated,
@@ -164,6 +166,133 @@ class TestConcyclic:
             assert cr is not CR_INFINITY
             assert concyclic(*pts) == (cr[1] == 0)
             checked += 1
+
+
+def _stereo(ts):
+    """Inverse stereographic image of ts in Q^k: a rational point of the unit
+    k-sphere in R^(k+1)."""
+    q = sum(t * t for t in ts)
+    return [2 * t / (1 + q) for t in ts] + [(q - 1) / (1 + q)]
+
+
+@st.composite
+def point_families(draw, sizes):
+    """(n, points): n in 1..4 and len(points) = sizes(n) points of R^n_inf.
+
+    Mostly all points but at most one stray lie on one generalized k-sphere,
+    1 <= k < n: a round one (stereographic images of rational parameters,
+    scaled and shifted) or a coordinate k-flat, maybe through infinity. With
+    k = n - 1 the points are cospherical; with smaller k, n + 1 of them fix no
+    unique sphere. The rest are points in general position.
+    """
+    n = draw(st.integers(1, 4))
+    m = sizes(n)
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    if n == 1 or draw(st.integers(0, 3)) == 0:
+        pts = [P(t) for t in draw(st.lists(st.tuples(*[coords] * n), min_size=m,
+                                           max_size=m, unique=True))]
+    else:
+        k = draw(st.integers(1, n - 1))
+        params = draw(st.lists(st.tuples(*[small] * k), min_size=m, max_size=m, unique=True))
+        if draw(st.booleans()):
+            scale = draw(small.filter(bool))
+            shift = draw(st.tuples(*[small] * n))
+            pts = [P([scale * x + c for x, c in zip(_stereo(t) + [0] * (n - k - 1), shift)])
+                   for t in params]
+        else:
+            height = draw(small)
+            pts = [P(list(t) + [height] * (n - k)) for t in params]
+            if draw(st.booleans()):
+                pts[0] = Point.infinity(n)
+        if draw(st.booleans()):
+            pts[-1] = draw(st.one_of(st.tuples(*[coords] * n).map(P), st.just(Point.infinity(n))))
+    assume(len(set(pts)) == m and sum(p.is_infinity for p in pts) <= 1)
+    return n, pts
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _oracle_rows(sympy, points):
+    """The lifted matrix (<x,x>, x, 1) over QQ, infinity as (1, 0, .., 0)."""
+    rows = []
+    for p in points:
+        if p.is_infinity:
+            rows.append([1] + [0] * (p.dim + 1))
+        else:
+            x = [sympy.Rational(c.numerator, c.denominator) for c in p.coords]
+            rows.append([sum(v * v for v in x), *x, 1])
+    return sympy.Matrix(rows)
+
+
+class TestAgainstSympy:
+    """The rank and nullspace predicates against sympy's exact linear algebra
+    over QQ, an oracle that shares no code with `_linalg`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_families(lambda n: n + 2))
+    def test_on_common_sphere_matches_rank(self, sympy, family):
+        n, pts = family
+        expected = _oracle_rows(sympy, pts).rank() < len(pts)
+        event("cospherical" if expected else "not cospherical")
+        assert on_common_sphere(pts) == expected
+        for sub in (pts[:3], pts[-3:]):
+            assert on_common_sphere(sub) == (_oracle_rows(sympy, sub).rank() < len(sub))
+
+    @settings(max_examples=150, deadline=None)
+    @given(point_families(lambda n: 4).filter(lambda f: f[0] >= 2))
+    def test_concyclic_matches_rank(self, sympy, family):
+        _, pts = family
+        expected = _oracle_rows(sympy, pts).rank() <= 3
+        event("concyclic" if expected else "not concyclic")
+        assert concyclic(*pts) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_families(lambda n: n + 1))
+    def test_sphere_through_matches_nullspace(self, sympy, family):
+        n, pts = family
+        ns = _oracle_rows(sympy, pts).nullspace()
+        if len(ns) != 1:
+            event("no unique sphere")
+            with pytest.raises(DegenerateSphereError):
+                sphere_through(pts)
+            return
+        vec = list(ns[0])
+        lead = next(v for v in vec if v != 0)
+        expected = [Fraction(int(v.p), int(v.q)) for v in (w / lead for w in vec)]
+        s = sphere_through(pts)
+        event("flat" if s.is_flat else "round")
+        assert [s.c, *s.b, s.a] == expected
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_hyperplane_through_infinity(self, sympy, n):
+        # the origin, e_1 .. e_(n-1) and 2(e_1 + .. + e_(n-1)) lie on the
+        # hyperplane x_n = 0, and so does infinity; e_n does not
+        e = [[int(i == j) for j in range(n)] for i in range(n)]
+        flat = [P([0] * n), *map(P, e[:-1]), P([2] * (n - 1) + [0])]
+        for last, expected in ((Point.infinity(n), True), (P(e[-1]), False)):
+            pts = flat + [last]
+            assert on_common_sphere(pts) == expected
+            assert expected == (_oracle_rows(sympy, pts).rank() < n + 2)
+        assert sphere_through(flat[1:] + [Point.infinity(n)]) == Hypersphere.make(0, e[-1], 0)
+
+
+class TestBareiss:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda cols: st.lists(
+        st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), min_size=1, max_size=5)))
+    def test_scaled_rref(self, rows):
+        # fraction-free elimination is rref scaled by the last pivot, also on
+        # rank-deficient inputs where it skips columns
+        ncols = len(rows[0])
+        red, pivots = _linalg.bareiss(rows, ncols)
+        ref, ref_pivots = _linalg.rref([[Fraction(x) for x in r] for r in rows], ncols)
+        assert pivots == ref_pivots == _linalg.bareiss(rows, ncols, reduced=False)[1]
+        d = red[0][pivots[0]] if pivots else 1
+        assert all(type(x) is int for r in red for x in r)
+        assert red == [[d * x for x in r] for r in ref]
 
 
 class TestCrossRatio:
