@@ -1,13 +1,15 @@
 """Scalar backends for exact inversive geometry.
 
 Three backends coexist: rationals (int or fractions.Fraction), the real
-quartic field Q(t) with t = 2**(1/4), and IEEE floats with a single
-module-level tolerance that only predicates consult.
+quartic field Q(t) with t = 2**(1/4) on integer numerators over one common
+denominator, with an exact integer sign and no refinement state, and IEEE
+floats with a single module-level tolerance that only predicates consult.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from fractions import Fraction
 from functools import total_ordering
@@ -33,58 +35,97 @@ class BackendMismatch(TypeError):
 
 RatLike = Union[int, Fraction]
 
-# Q(s), s = sqrt(2), as coefficient pairs (p, q) ~ p + q*s. Used internally
-# for quartic inversion, which factors through the subfield.
+_HASH_MODULUS = sys.hash_info.modulus
 
 
-def _mul2(x: Tuple[Fraction, Fraction], y: Tuple[Fraction, Fraction]):
-    return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+def _rational(c) -> Fraction:
+    k = kind(c)
+    if k != "rational":
+        error = BackendMismatch if k == "float" else TypeError
+        raise error("not a rational coefficient: %r" % (c,))
+    return Fraction(c)
+
+
+def _make(n0: int, n1: int, n2: int, n3: int, d: int) -> "Quartic2":
+    # canonical form of (n0 + n1*t + n2*t**2 + n3*t**3) / d for d > 0
+    g = math.gcd(n0, n1, n2, n3, d)
+    if g != 1:
+        n0, n1, n2, n3, d = n0 // g, n1 // g, n2 // g, n3 // g, d // g
+    x = object.__new__(Quartic2)
+    x._n = (n0, n1, n2, n3)
+    x._d = d
+    return x
+
+
+def _sqrt2_sign(u: int, v: int) -> int:
+    """Sign of u + v*sqrt(2) for integers u, v, by squaring."""
+    w = (u or v) if u * v >= 0 else (u if u * u > 2 * v * v else v)
+    return (w > 0) - (w < 0)
+
+
+def _conjugate_product(n0: int, n1: int, n2: int, n3: int) -> Tuple[int, int]:
+    # With s = t**2, E = n0 + n2*s and O = n1 + n3*s:
+    # (E + t*O)(E - t*O) = E*E - s*O*O = c0 + c1*s.
+    return n0 * n0 + 2 * n2 * n2 - 4 * n1 * n3, 2 * n0 * n2 - n1 * n1 - 2 * n3 * n3
 
 
 @total_ordering
 class Quartic2:
-    """Element c0 + c1*t + c2*t**2 + c3*t**3 of Q(2**(1/4)), t**4 = 2."""
+    """Element c0 + c1*t + c2*t**2 + c3*t**3 of Q(2**(1/4)), t**4 = 2, held as
+    (n0, n1, n2, n3) / d with d > 0 and gcd(n0, n1, n2, n3, d) == 1."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_n", "_d")
 
     def __init__(self, c0: RatLike = 0, c1: RatLike = 0, c2: RatLike = 0, c3: RatLike = 0):
-        self.coeffs: Tuple[Fraction, Fraction, Fraction, Fraction] = (
-            Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3))
+        cs = [_rational(c) for c in (c0, c1, c2, c3)]
+        # over the lcm of reduced denominators the numerators are in lowest terms
+        self._d = d = math.lcm(*(c.denominator for c in cs))
+        self._n = tuple(c.numerator * (d // c.denominator) for c in cs)
 
     @classmethod
     def from_rational(cls, q: RatLike) -> "Quartic2":
         return cls(q, 0, 0, 0)
 
-    @classmethod
-    def _coerce(cls, other) -> Optional["Quartic2"]:
+    @staticmethod
+    def _coerce(other) -> Optional["Quartic2"]:
         if isinstance(other, Quartic2):
             return other
-        if isinstance(other, (int, Fraction)):
-            return cls(other, 0, 0, 0)
+        if isinstance(other, Fraction):
+            return _make(other.numerator, 0, 0, 0, other.denominator)
+        if isinstance(other, int) and not isinstance(other, bool):
+            return _make(other, 0, 0, 0, 1)
         return None
 
     @property
+    def coeffs(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+        d = self._d
+        return tuple(Fraction(n, d) for n in self._n)
+
+    @property
     def is_rational(self) -> bool:
-        c = self.coeffs
-        return c[1] == 0 and c[2] == 0 and c[3] == 0
+        n = self._n
+        return not (n[1] or n[2] or n[3])
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError("not a rational element: %r" % (self,))
-        return self.coeffs[0]
+        return Fraction(self._n[0], self._d)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        return Quartic2(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+        a0, a1, a2, a3 = self._n
+        b0, b1, b2, b3 = o._n
+        da, db = self._d, o._d
+        return _make(a0 * db + b0 * da, a1 * db + b1 * da,
+                     a2 * db + b2 * da, a3 * db + b3 * da, da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        a = self.coeffs
-        return Quartic2(-a[0], -a[1], -a[2], -a[3])
+        n0, n1, n2, n3 = self._n
+        return _make(-n0, -n1, -n2, -n3, self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -102,35 +143,30 @@ class Quartic2:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        a0, a1, a2, a3 = self._n
+        b0, b1, b2, b3 = o._n
         # convolution folded once through t**4 = 2
-        return Quartic2(
-            a[0] * b[0] + 2 * (a[1] * b[3] + a[2] * b[2] + a[3] * b[1]),
-            a[0] * b[1] + a[1] * b[0] + 2 * (a[2] * b[3] + a[3] * b[2]),
-            a[0] * b[2] + a[1] * b[1] + a[2] * b[0] + 2 * (a[3] * b[3]),
-            a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0],
+        return _make(
+            a0 * b0 + 2 * (a1 * b3 + a2 * b2 + a3 * b1),
+            a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2),
+            a0 * b2 + a1 * b1 + a2 * b0 + 2 * (a3 * b3),
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+            self._d * o._d,
         )
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Quartic2":
-        if not self:
+        n0, n1, n2, n3 = self._n
+        if not (n0 or n1 or n2 or n3):
             raise ZeroDivisionError("quartic division by zero")
-        a = self.coeffs
-        # self = A + t*B with A, B in Q(s), s = t**2
-        A = (a[0], a[2])
-        B = (a[1], a[3])
-        # (A + tB)(A - tB) = A*A - s*B*B =: C in Q(s)
-        A2 = _mul2(A, A)
-        B2 = _mul2(B, B)
-        C = (A2[0] - 2 * B2[1], A2[1] - B2[0])
-        norm = C[0] * C[0] - 2 * C[1] * C[1]
-        # conjugate over Q(s), then over Q: 1/self = (A - tB)*(C0 - C1 s)/norm
-        Cc = (C[0], -C[1])
-        top_even = _mul2(A, Cc)
-        top_odd = _mul2((-B[0], -B[1]), Cc)
-        return Quartic2(top_even[0] / norm, top_odd[0] / norm,
-                        top_even[1] / norm, top_odd[1] / norm)
+        # self*d = E + t*O with E, O in Z[s]; (E + tO)(E - tO) = c0 + c1*s, and
+        # 1/self = d*(E - tO)(c0 - c1*s)/norm with norm = c0**2 - 2*c1**2 != 0
+        c0, c1 = _conjugate_product(n0, n1, n2, n3)
+        norm = c0 * c0 - 2 * c1 * c1
+        d = self._d if norm > 0 else -self._d
+        return _make(d * (n0 * c0 - 2 * n2 * c1), d * (2 * n3 * c1 - n1 * c0),
+                     d * (n2 * c0 - n0 * c1), d * (n1 * c1 - n3 * c0), abs(norm))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -149,7 +185,7 @@ class Quartic2:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = Quartic2(1)
+        result = _make(1, 0, 0, 0, 1)
         base = self
         while n:
             if n & 1:
@@ -159,13 +195,14 @@ class Quartic2:
         return result
 
     def __bool__(self) -> bool:
-        return any(c != 0 for c in self.coeffs)
+        n = self._n
+        return bool(n[0] or n[1] or n[2] or n[3])
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self._d == o._d and self._n == o._n
 
     def __lt__(self, other) -> bool:
         o = self._coerce(other)
@@ -174,71 +211,47 @@ class Quartic2:
         return quartic_sign(self - o) < 0
 
     def __hash__(self):
-        if self.is_rational:
-            return hash(self.coeffs[0])
-        return hash(self.coeffs)
+        # hash(self.coeffs[0]) for rational elements, else hash(self.coeffs):
+        # as in Fraction.__hash__, c/d hashes like the int sign(c)*(|c|/d mod P)
+        n, d = self._n, self._d
+        if d != 1:
+            P = _HASH_MODULUS
+            try:
+                dinv = pow(d, -1, P)
+            except ValueError:  # P divides d
+                return hash(self.coeffs[0] if self.is_rational else self.coeffs)
+            n = tuple(c * dinv % P if c >= 0 else -(-c * dinv % P) for c in n)
+        return hash(n[0]) if self.is_rational else hash(n)
 
     def __abs__(self):
         return -self if quartic_sign(self) < 0 else self
 
     def __float__(self) -> float:
         t = 2.0 ** 0.25
-        c = self.coeffs
-        return float(c[0]) + float(c[1]) * t + float(c[2]) * t * t + float(c[3]) * t ** 3
+        n0, n1, n2, n3 = self._n
+        d = self._d
+        # int / int rounds exactly like float(Fraction(n, d))
+        return n0 / d + (n1 / d) * t + (n2 / d) * t * t + (n3 / d) * t ** 3
 
     def __repr__(self) -> str:
         c = self.coeffs
         return "Quartic2(%s, %s, %s, %s)" % (c[0], c[1], c[2], c[3])
 
 
-THETA = Quartic2(0, 1, 0, 0)
-SQRT2 = Quartic2(0, 0, 1, 0)
-
-# Certified rational bracket for t = 2**(1/4), refined on demand. 1 < t < 3/2.
-_theta_lo = Fraction(1)
-_theta_hi = Fraction(3, 2)
-
-
-def _refine_theta(steps: int = 8) -> None:
-    global _theta_lo, _theta_hi
-    lo, hi = _theta_lo, _theta_hi
-    for _ in range(steps):
-        mid = (lo + hi) / 2
-        if mid ** 4 < 2:  # mid**4 == 2 is impossible for rational mid
-            lo = mid
-        else:
-            hi = mid
-    _theta_lo, _theta_hi = lo, hi
-
-
-def _scaled_interval(c: Fraction, lo: Fraction, hi: Fraction):
-    return (c * lo, c * hi) if c >= 0 else (c * hi, c * lo)
+THETA = _make(0, 1, 0, 0, 1)
+SQRT2 = _make(0, 0, 1, 0, 1)
 
 
 def quartic_sign(x: Quartic2) -> int:
-    """Exact sign of a quartic field element.
+    """Exact sign of a quartic field element, by integer square comparisons.
 
-    Zero is decided from the coefficient vector; otherwise the bracket for
-    2**(1/4) is refined until interval evaluation of the cubic in t excludes
-    zero, which terminates because t has degree 4 over Q.
-    """
-    c = x.coeffs
-    if all(ci == 0 for ci in c):
-        return 0
-    while True:
-        lo, hi = _theta_lo, _theta_hi
-        lo2, hi2 = lo * lo, hi * hi
-        lo3, hi3 = lo2 * lo, hi2 * hi
-        plo, phi = c[0], c[0]
-        for ci, pl, ph in ((c[1], lo, hi), (c[2], lo2, hi2), (c[3], lo3, hi3)):
-            sl, sh = _scaled_interval(ci, pl, ph)
-            plo += sl
-            phi += sh
-        if plo > 0:
-            return 1
-        if phi < 0:
-            return -1
-        _refine_theta()
+    x*d = E + t*O with E = n0 + n2*s, O = n1 + n3*s and s = t**2. If E and O
+    differ in sign, E*E - s*O*O (never zero, as t is not in Q(s)) decides."""
+    n0, n1, n2, n3 = x._n
+    se, so = _sqrt2_sign(n0, n2), _sqrt2_sign(n1, n3)
+    if se * so >= 0:
+        return se or so
+    return se if _sqrt2_sign(*_conjugate_product(n0, n1, n2, n3)) > 0 else so
 
 
 class NormClass(Enum):
@@ -270,7 +283,7 @@ def norm_class_of(x) -> Optional[NormClass]:
         return NormClass.Q_STAR
     if not isinstance(x, Quartic2):
         raise TypeError("not a scalar: %r" % (x,))
-    nz = [i for i, c in enumerate(x.coeffs) if c != 0]
+    nz = [i for i, n in enumerate(x._n) if n]
     if not nz:
         raise ValueError("zero has no norm class")
     if len(nz) == 1:
@@ -316,17 +329,15 @@ def sign_of(x) -> int:
     """Sign of a scalar; the float backend treats |x| <= EPSILON as zero."""
     if isinstance(x, Quartic2):
         return quartic_sign(x)
-    if isinstance(x, float):
-        if abs(x) <= EPSILON:
-            return 0
-        return 1 if x > 0 else -1
-    if x == 0:
+    if is_zero(x):
         return 0
     return 1 if x > 0 else -1
 
 
 def is_zero(x) -> bool:
-    return sign_of(x) == 0
+    if isinstance(x, float):
+        return abs(x) <= EPSILON
+    return not x
 
 
 def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
@@ -353,20 +364,13 @@ def sqrt_in_field(x):
     if not isinstance(x, Quartic2):
         raise TypeError("not a scalar: %r" % (x,))
     c = x.coeffs
-    if x.is_rational:
-        r = _rational_sqrt(c[0])
-        if r is not None:
-            return Quartic2.from_rational(r)
-        half = _rational_sqrt(c[0] / 2)
-        if half is not None:
-            return Quartic2(0, 0, half, 0)
+    # x = q*t**(2k), k = 0 or 1, has the root r*t**k if q = r**2 and the root
+    # r*t**(k+2) if q = 2*r**2
+    k = 0 if x.is_rational else 1
+    if c[1] or c[3] or (k and c[0]):
         return None
-    if c[0] == 0 and c[1] == 0 and c[3] == 0:
-        r = _rational_sqrt(c[2])
+    for q, j in ((c[2 * k], k), (c[2 * k] / 2, k + 2)):
+        r = _rational_sqrt(q)
         if r is not None:
-            return Quartic2(0, r, 0, 0)
-        half = _rational_sqrt(c[2] / 2)
-        if half is not None:
-            return Quartic2(0, 0, 0, half)
-        return None
+            return Quartic2(*[r if i == j else 0 for i in range(4)])
     return None

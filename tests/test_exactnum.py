@@ -1,10 +1,13 @@
 """Quartic field arithmetic, certified signs, and norm classes."""
 
+import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import inversive.exactnum
 from inversive.exactnum import (
     BackendMismatch,
     NormClass,
@@ -13,6 +16,7 @@ from inversive.exactnum import (
     THETA,
     common_kind,
     get_epsilon,
+    is_zero,
     kind,
     norm_class_of,
     promote,
@@ -25,6 +29,31 @@ from inversive.exactnum import (
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 quartics = st.builds(Quartic2, rationals, rationals, rationals, rationals)
 nonzero_quartics = quartics.filter(bool)
+
+
+def _convergents(k, digits=60, qmax=10 ** 18):
+    """Continued-fraction convergents p/q of 2**(k/4), from an integer root."""
+    num, den = math.isqrt(math.isqrt(2 ** k * 10 ** (4 * digits))), 10 ** digits
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    out = []
+    while den and q1 < qmax:
+        a, num, den = num // den, den, num % den
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        out.append((p1, q1))
+    return out
+
+
+# q*t**k - p for convergents p/q of t**k: tiny, and for odd k the two halves
+# E and O of the element (see quartic_sign) have opposite signs
+NEAR_ZERO = [Quartic2(-p, *[q if i == k else 0 for i in (1, 2, 3)])
+             for k in (1, 2, 3) for p, q in _convergents(k)]
+near_zero = st.sampled_from(NEAR_ZERO)
+near_zero_quartics = st.one_of(
+    near_zero,
+    st.builds(lambda x, y: x * y, near_zero, near_zero),
+    st.builds(lambda x, q: x * q, near_zero, rationals.filter(bool)),
+    st.builds(lambda x, y: x + y, near_zero, near_zero),
+)
 
 
 def _sign(q: Fraction) -> int:
@@ -221,6 +250,12 @@ class TestBackendPlumbing:
         with pytest.raises(BackendMismatch):
             promote(THETA, "rational")
 
+    def test_is_zero_by_backend(self):
+        assert is_zero(Quartic2(0)) and is_zero(THETA - THETA)
+        assert not is_zero(Quartic2(Fraction(1, 10 ** 30))) and not is_zero(THETA)
+        assert is_zero(Fraction(0)) and not is_zero(Fraction(-1, 3))
+        assert is_zero(1e-12) and not is_zero(-1e-3)
+
     def test_epsilon_gate(self):
         assert sign_of(1e-12) == 0
         assert sign_of(1e-3) == 1
@@ -248,6 +283,10 @@ class TestSqrtInField:
         assert sqrt_in_field(Quartic2(0, 0, 2, 0)) == THETA ** 3
         assert sqrt_in_field(1 + THETA) is None
 
+    def test_mixed_even_elements_have_no_root(self):
+        assert sqrt_in_field(1 + SQRT2) is None
+        assert sqrt_in_field(Quartic2(Fraction(1, 2), 0, 4, 0)) is None
+
     @given(quartics)
     @settings(deadline=None)
     def test_sqrt_squares_back(self, x):
@@ -255,3 +294,127 @@ class TestSqrtInField:
         if r is not None:
             assert r * r == x
             assert quartic_sign(r) >= 0
+
+
+class TestCoefficientTypes:
+    def test_float_coefficient_raises(self):
+        with pytest.raises(BackendMismatch):
+            Quartic2(0.1)
+        with pytest.raises(BackendMismatch):
+            Quartic2(1, 0, 0.5, 0)
+
+    def test_bool_coefficient_raises(self):
+        with pytest.raises(TypeError):
+            Quartic2(True)
+        with pytest.raises(TypeError):
+            Quartic2(0, False, 0, 0)
+        with pytest.raises(TypeError):
+            THETA + True
+
+    def test_other_types_raise(self):
+        with pytest.raises(TypeError):
+            Quartic2("1/2")
+        with pytest.raises(TypeError):
+            Quartic2(THETA)
+
+
+def _canonical(x: Quartic2) -> bool:
+    return x._d > 0 and math.gcd(*x._n, x._d) == 1
+
+
+class TestCanonicalForm:
+    """Every result is in lowest terms over a positive denominator, so equal
+    values have equal internal tuples."""
+
+    @given(quartics, nonzero_quartics, rationals, st.integers(min_value=-3, max_value=4))
+    @settings(deadline=None)
+    def test_results_are_canonical(self, x, y, q, n):
+        results = [x + y, x - y, x * y, x / y, y ** n, y.inverse(), -x,
+                   x + q, q - x, x * q, q / y]
+        if x:
+            results.append(x ** n)
+        for r in results:
+            assert _canonical(r)
+
+    @given(quartics, nonzero_quartics)
+    @settings(deadline=None)
+    def test_equal_values_equal_tuples(self, x, y):
+        for r in ((x + y) - y, (x * y) / y, x * y * y.inverse()):
+            assert (r._n, r._d) == (x._n, x._d)
+
+
+_M = sys.hash_info.modulus
+
+
+class TestHash:
+    @given(st.one_of(quartics, near_zero_quartics))
+    @settings(deadline=None)
+    def test_hash_matches_fraction_coefficients(self, x):
+        if x.is_rational:
+            assert hash(x) == hash(x.to_fraction())
+        else:
+            assert hash(x) == hash(x.coeffs)
+
+    @pytest.mark.parametrize("c0", [
+        Fraction(1, _M), Fraction(3, 2 * _M), Fraction(-(_M + 2), 2),
+        Fraction(-1), Fraction(-1, 3), Fraction(10 ** 30 + 1, 7 ** 25)])
+    def test_hash_edge_denominators(self, c0):
+        # d divisible by the hash modulus, and values hashing to -1 -> -2
+        assert hash(Quartic2(c0)) == hash(c0)
+        x = Quartic2(c0, Fraction(1, 5))
+        assert hash(x) == hash(x.coeffs)
+
+
+class TestPurity:
+    def test_sign_leaves_module_state_unchanged(self):
+        before = dict(vars(inversive.exactnum))
+        assert quartic_sign(Quartic2(Fraction(-42, 25), 0, 0, 1)) == 1
+        assert quartic_sign(Quartic2(Fraction(-1682, 1000), 0, 0, 1)) < 1
+        assert THETA ** 3 - 2 / THETA == 0
+        assert dict(vars(inversive.exactnum)) == before
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _poly(sympy, x):
+    t = sympy.Symbol("t")
+    return sum(sympy.Rational(c.numerator, c.denominator) * t ** k
+               for k, c in enumerate(x.coeffs))
+
+
+class TestAgainstSympy:
+    """Field arithmetic and signs against sympy's polynomial algebra modulo
+    t**4 - 2 and its evaluation at 2**(1/4), which share no code with
+    `exactnum`."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(quartics, near_zero_quartics), st.one_of(quartics, near_zero_quartics))
+    def test_add_mul_match_remainder(self, sympy, x, y):
+        t = sympy.Symbol("t")
+        px, py = _poly(sympy, x), _poly(sympy, y)
+        assert sympy.expand(_poly(sympy, x + y) - px - py) == 0
+        product = sympy.rem(sympy.expand(px * py), t ** 4 - 2, t)
+        assert sympy.expand(_poly(sympy, x * y) - product) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(nonzero_quartics, near_zero_quartics))
+    def test_inverse_matches_invert(self, sympy, x):
+        t = sympy.Symbol("t")
+        expected = sympy.invert(_poly(sympy, x), t ** 4 - 2, t)
+        assert sympy.expand(_poly(sympy, x.inverse()) - expected) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(quartics, near_zero_quartics))
+    def test_sign_matches_evaluation(self, sympy, x):
+        value = _poly(sympy, x).subs(sympy.Symbol("t"), 2 ** sympy.Rational(1, 4))
+        assert quartic_sign(x) == sympy.sign(value)
+
+    def test_sign_of_convergent_residuals(self, sympy):
+        # every q*t**k - p, the opposite-sign branch included
+        root = 2 ** sympy.Rational(1, 4)
+        for x in NEAR_ZERO:
+            value = _poly(sympy, x).subs(sympy.Symbol("t"), root)
+            assert quartic_sign(x) == sympy.sign(value) != 0
