@@ -126,15 +126,16 @@ def nullspace(rows: Sequence[Sequence], ncols: int) -> List[List]:
     vectors for an integer matrix."""
     if not rows:
         rows = []
-    exact_int = _is_int_matrix(rows)
-    m, pivots = bareiss(rows, ncols) if exact_int else rref(rows, ncols)
-    scale = m[0][pivots[0]] if exact_int and pivots else 1
+    m, pivots = bareiss(rows, ncols) if _is_int_matrix(rows) else rref(rows, ncols)
+    # the first pivot is the matrix's own one (d for bareiss), so a float
+    # matrix gets float entries at the free columns
+    scale = m[0][pivots[0]] if pivots else 1
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [0] * ncols
+        vec = [scale - scale] * ncols
         vec[free] = scale
         for row_idx, pcol in enumerate(pivots):
             vec[pcol] = -m[row_idx][free]

@@ -9,11 +9,10 @@ finite sample only.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .colorings import (
     ColoredConfig,
@@ -24,7 +23,7 @@ from .colorings import (
     num_colors,
     sample_class,
 )
-from .exactnum import THETA, NormClass, is_zero, norm_class_of, sign_of
+from .exactnum import THETA, BackendMismatch, NormClass, is_zero, norm_class_of, sign_of
 from .geom import (
     DegenerateConfigError,
     GeometryError,
@@ -61,12 +60,6 @@ class SearchBudgetError(GeometryError):
     """A search that had to produce a witness ran out of budget instead."""
 
 
-def _sphere_contains(s: SphereLike, p: Point) -> bool:
-    if isinstance(s, Hypersphere):
-        return on_sphere(p, s)
-    return s.contains(p)
-
-
 @dataclass(frozen=True)
 class PolychromaticWitness:
     """A sphere with incident colored points realizing |color_set| colors."""
@@ -80,7 +73,7 @@ class PolychromaticWitness:
         if len(set(pts)) != len(pts):
             raise GeometryError("witness points must be distinct")
         for p, _ in self.on_points:
-            if not _sphere_contains(self.sphere, p):
+            if not self.sphere.contains(p):
                 raise GeometryError("witness point %r is off the sphere" % (p,))
         if frozenset(c for _, c in self.on_points) != self.color_set:
             raise GeometryError("witness color set does not match its points")
@@ -106,73 +99,56 @@ class SeparationWitness:
             raise GeometryError("claimed pair is not separated")
 
 
-def enumerate_spheres(config: ColoredConfig, d: int):
-    """Candidate d-spheres spanned by subsets of the configuration, streamed
-    as (index tuple, sphere) in lexicographic subset order, deduplicated by
-    canonical form."""
-    n = config.n
-    if d > n - 1 or d < 0:
-        raise GeometryError("sphere dimension must lie in 0..n-1")
-    pts = config.points()
-    if len(pts) < d + 2:
-        raise GeometryError("too few points to span any %d-sphere" % d)
-    seen = set()
-    if d == n - 1:
-        for subset in combinations(range(len(pts)), n + 1):
-            try:
-                s = sphere_through([pts[i] for i in subset])
-            except GeometryError:
-                continue
-            if s.key() in seen:
-                continue
-            seen.add(s.key())
-            yield subset, s
-    else:
-        for subset in combinations(range(len(pts)), d + 2):
-            try:
-                s = smallest_sphere([pts[i] for i in subset])
-            except GeometryError:
-                continue
-            if s.dim != d:
-                continue
-            if s.key() in seen:
-                continue
-            seen.add(s.key())
-            yield subset, s
+IndexEntry = Tuple[Tuple[int, ...], object, Set[int]]
 
 
-def _witness_for(config: ColoredConfig, s: SphereLike) -> PolychromaticWitness:
-    on = tuple((p, c) for p, c in config.items if _sphere_contains(s, p))
-    return PolychromaticWitness(s, on, frozenset(c for _, c in on))
+def sphere_index(points: Sequence[Point], size: int,
+                 span: Callable[[List[Point]], object]) -> Dict[tuple, IndexEntry]:
+    """The spheres spanned by `size`-subsets of the points, grouped by
+    canonical key: key -> (first subset, its sphere, incident indices).
 
-
-def _score_chunk(config: ColoredConfig, d: int,
-                 subsets: List[Tuple[int, ...]]) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    pts = config.points()
-    n = config.n
-    best = None
-    for subset in subsets:
+    Subsets are walked once in lexicographic order, so the groups keep the
+    order of their first subsets; a subset whose `span` raises GeometryError
+    or returns None spans nothing. The incident set is the union of the
+    group's subsets, and that is every point on the sphere: by basis exchange
+    on the lifted rows (for great flats, on the greedily padded span) each
+    point of a spanned sphere lies in some subset spanning it. Float points
+    are refused, because their rounded keys can disagree with the tolerance
+    predicate."""
+    if any(not p.is_infinity and p.backend() == "float" for p in points):
+        raise BackendMismatch("sphere search needs exact coordinates")
+    index: Dict[tuple, IndexEntry] = {}
+    for subset in combinations(range(len(points)), size):
         try:
-            if d == n - 1:
-                s = sphere_through([pts[i] for i in subset])
-            else:
-                s = smallest_sphere([pts[i] for i in subset])
-                if s.dim != d:
-                    continue
+            s = span([points[i] for i in subset])
         except GeometryError:
             continue
-        ncolors = len({c for p, c in config.items if _sphere_contains(s, p)})
-        key = (-ncolors, subset)
-        if best is None or key < best:
-            best = key
-    return best
+        if s is None:
+            continue
+        key = s.key()
+        entry = index.get(key)
+        if entry is None:
+            index[key] = (subset, s, set(subset))
+        else:
+            entry[2].update(subset)
+    return index
 
 
-def max_polychromatic(config: ColoredConfig, d: int,
-                      jobs: int = 1) -> PolychromaticWitness:
+def most_colored(config: ColoredConfig, index: Dict[tuple, IndexEntry]
+                 ) -> Tuple[object, Tuple[ColoredPoint, ...]]:
+    """The sphere of the index entry carrying the most colors, with its
+    colored points in configuration order; ties go to the lexicographically
+    smallest first subset."""
+    colors = [c for _, c in config.items]
+    _, s, on = min(index.values(),
+                   key=lambda e: (-len({colors[i] for i in e[2]}), e[0]))
+    return s, tuple(config.items[i] for i in sorted(on))
+
+
+def max_polychromatic(config: ColoredConfig, d: int) -> PolychromaticWitness:
     """The most-colored d-sphere spanned by configuration points, counting
     every configuration point incident to each candidate; ties broken by the
-    lexicographically smallest defining subset, independent of job count."""
+    lexicographically smallest defining subset."""
     n = config.n
     if d > n - 1 or d < 0:
         raise GeometryError("sphere dimension must lie in 0..%d" % (n - 1))
@@ -180,26 +156,18 @@ def max_polychromatic(config: ColoredConfig, d: int,
     pts = config.points()
     if len(pts) < size:
         raise DegenerateConfigError("too few points to span any %d-sphere" % d)
-    subsets = list(combinations(range(len(pts)), size))
-    if jobs > 1:
-        chunk = max(1, len(subsets) // (4 * jobs))
-        pieces = [subsets[i:i + chunk] for i in range(0, len(subsets), chunk)]
-        best = None
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for result in pool.map(_score_chunk, [config] * len(pieces),
-                                   [d] * len(pieces), pieces):
-                if result is not None and (best is None or result < best):
-                    best = result
-    else:
-        best = _score_chunk(config, d, subsets)
-    if best is None:
+
+    def span(subset: List[Point]) -> Optional[SphereLike]:
+        if d == n - 1:
+            return sphere_through(subset)
+        s = smallest_sphere(subset)
+        return s if s.dim == d else None
+
+    index = sphere_index(pts, size, span)
+    if not index:
         raise DegenerateConfigError("no subset spans a %d-sphere" % d)
-    subset = best[1]
-    if d == n - 1:
-        s: SphereLike = sphere_through([pts[i] for i in subset])
-    else:
-        s = smallest_sphere([pts[i] for i in subset])
-    return _witness_for(config, s)
+    s, on = most_colored(config, index)
+    return PolychromaticWitness(s, on, frozenset(c for _, c in on))
 
 
 def _two_line_targeted(coloring: TwoLine, target: int) -> Optional[PolychromaticWitness]:

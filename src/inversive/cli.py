@@ -6,8 +6,8 @@ enumerated sample), 1 when a witness or violation was found (the payload is
 attached to the report), and 2 on malformed input or precondition errors.
 Reports contain the seed and sample sizes that produced them and nothing
 clock- or host-dependent, so a rerun with the same arguments is
-byte-identical.  Worker count comes from --jobs (or the THREADS variable)
-and is deliberately left out of the report.
+byte-identical. `search --jobs` is accepted for compatibility and ignored;
+searches need exact coordinates.
 """
 
 import argparse
@@ -177,7 +177,7 @@ def cmd_verify_construction(args) -> Tuple[str, Dict, Dict, Dict]:
 
 def cmd_search(args) -> Tuple[str, Dict, Dict, Dict]:
     cfg = decode_config(_load_json(args.input))
-    witness = max_polychromatic(cfg, args.dim, jobs=args.jobs)
+    witness = max_polychromatic(cfg, args.dim)
     found = len(witness.color_set) >= args.target
     size = (cfg.n + 1) if args.dim == cfg.n - 1 else (args.dim + 2)
     stats = {
@@ -323,13 +323,6 @@ def cmd_validate(args) -> Tuple[str, Dict, Dict, Dict]:
 # parser
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="inversive",
@@ -356,7 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="ColoredConfig JSON file")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--target", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int,
+                   help="accepted for compatibility and ignored")
     p.add_argument("--plot", default=None, help="also write an SVG (n = 2)")
     p.set_defaults(func=cmd_search, command_name="search")
 

@@ -9,14 +9,12 @@ intersection subspace has dimension at least one by counting.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import _linalg
-from .chromatic import PolychromaticWitness
+from .chromatic import PolychromaticWitness, most_colored, sphere_index
 from .colorings import ColoredConfig, FlagEuclidean, sample_class
 from .exactnum import BackendMismatch, common_kind, is_zero, promote, sqrt_in_field
 from .geom import (
@@ -28,7 +26,6 @@ from .geom import (
     Scalar,
     SubSphere,
     vec_dot,
-    vec_is_zero,
     vec_scale,
     vec_sub,
 )
@@ -176,21 +173,7 @@ def great_intersection(s: GreatFlat, c: GreatFlat) -> GreatIntersection:
     return GreatIntersection(w, (plus, minus), False)
 
 
-def _score_great_chunk(config: ColoredConfig, target_dim: int,
-                       subsets: List[Tuple[int, ...]]
-                       ) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    pts = config.points()
-    best = None
-    for subset in subsets:
-        flat = great_flat_through([pts[i] for i in subset], target_dim)
-        ncolors = len({c for p, c in config.items if flat.contains(p)})
-        key = (-ncolors, subset)
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def max_colors_great(config: ColoredConfig, jobs: int = 1) -> PolychromaticWitness:
+def max_colors_great(config: ColoredConfig) -> PolychromaticWitness:
     """The most-colored great hypersphere spanned by n-subsets of a colored
     configuration on the unit n-sphere; rank-deficient subsets are padded by
     the deterministic completion, every configuration point on the span is
@@ -200,23 +183,10 @@ def max_colors_great(config: ColoredConfig, jobs: int = 1) -> PolychromaticWitne
         raise DegenerateConfigError("empty configuration")
     for p in pts:
         _on_unit_sphere(p)
-    ambient = pts[0].dim
-    n = ambient - 1
-    size = min(n, len(pts))
-    subsets = list(combinations(range(len(pts)), size))
-    if jobs > 1:
-        chunk = max(1, len(subsets) // (4 * jobs))
-        pieces = [subsets[i:i + chunk] for i in range(0, len(subsets), chunk)]
-        best = None
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for result in pool.map(_score_great_chunk, [config] * len(pieces),
-                                   [n] * len(pieces), pieces):
-                if result is not None and (best is None or result < best):
-                    best = result
-    else:
-        best = _score_great_chunk(config, n, subsets)
-    flat = great_flat_through([pts[i] for i in best[1]], n)
-    on = tuple((p, c) for p, c in config.items if flat.contains(p))
+    n = pts[0].dim - 1
+    index = sphere_index(pts, min(n, len(pts)),
+                         lambda subset: great_flat_through(subset, n))
+    flat, on = most_colored(config, index)
     return PolychromaticWitness(flat.subsphere(), on, frozenset(c for _, c in on))
 
 
@@ -229,25 +199,19 @@ def verify_flag_euclidean(n: int = 2, per_class: int = 16, seed: int = 0) -> dic
     for i in range(1, coloring.k + 1):
         for p in sample_class(coloring, i, per_class, seed + i):
             samples.append((p, i))
-    pts = [p for p, _ in samples]
-    circles_checked = 0
+    index = sphere_index([p for p, _ in samples], n,
+                         lambda subset: great_flat_through(subset, n))
     max_colors = 0
     violations = []
-    seen = set()
-    for subset in combinations(range(len(pts)), n):
-        flat = great_flat_through([pts[i] for i in subset], n)
-        if flat.key() in seen:
-            continue
-        seen.add(flat.key())
-        circles_checked += 1
-        colors = {c for p, c in samples if flat.contains(p)}
+    for subset, _, on in index.values():
+        colors = {samples[i][1] for i in on}
         max_colors = max(max_colors, len(colors))
         if len(colors) >= n + 1:
             violations.append({"subset": subset, "colors": sorted(colors)})
     return {
         "n": n,
         "samples": len(samples),
-        "circles_checked": circles_checked,
+        "circles_checked": len(index),
         "max_colors": max_colors,
         "violations": violations,
     }

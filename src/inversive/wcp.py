@@ -132,7 +132,10 @@ def circular_general_position(points: Sequence[Point]) -> CgpReport:
                 base.append(cand)
         circle = smallest_sphere(base)
         return CgpReport(False, circle, tuple(p for p in pts if circle.contains(p)))
-    for i, j, l in combinations(range(m), 3):
+    # Two distinct circles share at most two points, so for m >= 5 at most
+    # one circle holds m - 1 of them; it misses at most one point, so its
+    # lexicographically first triple lies in the first four points.
+    for i, j, l in combinations(range(4), 3):
         circle = smallest_sphere([pts[i], pts[j], pts[l]])
         on = tuple(p for p in pts if circle.contains(p))
         if len(on) >= m - 1:

@@ -18,7 +18,6 @@ from inversive.chromatic import (
     CosetModel,
     coset_closure_check,
     find_polychromatic,
-    max_polychromatic,
     separating_circle_5pts,
     separating_sphere_bruteforce,
     two_line_coset_model,
@@ -27,8 +26,6 @@ from inversive.chromatic import (
 )
 from inversive.cli import main as cli_main
 from inversive.colorings import (
-    ColoredConfig,
-    FlagEuclidean,
     FlagInversive,
     TwoLine,
     sample_class,
@@ -36,7 +33,6 @@ from inversive.colorings import (
 from inversive.euclid import (
     GreatFlat,
     great_intersection,
-    max_colors_great,
     verify_flag_euclidean,
 )
 from inversive.exactnum import THETA, is_zero
@@ -466,14 +462,6 @@ def test_criterion_12_determinism():
     assert (canonical_json(encode_polychromatic_witness(w1))
             == canonical_json(encode_polychromatic_witness(w2)))
     assert verify_flag(2, per_class=8, seed=3) == verify_flag(2, per_class=8, seed=3)
-
-    cfg = ColoredConfig(2, 4, (
-        (fp(1, 0), 1), (fp(0, 1), 2), (fp(-1, 0), 3), (fp(0, -1), 4),
-        (fp(3, 3), 1), (fp(2, 5), 2),
-    ))
-    assert max_polychromatic(cfg, 1, jobs=1) == max_polychromatic(cfg, 1, jobs=2)
-    euclid_cfg = ColoredConfig.sample(FlagEuclidean(2), 6, seed=12)
-    assert max_colors_great(euclid_cfg, jobs=1) == max_colors_great(euclid_cfg, jobs=2)
 
     argv = ["search-procedural", "--coloring", "two-line-extended",
             "--target", "4", "--seed", "5"]

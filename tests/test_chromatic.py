@@ -6,6 +6,7 @@ signed norms) before being pinned here.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +17,11 @@ from inversive.chromatic import (
     PolychromaticWitness,
     SeparationWitness,
     coset_closure_check,
-    enumerate_spheres,
     find_polychromatic,
     max_polychromatic,
     separating_circle_5pts,
     separating_sphere_bruteforce,
+    sphere_index,
     transfer,
     two_line_coset_model,
     verify_flag,
@@ -34,12 +35,13 @@ from inversive.colorings import (
     TwoLine,
     generic_position_points,
 )
-from inversive.exactnum import THETA, norm_class_of
+from inversive.exactnum import THETA, BackendMismatch, norm_class_of
 from inversive.geom import (
     DegenerateConfigError,
     GeometryError,
     Hypersphere,
     Point,
+    smallest_sphere,
     sphere_through,
 )
 
@@ -79,11 +81,6 @@ class TestMaxPolychromatic:
         assert len(w.color_set) == 2
         assert len(w.on_points) == 2
 
-    def test_parallel_matches_serial(self):
-        serial = max_polychromatic(UNIT_CIRCLE_CONFIG, 1, jobs=1)
-        parallel = max_polychromatic(UNIT_CIRCLE_CONFIG, 1, jobs=2)
-        assert serial == parallel
-
     def test_too_few_points(self):
         cfg = config_from(2, [(fp(0, 0), 1), (fp(1, 0), 2)])
         with pytest.raises(DegenerateConfigError):
@@ -97,18 +94,155 @@ class TestMaxPolychromatic:
             max_polychromatic(UNIT_CIRCLE_CONFIG, -1)
 
 
-class TestEnumerateSpheres:
+    def test_float_config_refused(self):
+        cfg = config_from(2, [(Point.finite((1.0, 0.0)), 1), (Point.finite((0.0, 1.0)), 2),
+                              (Point.finite((-1.0, 0.0)), 3), (Point.finite((0.0, -1.0)), 4)])
+        with pytest.raises(BackendMismatch):
+            max_polychromatic(cfg, 1)
+
+
+def _span_of_dim(n, d):
+    def span(subset):
+        if d == n - 1:
+            return sphere_through(subset)
+        s = smallest_sphere(subset)
+        return s if s.dim == d else None
+    return span
+
+
+def reference_max_polychromatic(config, d):
+    """The per-subset scan the sphere index replaced: build the sphere of
+    every subset and re-test every configuration point for incidence."""
+    n = config.n
+    pts = config.points()
+    size = n + 1 if d == n - 1 else d + 2
+    span = _span_of_dim(n, d)
+    best = None
+    for subset in combinations(range(len(pts)), size):
+        try:
+            s = span([pts[i] for i in subset])
+        except GeometryError:
+            continue
+        if s is None:
+            continue
+        ncolors = len({c for p, c in config.items if s.contains(p)})
+        if best is None or (-ncolors, subset) < best:
+            best = (-ncolors, subset)
+    if best is None:
+        return None
+    s = span([pts[i] for i in best[1]])
+    on = tuple((p, c) for p, c in config.items if s.contains(p))
+    return PolychromaticWitness(s, on, frozenset(c for _, c in on))
+
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def mixed_configs(draw):
+    """A colored configuration mixing points of one circle (and, for n = 3,
+    one sphere), one line, generic points, points of a circle whose radius
+    is a rational multiple of 2^(1/4) (Q(2^(1/4)) coordinates) and infinity,
+    with a sphere dimension."""
+    n = draw(st.sampled_from([2, 3]))
+    center = [draw(RATIONALS) for _ in range(n)]
+    radius = draw(st.sampled_from([F(1), F(2), F(1, 2)]))
+    slope, offset = draw(RATIONALS), draw(RATIONALS)
+
+    def circle_point(t, scale):
+        u = ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+        return (center[0] + scale * u[0], center[1] + scale * u[1], *center[2:])
+
+    def sphere_point(s, t):
+        q = s * s + t * t + 1
+        u = (2 * s / q, 2 * t / q, (s * s + t * t - 1) / q)
+        return tuple(c + radius * x for c, x in zip(center, u))
+
+    families = ["circle", "sphere", "line", "generic", "quartic", "infinity"]
+    # one family supplies about half the points, so spheres through more
+    # points than a spanning subset are common
+    main = draw(st.sampled_from(families[:5]))
+    points = []
+    for family in draw(st.lists(st.sampled_from([main] * 5 + families),
+                                min_size=4, max_size=8)):
+        t, u = draw(RATIONALS), draw(RATIONALS)
+        if family == "infinity":
+            p = Point.infinity(n)
+        elif family == "circle":
+            p = Point.finite(circle_point(t, radius))
+        elif family == "sphere" and n == 3:
+            p = Point.finite(sphere_point(t, u))
+        elif family == "quartic":
+            p = Point.finite(circle_point(t, radius * THETA))
+        elif family == "line":
+            p = Point.finite((t, slope * t + offset) + (F(0),) * (n - 2))
+        else:
+            p = Point.finite((t, u, *[draw(RATIONALS) for _ in range(n - 2)]))
+        if p not in points:
+            points.append(p)
+    colors = draw(st.lists(st.integers(1, 4), min_size=len(points),
+                           max_size=len(points)))
+    d = draw(st.integers(0, n - 1))
+    return config_from(n, list(zip(points, colors))), d
+
+
+class TestAgainstPerSubsetScan:
+    @settings(max_examples=120, deadline=None)
+    @given(mixed_configs())
+    def test_witness_matches_reference(self, case):
+        config, d = case
+        expected = reference_max_polychromatic(config, d)
+        if expected is None:
+            with pytest.raises(DegenerateConfigError):
+                max_polychromatic(config, d)
+            return
+        got = max_polychromatic(config, d)
+        assert got.sphere == expected.sphere
+        assert got.on_points == expected.on_points
+        assert got.color_set == expected.color_set
+
+    def test_concyclic_points_span_no_two_sphere(self):
+        # in R^4 four concyclic points span a circle, not a 2-sphere
+        circle = [(fp(1, 0, 0, 0), 1), (fp(0, 1, 0, 0), 2), (fp(-1, 0, 0, 0), 3),
+                  (fp(0, -1, 0, 0), 4)]
+        with pytest.raises(DegenerateConfigError):
+            max_polychromatic(config_from(4, circle), 2)
+        config = config_from(4, circle + [(fp(0, 0, 1, 0), 1)])
+        assert max_polychromatic(config, 2) == reference_max_polychromatic(config, 2)
+
+    @settings(max_examples=120, deadline=None)
+    @given(mixed_configs())
+    def test_incident_sets_match_incidence(self, case):
+        config, d = case
+        n, pts = config.n, config.points()
+        size = n + 1 if d == n - 1 else d + 2
+        index = sphere_index(pts, size, _span_of_dim(n, d))
+        for _, s, incident in index.values():
+            assert incident == {i for i, p in enumerate(pts) if s.contains(p)}
+
+
+class TestSphereIndex:
     def test_unit_circle_config_count(self):
-        spheres = list(enumerate_spheres(UNIT_CIRCLE_CONFIG, 1))
+        index = sphere_index(UNIT_CIRCLE_CONFIG.points(), 3, sphere_through)
         # four concyclic points collapse to one circle, plus 6 through (5,5)
-        assert len(spheres) == 7
-        subset, first = spheres[0]
+        assert len(index) == 7
+        subset, first, incident = next(iter(index.values()))
         assert subset == (0, 1, 2)
         assert first == Hypersphere.make(F(1), (F(0), F(0)), F(-1))
+        assert incident == {0, 1, 2, 3}
 
-    def test_bad_dimension(self):
-        with pytest.raises(GeometryError):
-            list(enumerate_spheres(UNIT_CIRCLE_CONFIG, 2))
+    def test_unspanning_subsets_skipped(self):
+        pts = UNIT_CIRCLE_CONFIG.points()
+
+        def span(subset):
+            if pts[4] in subset:
+                return None
+            if pts[3] in subset:
+                raise GeometryError("not spanning")
+            return sphere_through(subset)
+
+        index = sphere_index(pts, 3, span)
+        assert [(sub, inc) for sub, _, inc in index.values()] == [((0, 1, 2), {0, 1, 2})]
 
 
 class TestFindPolychromatic:

@@ -133,6 +133,20 @@ class TestSearch:
                                   "--target", "4", "--jobs", "2"], capsys)
         assert serial == parallel
 
+    def test_float_config_needs_exact_coordinates(self, tmp_path, capsys):
+        doc = {"n": 2, "k": 4, "points": [
+            {"coords": [1.0, 0.0], "color": 1}, {"coords": [0.0, 1.0], "color": 2},
+            {"coords": [-1.0, 0.0], "color": 3}, {"coords": [0.0, -1.0], "color": 4},
+        ]}
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        code, out, err = run_cli(["search", "--input", cfg, "--dim", "1",
+                                  "--target", "4"], capsys)
+        assert code == 2
+        rep = json.loads(out)
+        assert rep["verdict"] == "error"
+        assert "exact coordinates" in rep["error"]
+        assert "exact coordinates" in err
+
     def test_missing_file(self, capsys):
         code, out, err = run_cli(["search", "--input", "/nonexistent.json",
                                   "--dim", "1", "--target", "3"], capsys)

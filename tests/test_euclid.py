@@ -6,7 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from inversive.colorings import ColoredConfig, FlagEuclidean, rational_sphere_points
+from inversive.chromatic import PolychromaticWitness
+from inversive.colorings import ColoredConfig, FlagEuclidean, rational_sphere_points, sample_class
 from inversive.euclid import (
     GreatFlat,
     great_flat_through,
@@ -128,6 +129,28 @@ class TestGreatIntersection:
                 assert vec_dot(p.coords, p.coords) == 1
 
 
+GREAT_CONFIGS = [
+    ColoredConfig.sample(FlagEuclidean(2), per_class=2, seed=2),
+    ColoredConfig.sample(FlagEuclidean(2), per_class=3, seed=1),
+    ColoredConfig.sample(FlagEuclidean(3), per_class=2, seed=4),
+    # antipodal pairs and coordinate-plane points: rank-deficient subsets
+    # go through the padding
+    ColoredConfig(3, 4, (
+        (E1, 1), (sp(-1, 0, 0), 2), (E2, 3), (sp(0, -1, 0), 4),
+        (sp(F(3, 5), F(4, 5), 0), 1), (sp(0, F(3, 5), F(4, 5)), 2),
+        (E3, 3), (sp(F(-3, 5), 0, F(-4, 5)), 4),
+    )),
+    ColoredConfig(4, 5, (
+        (sp(1, 0, 0, 0), 1), (sp(-1, 0, 0, 0), 2), (sp(0, 0, 0, 1), 3),
+        (sp(0, 0, 0, -1), 4), (sp(0, F(3, 5), F(4, 5), 0), 5),
+        (sp(F(4, 5), 0, F(3, 5), 0), 1), (sp(0, 1, 0, 0), 2),
+        (sp(0, 0, F(-4, 5), F(3, 5)), 3),
+    )),
+    ColoredConfig(4, 3, ((sp(1, 0, 0, 0), 1), (sp(-1, 0, 0, 0), 2),
+                         (sp(0, 0, 1, 0), 3))),
+]
+
+
 class TestMaxColorsGreat:
     def test_flag_sample_caps_at_two(self):
         config = ColoredConfig.sample(FlagEuclidean(2), per_class=4, seed=0)
@@ -146,19 +169,45 @@ class TestMaxColorsGreat:
         w = max_colors_great(config)
         assert w.color_set == {2}
 
-    def test_parallel_matches_serial(self):
-        config = ColoredConfig.sample(FlagEuclidean(2), per_class=3, seed=1)
-        assert max_colors_great(config, jobs=2) == max_colors_great(config, jobs=1)
-
     def test_agrees_with_direct_scan(self):
-        config = ColoredConfig.sample(FlagEuclidean(2), per_class=2, seed=2)
-        w = max_colors_great(config)
-        pts = config.points()
-        best = 0
-        for subset in combinations(range(len(pts)), 2):
-            flat = great_flat_through([pts[i] for i in subset], 2)
-            best = max(best, len({c for p, c in config.items if flat.contains(p)}))
-        assert len(w.color_set) == best
+        for config in GREAT_CONFIGS:
+            assert max_colors_great(config) == reference_max_colors_great(config)
+
+
+def reference_max_colors_great(config):
+    """The per-subset scan the sphere index replaced: pad the span of every
+    n-subset and re-test every configuration point for incidence."""
+    pts = config.points()
+    n = pts[0].dim - 1
+    best = None
+    for subset in combinations(range(len(pts)), min(n, len(pts))):
+        flat = great_flat_through([pts[i] for i in subset], n)
+        ncolors = len({c for p, c in config.items if flat.contains(p)})
+        if best is None or (-ncolors, subset) < best:
+            best = (-ncolors, subset)
+    flat = great_flat_through([pts[i] for i in best[1]], n)
+    on = tuple((p, c) for p, c in config.items if flat.contains(p))
+    return PolychromaticWitness(flat.subsphere(), on, frozenset(c for _, c in on))
+
+
+def reference_verify_flag_euclidean(n, per_class, seed):
+    """The deduplicating per-subset loop the sphere index replaced."""
+    coloring = FlagEuclidean(n)
+    samples = [(p, i) for i in range(1, coloring.k + 1)
+               for p in sample_class(coloring, i, per_class, seed + i)]
+    pts = [p for p, _ in samples]
+    seen, max_colors, violations = set(), 0, []
+    for subset in combinations(range(len(pts)), n):
+        flat = great_flat_through([pts[i] for i in subset], n)
+        if flat.key() in seen:
+            continue
+        seen.add(flat.key())
+        colors = {c for p, c in samples if flat.contains(p)}
+        max_colors = max(max_colors, len(colors))
+        if len(colors) >= n + 1:
+            violations.append({"subset": subset, "colors": sorted(colors)})
+    return {"n": n, "samples": len(samples), "circles_checked": len(seen),
+            "max_colors": max_colors, "violations": violations}
 
 
 class TestVerifyFlagEuclidean:
@@ -167,3 +216,8 @@ class TestVerifyFlagEuclidean:
         assert report["violations"] == []
         assert report["max_colors"] == 2
         assert report["circles_checked"] > 50
+
+    @pytest.mark.parametrize("n, per_class, seed", [(2, 5, 3), (2, 8, 109), (3, 3, 7)])
+    def test_matches_per_subset_loop(self, n, per_class, seed):
+        assert (verify_flag_euclidean(n, per_class=per_class, seed=seed)
+                == reference_verify_flag_euclidean(n, per_class, seed))

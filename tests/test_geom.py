@@ -97,6 +97,15 @@ class TestOnSphereAndSide:
 
 
 class TestSphereThrough:
+    def test_float_circle(self):
+        s = sphere_through([P([1.0, 0.0]), P([0.0, 1.0]), P([-1.0, 0.0])])
+        assert on_sphere(P([0.6, 0.8]), s)
+        assert not on_sphere(P([0.6, 0.81]), s)
+
+    def test_float_nullspace_stays_float(self):
+        for vec in _linalg.nullspace([[1.0, 2.0, 0.0, 0.0]], 4):
+            assert all(type(x) is float for x in vec)
+
     def test_circle_through_three_points(self):
         s = sphere_through([P([0, 0]), P([1, 0]), P([0, 1])])
         assert s == Hypersphere.make(1, (-1, -1), 0)

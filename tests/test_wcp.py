@@ -15,6 +15,7 @@ from inversive.geom import (
     Point,
     concyclic,
     on_sphere,
+    smallest_sphere,
 )
 from inversive.wcp import (
     CgpReport,
@@ -49,6 +50,25 @@ def cgp_bruteforce(points):
         if all(concyclic(*quad) for quad in combinations(subset, 4)):
             return False
     return True
+
+
+def cgp_all_triples(points):
+    """The all-triples scan circular_general_position ran before it looked
+    only at triples of the first four points; for five or more distinct
+    points."""
+    m = len(points)
+    for i, j, l in combinations(range(m), 3):
+        circle = smallest_sphere([points[i], points[j], points[l]])
+        on = tuple(p for p in points if circle.contains(p))
+        if len(on) >= m - 1:
+            return CgpReport(False, circle, on)
+    return CgpReport(True, None)
+
+
+UNIT = [fp(1, 0), fp(0, 1), fp(-1, 0), fp(0, -1), fp(F(3, 5), F(4, 5)), fp(F(-4, 5), F(3, 5))]
+OFF = fp(2, 2)
+EQUATOR = [fp(1, 0, 0), fp(0, 1, 0), fp(-1, 0, 0), fp(0, -1, 0)]
+POLE = fp(0, 0, 1)
 
 
 class TestCircularGeneralPosition:
@@ -97,6 +117,26 @@ class TestCircularGeneralPosition:
     ])
     def test_matches_bruteforce(self, pts):
         assert circular_general_position(pts).verdict == cgp_bruteforce(pts)
+
+    @pytest.mark.parametrize("pts", [
+        [OFF] + UNIT[:4],
+        UNIT[:1] + [OFF] + UNIT[1:4],
+        UNIT[:2] + [OFF] + UNIT[2:4],
+        UNIT[:3] + [OFF] + UNIT[3:5],
+        UNIT[:4] + [OFF] + UNIT[4:5],
+        UNIT[:5] + [OFF],
+        UNIT,
+        [Z1, Z0, ZI, Z2I, INF],
+        [Z0, ZI, INF, Z1, Z2I, fp(0, -3)],
+        [POLE] + EQUATOR,
+        EQUATOR[:2] + [POLE] + EQUATOR[2:],
+        [Z0, Z1, INF, ZI, Z12],
+        [Z0, Z1, ZI, Z12, fp(3, 1), fp(2, 5)],
+    ], ids=["misses-0", "misses-1", "misses-2", "misses-3", "misses-4",
+            "misses-5", "misses-none", "line-misses-0", "line-misses-3",
+            "sphere-misses-0", "sphere-misses-2", "pass-5", "pass-6"])
+    def test_matches_all_triples_scan(self, pts):
+        assert circular_general_position(pts) == cgp_all_triples(pts)
 
     def test_report_validation(self):
         with pytest.raises(GeometryError):
