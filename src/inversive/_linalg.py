@@ -1,20 +1,19 @@
-"""Dense linear algebra over the scalar backends (internal).
-
-Matrices of Python ints, which is how the rational backend hands over its
-lifted rows, go through `bareiss`: fraction-free elimination whose every
-entry stays an integer minor of the input. Fraction, Quartic2 and float
-matrices go through `rref`, coefficient-by-coefficient over the field; the
-float path uses partial pivoting and treats entries within the module
-tolerance as zero, the exact paths take the first nonzero pivot. `rank` and
-`nullspace` pick the routine from the entry type.
+"""Dense linear algebra over the scalar backends (internal); the only module
+that picks an elimination. `rank`, `nullspace` and `echelon` send a rational
+matrix (int and Fraction entries), each row's denominators cleared, to
+`bareiss`: fraction-free elimination whose every entry stays an integer
+minor of the input. Quartic2 and float matrices go through `rref` over the
+field; the float path uses partial pivoting and treats entries within
+EPSILON as zero, the exact paths take the first nonzero pivot.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .exactnum import get_epsilon, is_zero
+from .exactnum import EPSILON, is_zero
 
 
 def _copy(rows: Sequence[Sequence]) -> List[List]:
@@ -28,8 +27,14 @@ def _is_float_matrix(rows) -> bool:
     return False
 
 
-def _is_int_matrix(rows) -> bool:
-    return bool(rows) and all(type(x) is int for r in rows for x in r)
+def _integer_rows(rows: Sequence[Sequence]) -> Optional[Sequence[Sequence[int]]]:
+    """A rational matrix with each row scaled to ints by its least common
+    denominator (an all-int one as it is, after one pass), else None."""
+    if all(type(x) is int for r in rows for x in r):
+        return rows
+    if all(type(x) is int or type(x) is Fraction for r in rows for x in r):
+        return [scaled_to_integers(r)[1] for r in rows]
+    return None
 
 
 def scaled_to_integers(xs: Sequence) -> Tuple[int, List[int]]:
@@ -41,7 +46,7 @@ def scaled_to_integers(xs: Sequence) -> Tuple[int, List[int]]:
 def _pick_pivot(rows, col: int, start: int, use_float: bool) -> int:
     best = -1
     if use_float:
-        mag = get_epsilon()
+        mag = EPSILON
         for i in range(start, len(rows)):
             if abs(rows[i][col]) > mag:
                 mag = abs(rows[i][col])
@@ -68,6 +73,9 @@ def rref(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List], List[int]]:
             continue
         m[r], m[i] = m[i], m[r]
         inv = m[r][col]
+        if type(inv) is int and not use_float:
+            # an int pivot beside Quartic2 entries must not turn ints into floats
+            inv = Fraction(inv)
         m[r] = [x / inv for x in m[r]]
         for j in range(len(m)):
             if j != r and not is_zero(m[j][col]):
@@ -116,17 +124,30 @@ def bareiss(rows: Sequence[Sequence[int]], ncols: int,
 
 
 def rank(rows: Sequence[Sequence], ncols: int) -> int:
-    if _is_int_matrix(rows):
-        return len(bareiss(rows, ncols, reduced=False)[1])
-    return len(rref(rows, ncols)[1])
+    ints = _integer_rows(rows)
+    if ints is None:
+        return len(rref(rows, ncols)[1])
+    return len(bareiss(ints, ncols, reduced=False)[1])
+
+
+def echelon(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List], List[int]]:
+    """The nonzero rows of the reduced row echelon form, and the pivot
+    columns; Fraction rows for a rational matrix (the reduced Bareiss rows
+    divided by the last pivot)."""
+    ints = _integer_rows(rows)
+    if ints is None:
+        m, pivots = rref(rows, ncols)
+        return m[: len(pivots)], pivots
+    m, pivots = bareiss(ints, ncols)
+    d = m[0][pivots[0]] if pivots else 1
+    return [[Fraction(x, d) for x in r] for r in m[: len(pivots)]], pivots
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> List[List]:
     """Basis of the right nullspace, one vector per free column; integer
-    vectors for an integer matrix."""
-    if not rows:
-        rows = []
-    m, pivots = bareiss(rows, ncols) if _is_int_matrix(rows) else rref(rows, ncols)
+    vectors for a rational matrix."""
+    ints = _integer_rows(rows)
+    m, pivots = rref(rows, ncols) if ints is None else bareiss(ints, ncols)
     # the first pivot is the matrix's own one (d for bareiss), so a float
     # matrix gets float entries at the free columns
     scale = m[0][pivots[0]] if pivots else 1

@@ -23,7 +23,7 @@ from .colorings import (
     num_colors,
     sample_class,
 )
-from .exactnum import THETA, BackendMismatch, NormClass, is_zero, norm_class_of, sign_of
+from .exactnum import THETA, NormClass, is_zero, norm_class_of, sign_of
 from .geom import (
     DegenerateConfigError,
     GeometryError,
@@ -39,6 +39,7 @@ from .geom import (
     separated,
     side,
     smallest_sphere,
+    span_key,
     sphere_through,
     vec_add,
     vec_dot,
@@ -99,56 +100,54 @@ class SeparationWitness:
             raise GeometryError("claimed pair is not separated")
 
 
-IndexEntry = Tuple[Tuple[int, ...], object, Set[int]]
+IndexEntry = Tuple[Tuple[int, ...], Set[int]]
 
 
 def sphere_index(points: Sequence[Point], size: int,
-                 span: Callable[[List[Point]], object]) -> Dict[tuple, IndexEntry]:
-    """The spheres spanned by `size`-subsets of the points, grouped by
-    canonical key: key -> (first subset, its sphere, incident indices).
+                 key_of: Callable[[List[Point]], Optional[tuple]]
+                 ) -> Dict[tuple, IndexEntry]:
+    """The spheres spanned by `size`-subsets of the points, grouped by the
+    canonical key `key_of` gives each subset: key -> (first subset,
+    incident indices).
 
     Subsets are walked once in lexicographic order, so the groups keep the
-    order of their first subsets; a subset whose `span` raises GeometryError
-    or returns None spans nothing. The incident set is the union of the
-    group's subsets, and that is every point on the sphere: by basis exchange
-    on the lifted rows (for great flats, on the greedily padded span) each
-    point of a spanned sphere lies in some subset spanning it. Float points
-    are refused, because their rounded keys can disagree with the tolerance
-    predicate."""
-    if any(not p.is_infinity and p.backend() == "float" for p in points):
-        raise BackendMismatch("sphere search needs exact coordinates")
+    order of their first subsets; a subset whose `key_of` raises
+    GeometryError or returns None spans nothing. The incident set is the
+    union of the group's subsets, and that is every point on the sphere: by
+    basis exchange on the lifted rows (for great flats, on the greedily
+    padded span) each point of a spanned sphere lies in some subset
+    spanning it."""
     index: Dict[tuple, IndexEntry] = {}
     for subset in combinations(range(len(points)), size):
         try:
-            s = span([points[i] for i in subset])
+            key = key_of([points[i] for i in subset])
         except GeometryError:
             continue
-        if s is None:
+        if key is None:
             continue
-        key = s.key()
         entry = index.get(key)
         if entry is None:
-            index[key] = (subset, s, set(subset))
+            index[key] = (subset, set(subset))
         else:
-            entry[2].update(subset)
+            entry[1].update(subset)
     return index
 
 
 def most_colored(config: ColoredConfig, index: Dict[tuple, IndexEntry]
-                 ) -> Tuple[object, Tuple[ColoredPoint, ...]]:
-    """The sphere of the index entry carrying the most colors, with its
-    colored points in configuration order; ties go to the lexicographically
-    smallest first subset."""
+                 ) -> Tuple[Tuple[int, ...], Tuple[ColoredPoint, ...]]:
+    """The first subset of the index entry carrying the most colors, with
+    the entry's colored points in configuration order; ties go to the
+    lexicographically smallest first subset."""
     colors = [c for _, c in config.items]
-    _, s, on = min(index.values(),
-                   key=lambda e: (-len({colors[i] for i in e[2]}), e[0]))
-    return s, tuple(config.items[i] for i in sorted(on))
+    subset, on = min(index.values(),
+                     key=lambda e: (-len({colors[i] for i in e[1]}), e[0]))
+    return subset, tuple(config.items[i] for i in sorted(on))
 
 
 def max_polychromatic(config: ColoredConfig, d: int) -> PolychromaticWitness:
     """The most-colored d-sphere spanned by configuration points, counting
     every configuration point incident to each candidate; ties broken by the
-    lexicographically smallest defining subset."""
+    lexicographically smallest defining subset. Exact coordinates only."""
     n = config.n
     if d > n - 1 or d < 0:
         raise GeometryError("sphere dimension must lie in 0..%d" % (n - 1))
@@ -156,17 +155,14 @@ def max_polychromatic(config: ColoredConfig, d: int) -> PolychromaticWitness:
     pts = config.points()
     if len(pts) < size:
         raise DegenerateConfigError("too few points to span any %d-sphere" % d)
-
-    def span(subset: List[Point]) -> Optional[SphereLike]:
-        if d == n - 1:
-            return sphere_through(subset)
-        s = smallest_sphere(subset)
-        return s if s.dim == d else None
-
-    index = sphere_index(pts, size, span)
+    # a size-subset spans a d-sphere exactly when its lifted rows are
+    # independent, which is when span_key gives a key
+    index = sphere_index(pts, size, span_key)
     if not index:
         raise DegenerateConfigError("no subset spans a %d-sphere" % d)
-    s, on = most_colored(config, index)
+    subset, on = most_colored(config, index)
+    spanning = [pts[i] for i in subset]
+    s = sphere_through(spanning) if d == n - 1 else smallest_sphere(spanning)
     return PolychromaticWitness(s, on, frozenset(c for _, c in on))
 
 

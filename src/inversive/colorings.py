@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from ._linalg import rank, scaled_to_integers
+from ._linalg import rank
 from .exactnum import (
     BackendMismatch,
     NormClass,
@@ -426,7 +426,7 @@ def _euclid_degenerate(chosen: Sequence[Point], cand: Point, n: int) -> bool:
 
     for size in range(min(len(chosen), n), n + 1):
         for subset in combinations(chosen, size):
-            rows = [scaled_to_integers(p.coords)[1] for p in (*subset, cand)]
+            rows = [p.coords for p in (*subset, cand)]
             if rank(rows, len(rows[0])) < len(rows):
                 return True
     return False

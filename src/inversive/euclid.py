@@ -61,11 +61,10 @@ class GreatFlat:
         ncols = len(vectors[0])
         if any(len(v) != ncols for v in vectors):
             raise GeometryError("spanning vectors disagree in length")
-        rows = _promoted_rows(vectors)
-        red, pivots = _linalg.rref(rows, ncols)
-        if not pivots:
+        red, _ = _linalg.echelon(_promoted_rows(vectors), ncols)
+        if not red:
             raise GeometryError("zero vectors span no subspace")
-        return cls(tuple(tuple(r) for r in red[: len(pivots)]))
+        return cls(tuple(tuple(r) for r in red))
 
     @property
     def dim(self) -> int:
@@ -77,7 +76,7 @@ class GreatFlat:
 
     def contains_direction(self, v: Sequence[Scalar]) -> bool:
         rows = _promoted_rows(list(self.basis) + [list(v)])
-        return len(_linalg.rref(rows, self.ambient)[1]) == self.dim
+        return _linalg.rank(rows, self.ambient) == self.dim
 
     def contains(self, p: Point) -> bool:
         if p.is_infinity:
@@ -108,17 +107,15 @@ def great_flat_through(points: Sequence[Point], d: int) -> GreatFlat:
         raise GeometryError("points disagree in ambient dimension")
     if not 1 <= d <= ambient:
         raise GeometryError("target dimension out of range")
-    rows = _promoted_rows([list(p.coords) for p in points])
-    red, pivots = _linalg.rref(rows, ambient)
-    if len(pivots) > d:
+    basis, _ = _linalg.echelon(_promoted_rows([list(p.coords) for p in points]), ambient)
+    if len(basis) > d:
         raise GeometryError("points span more than the target dimension")
-    basis = [list(r) for r in red[: len(pivots)]]
     for i in range(ambient):
         if len(basis) >= d:
             break
         e = [Fraction(1) if j == i else Fraction(0) for j in range(ambient)]
         candidate = basis + [e]
-        if len(_linalg.rref(candidate, ambient)[1]) > len(basis):
+        if _linalg.rank(candidate, ambient) > len(basis):
             basis = candidate
     return GreatFlat.span(basis)
 
@@ -185,8 +182,9 @@ def max_colors_great(config: ColoredConfig) -> PolychromaticWitness:
         _on_unit_sphere(p)
     n = pts[0].dim - 1
     index = sphere_index(pts, min(n, len(pts)),
-                         lambda subset: great_flat_through(subset, n))
-    flat, on = most_colored(config, index)
+                         lambda subset: great_flat_through(subset, n).key())
+    subset, on = most_colored(config, index)
+    flat = great_flat_through([pts[i] for i in subset], n)
     return PolychromaticWitness(flat.subsphere(), on, frozenset(c for _, c in on))
 
 
@@ -200,10 +198,10 @@ def verify_flag_euclidean(n: int = 2, per_class: int = 16, seed: int = 0) -> dic
         for p in sample_class(coloring, i, per_class, seed + i):
             samples.append((p, i))
     index = sphere_index([p for p, _ in samples], n,
-                         lambda subset: great_flat_through(subset, n))
+                         lambda subset: great_flat_through(subset, n).key())
     max_colors = 0
     violations = []
-    for subset, _, on in index.values():
+    for subset, on in index.values():
         colors = {samples[i][1] for i in on}
         max_colors = max(max_colors, len(colors))
         if len(colors) >= n + 1:

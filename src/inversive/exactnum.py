@@ -3,7 +3,7 @@
 Three backends coexist: rationals (int or fractions.Fraction), the real
 quartic field Q(t) with t = 2**(1/4) on integer numerators over one common
 denominator, with an exact integer sign and no refinement state, and IEEE
-floats with a single module-level tolerance that only predicates consult.
+floats with one constant tolerance, EPSILON, that only predicates consult.
 """
 
 from __future__ import annotations
@@ -16,17 +16,6 @@ from functools import total_ordering
 from typing import Iterable, Optional, Tuple, Union
 
 EPSILON = 1e-9
-
-
-def set_epsilon(eps: float) -> None:
-    global EPSILON
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    EPSILON = float(eps)
-
-
-def get_epsilon() -> float:
-    return EPSILON
 
 
 class BackendMismatch(TypeError):

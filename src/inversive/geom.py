@@ -3,10 +3,11 @@
 A generalized sphere in R^n with the point at infinity adjoined is the zero
 set of c*<x,x> + <b,x> + a with <b,b> - 4ca > 0; c = 0 gives an extended
 hyperplane through infinity. Everything here is backend-generic: exact over
-rationals or the quartic field, tolerance-based over floats. The lifted-row
-predicates (`sphere_through`, `concyclic`, `on_common_sphere`) run on integer
-rows and fraction-free elimination for rationals, and on field elimination
-for the quartic and float backends.
+rationals or the quartic field, tolerance-based over floats. Everything
+works on lifted rows (<x,x>, x, 1), integer for rational points, through
+`_linalg`, which picks the elimination. A sphere of any dimension is keyed
+by the reduced echelon basis of its coefficient space, the span of the
+(c, b, a) of the hyperspheres through it; float spheres have no key.
 """
 
 from __future__ import annotations
@@ -191,9 +192,9 @@ class Hypersphere:
         return is_zero(self.evaluate(p))
 
     def key(self) -> tuple:
-        if common_kind([self.c, *self.b, self.a]) == "float":
-            return (round(self.c, 9), tuple(round(x, 9) for x in self.b), round(self.a, 9))
-        return (self.c, self.b, self.a)
+        """Its own lead-1 row: the echelon key of its coefficient space."""
+        _refuse_float(self.c)
+        return ((self.c, *self.b, self.a),)
 
 
 def on_sphere(p: Point, s: Hypersphere) -> bool:
@@ -456,13 +457,15 @@ class Flat:
         v = _orthogonal_residual(v, self.basis)
         return vec_is_zero(v)
 
+    def _hyperplane_rows(self) -> List[List[Scalar]]:
+        """Coefficient rows (0, v, -<v, base>) of the extended hyperplanes
+        through the flat, one per normal v in the nullspace of its basis."""
+        normals = _linalg.nullspace(self.basis, self.ambient)
+        return [[0, *v, -vec_dot(v, self.basepoint)] for v in normals]
+
     def key(self) -> tuple:
-        rows, _ = _linalg.rref([list(d) for d in self.basis], self.ambient)
-        rows = [tuple(r) for r in rows[: self.dim]]
-        # residual of the basepoint against the directions is the unique
-        # point of the flat closest to the origin
-        anchor = _orthogonal_residual(self.basepoint, self.basis)
-        return (anchor, tuple(rows))
+        _refuse_float(self.basepoint[0])
+        return _echelon_key(self._hyperplane_rows(), self.ambient + 2)
 
 
 def _orthogonal_residual(v: Sequence[Scalar], basis: Sequence[Sequence[Scalar]]) -> Tuple:
@@ -501,36 +504,11 @@ class SubSphere:
 
     def key(self) -> tuple:
         if self.surface is None:
-            return ("all", self.ambient)
-        if is_zero(self.surface.c):
-            cut = _flat_cut_by_plane(self.carrier, self.surface)
-            return ("flat", cut.key())
-        center = self.surface.center()
-        return ("sphere", self.carrier.key(), center.coords, self.surface.radius_sq())
-
-
-def _flat_cut_by_plane(carrier: Flat, plane: Hypersphere) -> Flat:
-    """Intersection of a carrier flat with an extended hyperplane (c = 0)."""
-    # Solve <b, base + sum t_i d_i> + a = 0 over the t coordinates.
-    coeffs = [vec_dot(plane.b, d) for d in carrier.basis]
-    const = vec_dot(plane.b, carrier.basepoint) + plane.a
-    ns = _linalg.nullspace([coeffs], len(coeffs))
-    # one particular solution
-    idx = next((i for i, c in enumerate(coeffs) if not is_zero(c)), None)
-    if idx is None:
-        if not is_zero(const):
-            raise GeometryError("plane does not meet the carrier flat")
-        return carrier
-    ts = [0] * len(coeffs)
-    ts[idx] = -const / coeffs[idx]
-    base = carrier.point_at(ts)
-    dirs = []
-    for vec in ns:
-        w = carrier.point_at(vec).coords
-        w = vec_sub(w, carrier.basepoint)
-        dirs.append(w)
-    pts = [base] + [Point.finite(vec_add(base.coords, d)) for d in dirs]
-    return Flat.through(pts)
+            return ()
+        s = self.surface
+        _refuse_float(s.c)
+        rows = [[s.c, *s.b, s.a], *self.carrier._hyperplane_rows()]
+        return _echelon_key(rows, self.ambient + 2)
 
 
 def _extended_flat_subsphere(hull: Flat, n: int) -> SubSphere:
@@ -555,43 +533,48 @@ def smallest_sphere(points: Sequence[Point]) -> SubSphere:
 
     k points span a sphere of dimension at most k-2: the circumsphere inside
     their affine hull when one exists, otherwise the extended hull flat. With
-    infinity among the inputs the answer is always the extended hull.
+    infinity among the inputs the answer is always the extended hull. A row
+    (2<v, base>, v, 0) per hull normal v puts the centre -b/2c in the hull.
     """
     points, k = _uniform(points)
     if len(points) < 2:
         raise GeometryError("need at least two points")
     _check_distinct(points, "smallest_sphere")
     n = points[0].dim
-    finite = [p for p in points if not p.is_infinity]
-    has_inf = len(finite) < len(points)
-    hull = Flat.through(finite)
-    if has_inf or hull.dim == 0:
-        if hull.dim == n:
-            return SubSphere(hull, None)
-        return _extended_flat_subsphere(hull, n)
-    g = [vec_dot(d, d) for d in hull.basis]
-    tcoords = [hull.coords_of(p) for p in finite]
-    rows = []
-    one = promote(1, k) if k != "rational" else Fraction(1)
-    for ts in tcoords:
-        q = vec_dot([gi * t for gi, t in zip(g, ts)], ts)
-        rows.append([q, *ts, one])
-    ns = _linalg.nullspace(rows, hull.dim + 2)
-    if not ns:
-        if hull.dim == n:
-            return SubSphere(hull, None)
-        return _extended_flat_subsphere(hull, n)
-    if len(ns) > 1:
-        raise DegenerateSphereError("unexpected solution space in smallest_sphere")
-    vec = ns[0]
-    c, w, a = vec[0], vec[1:-1], vec[-1]
-    if is_zero(c):
-        raise DegenerateSphereError("hull-spanning points admit no interior flat")
-    s = [-wi / (2 * gi * c) for wi, gi in zip(w, g)]
-    center = hull.point_at(s)
-    r_sq = vec_dot([gi * si for gi, si in zip(g, s)], s) - a / c
-    if sign_of(r_sq) <= 0:
-        raise DegenerateSphereError("circumsphere collapsed to a point")
-    m = center.coords
-    surface = Hypersphere.make(one, vec_scale(-2, m), vec_dot(m, m) - r_sq)
-    return SubSphere(hull, surface)
+    hull = Flat.through([p for p in points if not p.is_infinity])
+    rows = [lift_row(p, k) for p in points]
+    for v in _linalg.nullspace(hull.basis, n):
+        rows.append([2 * vec_dot(v, hull.basepoint), *v, 0])
+    ns = _linalg.nullspace(rows, n + 2)
+    if ns:
+        vec = ns[0]
+        return SubSphere(hull, Hypersphere.make(vec[0], vec[1:-1], vec[-1]))
+    if hull.dim == n:
+        return SubSphere(hull, None)
+    return _extended_flat_subsphere(hull, n)
+
+
+def _refuse_float(x: Scalar) -> None:
+    if isinstance(x, float):
+        raise BackendMismatch("sphere keys need exact coordinates")
+
+
+def _echelon_key(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple:
+    """The key of the generalized sphere whose coefficient space the exact
+    rows (c, b, a) span: the nonzero rows of its reduced row echelon form."""
+    return tuple(tuple(r) for r in _linalg.echelon(rows, ncols)[0])
+
+
+def span_key(points: Sequence[Point]) -> Optional[tuple]:
+    """`smallest_sphere(points).key()` from the nullspace of the lifted rows,
+    or None when they are dependent (the sphere has dimension below
+    len(points) - 2)."""
+    points, k = _uniform(points)
+    if k == "float":
+        raise BackendMismatch("sphere keys need exact coordinates")
+    _check_distinct(points, "span_key")
+    ncols = points[0].dim + 2
+    ns = _linalg.nullspace([lift_row(p, k) for p in points], ncols)
+    if len(points) + len(ns) > ncols:
+        return None
+    return _echelon_key(ns, ncols)

@@ -185,8 +185,7 @@ def wcp_check(t: FiniteImageMap,
         distinct = _dedup(images)
         if len(distinct) <= 3:
             continue
-        through = smallest_sphere(distinct[:3])
-        off = next((x for x in distinct[3:] if not through.contains(x)), None)
+        off = next((x for x in distinct[3:] if not concyclic(*distinct[:3], x)), None)
         if off is None:
             continue
         offending = distinct[:3] + [off]

@@ -42,6 +42,7 @@ from inversive.geom import (
     Hypersphere,
     Point,
     smallest_sphere,
+    span_key,
     sphere_through,
 )
 
@@ -216,33 +217,50 @@ class TestAgainstPerSubsetScan:
         config, d = case
         n, pts = config.n, config.points()
         size = n + 1 if d == n - 1 else d + 2
-        index = sphere_index(pts, size, _span_of_dim(n, d))
-        for _, s, incident in index.values():
+        index = sphere_index(pts, size, span_key)
+        span = _span_of_dim(n, d)
+        for subset, incident in index.values():
+            s = span([pts[i] for i in subset])
             assert incident == {i for i, p in enumerate(pts) if s.contains(p)}
+
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_configs())
+    def test_span_key_is_the_smallest_sphere_key(self, case):
+        # mixes rational and Q(2^(1/4)) subsets of one configuration
+        config, _ = case
+        n, pts = config.n, config.points()
+        for size in range(2, n + 3):
+            for subset in list(combinations(pts, size))[:12]:
+                key, s = span_key(subset), smallest_sphere(subset)
+                assert (key is None) == (s.dim < size - 2)
+                if key is not None:
+                    assert key == s.key()
+                    if size == n + 1:
+                        assert key == sphere_through(subset).key()
 
 
 class TestSphereIndex:
     def test_unit_circle_config_count(self):
-        index = sphere_index(UNIT_CIRCLE_CONFIG.points(), 3, sphere_through)
+        index = sphere_index(UNIT_CIRCLE_CONFIG.points(), 3, span_key)
         # four concyclic points collapse to one circle, plus 6 through (5,5)
         assert len(index) == 7
-        subset, first, incident = next(iter(index.values()))
+        key, (subset, incident) = next(iter(index.items()))
+        assert key == Hypersphere.make(F(1), (F(0), F(0)), F(-1)).key()
         assert subset == (0, 1, 2)
-        assert first == Hypersphere.make(F(1), (F(0), F(0)), F(-1))
         assert incident == {0, 1, 2, 3}
 
     def test_unspanning_subsets_skipped(self):
         pts = UNIT_CIRCLE_CONFIG.points()
 
-        def span(subset):
+        def key_of(subset):
             if pts[4] in subset:
                 return None
             if pts[3] in subset:
                 raise GeometryError("not spanning")
-            return sphere_through(subset)
+            return span_key(subset)
 
-        index = sphere_index(pts, 3, span)
-        assert [(sub, inc) for sub, _, inc in index.values()] == [((0, 1, 2), {0, 1, 2})]
+        index = sphere_index(pts, 3, key_of)
+        assert list(index.values()) == [((0, 1, 2), {0, 1, 2})]
 
 
 class TestFindPolychromatic:

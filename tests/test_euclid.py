@@ -16,7 +16,7 @@ from inversive.euclid import (
     verify_flag_euclidean,
 )
 from inversive.exactnum import BackendMismatch, THETA
-from inversive.geom import GeometryError, Point, vec_dot
+from inversive.geom import GeometryError, Point, span_key, vec_dot
 
 F = Fraction
 
@@ -48,6 +48,17 @@ class TestGreatFlat:
         assert s.contains(sp(F(3, 5), F(4, 5), 0))
         assert not s.contains(sp(F(1, 2), F(1, 2), 0))  # in the plane, off the sphere
         assert not s.contains(E3)
+
+    def test_bases_stay_fractions(self):
+        for vectors in ([[1, 1, 0], [1, -1, 0]], [[F(1, 2), 1, 0], [0, F(2, 3), 0]], [[2, 0, 0]]):
+            flat = GreatFlat.span(vectors)
+            assert all(type(x) is F for r in flat.basis for x in r)
+        assert GreatFlat.span([[F(1, 2), 1, 0], [0, F(2, 3), 0]]) == XY_PLANE
+
+    def test_section_key_is_the_key_of_its_points(self):
+        assert XY_PLANE.subsphere().key() == span_key([E1, E2, sp(-1, 0, 0)])
+        assert XZ_PLANE.subsphere().key() == span_key([E3, E1, sp(F(3, 5), 0, F(-4, 5))])
+        assert XY_PLANE.subsphere().key() != XZ_PLANE.subsphere().key()
 
     def test_exactness_required(self):
         with pytest.raises(BackendMismatch):

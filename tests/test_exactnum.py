@@ -15,13 +15,11 @@ from inversive.exactnum import (
     SQRT2,
     THETA,
     common_kind,
-    get_epsilon,
     is_zero,
     kind,
     norm_class_of,
     promote,
     quartic_sign,
-    set_epsilon,
     sign_of,
     sqrt_in_field,
 )
@@ -259,14 +257,6 @@ class TestBackendPlumbing:
     def test_epsilon_gate(self):
         assert sign_of(1e-12) == 0
         assert sign_of(1e-3) == 1
-        old = get_epsilon()
-        try:
-            set_epsilon(1e-2)
-            assert sign_of(1e-3) == 0
-        finally:
-            set_epsilon(old)
-        with pytest.raises(ValueError):
-            set_epsilon(0.0)
 
 
 class TestSqrtInField:

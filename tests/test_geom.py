@@ -9,6 +9,11 @@ from hypothesis import assume, event, given, settings, strategies as st
 from inversive import _linalg
 from inversive.exactnum import Quartic2, THETA, SQRT2, BackendMismatch
 from inversive.geom import (
+    _check_distinct,
+    _extended_flat_subsphere,
+    _uniform,
+    vec_dot,
+    vec_scale,
     CR_INFINITY,
     DegenerateConfigError,
     DegenerateSphereError,
@@ -27,6 +32,7 @@ from inversive.geom import (
     side,
     signed_norm,
     smallest_sphere,
+    span_key,
     sphere_through,
 )
 
@@ -36,6 +42,7 @@ UNIT_CIRCLE = Hypersphere.make(1, (0, 0), -1)
 X_AXIS = Hypersphere.make(0, (0, 1), 0)
 
 coords = st.fractions(min_value=-10, max_value=10, max_denominator=8)
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 def rand_rat(rng, lo=-8, hi=8, den=6):
@@ -275,6 +282,19 @@ class TestAgainstSympy:
         event("flat" if s.is_flat else "round")
         assert [s.c, *s.b, s.a] == expected
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda cols: st.lists(
+        st.lists(st.one_of(st.integers(-3, 3), small_fractions), min_size=cols, max_size=cols),
+        min_size=1, max_size=5)))
+    def test_echelon_matches_rref(self, sympy, rows):
+        ncols = len(rows[0])
+        red, pivots = _linalg.echelon(rows, ncols)
+        ref, ref_pivots = sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows]).rref()
+        assert pivots == list(ref_pivots)
+        assert red == [[Fraction(int(v.p), int(v.q)) for v in ref.row(i)]
+                       for i in range(len(pivots))]
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_hyperplane_through_infinity(self, sympy, n):
         # the origin, e_1 .. e_(n-1) and 2(e_1 + .. + e_(n-1)) lie on the
@@ -286,6 +306,35 @@ class TestAgainstSympy:
             assert on_common_sphere(pts) == expected
             assert expected == (_oracle_rows(sympy, pts).rank() < n + 2)
         assert sphere_through(flat[1:] + [Point.infinity(n)]) == Hypersphere.make(0, e[-1], 0)
+
+
+class TestEchelon:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda cols: st.lists(
+        st.lists(st.one_of(st.integers(-3, 3), small_fractions), min_size=cols, max_size=cols),
+        min_size=1, max_size=5)))
+    def test_rational_rows_match_rref(self, rows):
+        # int, Fraction and mixed rows: their denominators are cleared row by
+        # row and the reduced Bareiss rows divided back to Fractions
+        ncols = len(rows[0])
+        ref, ref_pivots = _linalg.rref([[Fraction(x) for x in r] for r in rows], ncols)
+        red, pivots = _linalg.echelon(rows, ncols)
+        assert pivots == ref_pivots
+        assert red == ref[: len(pivots)]
+        assert all(type(x) is Fraction for r in red for x in r)
+        assert _linalg.rank(rows, ncols) == len(pivots)
+        for vec in _linalg.nullspace(rows, ncols):
+            assert all(type(x) is int for x in vec)
+            assert all(sum(a * x for a, x in zip(r, vec)) == 0 for r in rows)
+
+    def test_quartic_rows_keep_rref(self):
+        rows = [[THETA, 1, Fraction(1, 2)], [SQRT2, THETA * SQRT2, Fraction(1, 2) * THETA]]
+        ref, ref_pivots = _linalg.rref(rows, 3)
+        assert _linalg.echelon(rows, 3) == (ref[: len(ref_pivots)], ref_pivots)
+        # an int pivot among Quartic2 entries divides exactly
+        red, _ = _linalg.echelon([[0, 2, 1, THETA]], 4)
+        assert red == [[0, 1, Fraction(1, 2), THETA / 2]]
+        assert not any(isinstance(x, float) for x in red[0])
 
 
 class TestBareiss:
@@ -433,6 +482,104 @@ class TestSmallestSphere:
         a = smallest_sphere([P([1, 0, 0]), P([0, 1, 0]), P([-1, 0, 0]), P([0, -1, 0])])
         b = smallest_sphere([P([0, 1, 0]), P([-1, 0, 0]), P([0, -1, 0]), P([1, 0, 0])])
         assert a.key() == b.key()
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_families(lambda n: n + 2))
+    def test_matches_hull_coordinate_solve(self, family):
+        n, pts = family
+        for sub in [pts[:k] for k in range(2, n + 3)] + [pts[-3:], pts[1:]]:
+            if len(sub) < 2:
+                continue
+            got, expected = smallest_sphere(sub), reference_smallest_sphere(sub)
+            assert got == expected
+            if got.surface is not None:
+                s = got.surface
+                assert all(type(x) is Fraction for x in (s.c, *s.b, s.a))
+
+    @pytest.mark.parametrize("pts", [
+        [P([THETA, 0]), P([0, THETA]), P([-THETA, 0])],
+        [P([THETA, 0, 1]), P([0, THETA, 1]), P([-THETA, 0, 1]), P([0, -THETA, 1])],
+        [P([THETA, 0, 1]), P([0, SQRT2, 1])],
+        [P([THETA, 0, 0]), P([0, 1, 0]), Point.infinity(3)],
+        [P([THETA, 0]), P([1, 1]), P([0, SQRT2]), P([3, 0])],
+    ])
+    def test_quartic_matches_hull_coordinate_solve(self, pts):
+        assert smallest_sphere(pts) == reference_smallest_sphere(pts)
+
+    def test_float_keys_refused(self):
+        s = smallest_sphere([P([1.0, 0.0]), P([0.0, 1.0]), P([-1.0, 0.0])])
+        for sphere in (s, s.surface, s.carrier):
+            with pytest.raises(BackendMismatch, match="exact coordinates"):
+                sphere.key()
+        with pytest.raises(BackendMismatch, match="exact coordinates"):
+            span_key([P([1.0, 0.0]), P([0.0, 1.0]), P([-1.0, 0.0])])
+
+
+def reference_smallest_sphere(points):
+    """The construction smallest_sphere used before it solved the lifted
+    rows: the circumsphere from hull coordinates t with Gram weights
+    g_i = <d_i, d_i> (rows (sum g_i t_i^2, t, 1)), centre mapped back
+    through the hull flat."""
+    points, k = _uniform(points)
+    _check_distinct(points, "reference")
+    n = points[0].dim
+    finite = [p for p in points if not p.is_infinity]
+    hull = Flat.through(finite)
+    if len(finite) < len(points) or hull.dim == 0:
+        if hull.dim == n:
+            return SubSphere(hull, None)
+        return _extended_flat_subsphere(hull, n)
+    g = [vec_dot(d, d) for d in hull.basis]
+    one = Quartic2(1) if k == "quartic" else Fraction(1)
+    rows = []
+    for ts in (hull.coords_of(p) for p in finite):
+        rows.append([vec_dot([gi * t for gi, t in zip(g, ts)], ts), *ts, one])
+    ns = _linalg.nullspace(rows, hull.dim + 2)
+    if not ns:
+        if hull.dim == n:
+            return SubSphere(hull, None)
+        return _extended_flat_subsphere(hull, n)
+    assert len(ns) == 1
+    c, *w, a = [one * x for x in ns[0]]
+    s = [-wi / (2 * gi * c) for wi, gi in zip(w, g)]
+    m = hull.point_at(s).coords
+    r_sq = vec_dot([gi * si for gi, si in zip(g, s)], s) - a / c
+    return SubSphere(hull, Hypersphere.make(one, vec_scale(-2, m), vec_dot(m, m) - r_sq))
+
+
+class TestSpanKey:
+    @settings(max_examples=200, deadline=None)
+    @given(point_families(lambda n: n + 2))
+    def test_key_of_the_spanned_sphere(self, family):
+        n, pts = family
+        for sub in [pts[:k] for k in range(2, n + 3)] + [pts[-3:], pts[1:]]:
+            if len(sub) < 2:
+                continue
+            key, s = span_key(sub), smallest_sphere(sub)
+            assert (key is None) == (s.dim < len(sub) - 2)
+            event("dependent" if key is None else "spanning")
+            if key is not None:
+                assert key == s.key()
+                if len(sub) == n + 1:
+                    assert key == sphere_through(sub).key()
+
+    def test_quartic_point_and_infinity(self):
+        # the carrier's hyperplane rows carry int normals beside Q(t) offsets
+        pts = [P([THETA, 0]), INF2]
+        key = smallest_sphere(pts).key()
+        assert key == span_key(pts)
+        assert not any(isinstance(x, float) for row in key for x in row)
+
+    def test_equal_spheres_equal_keys_across_presentations(self):
+        # the x-axis as an extended hyperplane, a flat, a SubSphere and spans
+        line = [P([0, 0]), P([1, 0]), INF2]
+        key = X_AXIS.key()
+        assert key == ((0, 0, 1, 0),)
+        assert span_key(line) == span_key([P([3, 0]), INF2, P([-1, 0])]) == key
+        assert span_key(line[:2] + [P([5, 0])]) == key
+        assert span_key(line + [P([5, 0])]) is None
+        assert Flat.through(line[:2]).key() == smallest_sphere(line).key() == key
+        assert smallest_sphere(line[:2] + [P([1, 1]), P([2, 2])]).key() == ()
 
 
 class TestFlat:

@@ -2,12 +2,13 @@
 five-point refutation, and the sharp four-point map."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from inversive.chromatic import SearchBudgetError
 from inversive.colorings import FlagInversive, TwoLine
+from inversive.exactnum import THETA
 from inversive.geom import (
     DegenerateConfigError,
     GeometryError,
@@ -16,6 +17,7 @@ from inversive.geom import (
     concyclic,
     on_sphere,
     smallest_sphere,
+    sphere_through,
 )
 from inversive.wcp import (
     CgpReport,
@@ -205,6 +207,59 @@ class TestWcpCheck:
         t = build_sharp_map([Z0, Z1, INF, ZI])
         with pytest.raises(GeometryError):
             wcp_check(t, [(UNIT, UNIT_PTS[:3])])
+
+
+def wcp_check_by_smallest_sphere(t, samples):
+    """The rule wcp_check used before it asked concyclic: each further image
+    must lie on smallest_sphere of the first three distinct images; returns
+    (sample index, offending images) or None."""
+    for idx, (_, dom_pts) in enumerate(samples):
+        distinct = list(dict.fromkeys(t.apply(p) for p in dom_pts))
+        if len(distinct) <= 3:
+            continue
+        through = smallest_sphere(distinct[:3])
+        off = next((x for x in distinct[3:] if not through.contains(x)), None)
+        if off is not None:
+            return idx, tuple(distinct[:3] + [off])
+    return None
+
+
+# the extended x-axis meets the two-line classes 1, 5, 4, 1 (three distinct
+# images at most), the circle classes 2, 3, 4, 1; the circle comes twice, in
+# two point orders, so different images come first
+_CIRCLE_PTS = [Point.finite((0, THETA)), Point.finite((0, THETA ** 3 / 2)),
+               Point.finite((THETA ** 2, 0)), Point.finite((THETA ** 2 * 3 / 2, THETA ** 3 / 2))]
+TWO_LINE_SAMPLES = [
+    (Hypersphere.make(0, (0, 1), 0), [Z0, fp(1, 0), Point.finite((THETA ** 2, 0)), INF]),
+    (sphere_through(_CIRCLE_PTS[:3]), _CIRCLE_PTS),
+    (sphere_through(_CIRCLE_PTS[:3]), _CIRCLE_PTS[::-1]),
+]
+
+
+def _first_three_of_violations(pool):
+    """Run wcp_check and the smallest_sphere rule on every map of the five
+    two-line classes into the pool; the first three images of each
+    violation."""
+    found = []
+    for table in product(range(len(pool)), repeat=5):
+        t = FiniteImageMap(TwoLine(extended=True), pool, dict(enumerate(table, 1)))
+        v = wcp_check(t, TWO_LINE_SAMPLES)
+        expected = wcp_check_by_smallest_sphere(t, TWO_LINE_SAMPLES)
+        assert (None if v is None else (v.sample_index, v.images)) == expected
+        if v is not None:
+            found.append(v.images[:3])
+    return found
+
+
+class TestWcpCheckAgainstSmallestSphere:
+    def test_infinity_or_collinear_among_first_three(self):
+        found = _first_three_of_violations((INF, Z0, Z1, fp(2, 0), ZI))
+        assert any(INF in first for first in found)
+        assert any(set(first) == {Z0, Z1, fp(2, 0)} for first in found)
+
+    def test_ambient_unit_sphere_images(self):
+        pool = (fp(1, 0, 0), fp(0, 1, 0), fp(-1, 0, 0), fp(0, 0, 1), fp(F(3, 5), 0, F(4, 5)))
+        assert _first_three_of_violations(pool)
 
 
 class TestSampleCircles:
