@@ -423,7 +423,7 @@ def main(argv=None) -> int:
     try:
         verdict, payload, statistics, parameters = args.func(args)
     except (FormatError, GeometryError, BackendMismatch, OSError,
-            json.JSONDecodeError, KeyError, ValueError) as e:
+            json.JSONDecodeError) as e:
         sys.stderr.write("error: %s\n" % e)
         _print_report(args.command_name, {}, "error", {"error": str(e)})
         return 2

@@ -513,10 +513,12 @@ class SubSphere:
 
 def _extended_flat_subsphere(hull: Flat, n: int) -> SubSphere:
     """SubSphere equal to hull ∪ {infinity}: carrier pads the hull by one
-    deterministic direction, the surface is the hyperplane cutting it back."""
+    deterministic direction, the surface is the hyperplane cutting it back.
+    A float hull gets a float direction; an exact one keeps Fractions."""
+    one = 1.0 if isinstance(hull.basepoint[0], float) else Fraction(1)
     residual = None
     for i in range(n):
-        e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
+        e = tuple(one if j == i else one - one for j in range(n))
         r = _orthogonal_residual(e, hull.basis)
         if not vec_is_zero(r):
             residual = r
@@ -524,7 +526,7 @@ def _extended_flat_subsphere(hull: Flat, n: int) -> SubSphere:
     if residual is None:
         raise GeometryError("hull flat already fills the space")
     carrier = Flat(hull.basepoint, hull.basis + (residual,))
-    surface = Hypersphere.make(0, residual, -vec_dot(residual, hull.basepoint))
+    surface = Hypersphere.make(one - one, residual, -vec_dot(residual, hull.basepoint))
     return SubSphere(carrier, surface)
 
 

@@ -109,6 +109,13 @@ def decode_scalar(v: Any) -> Scalar:
     raise FormatError("cannot decode scalar from %r" % (v,))
 
 
+def _require(obj: Any, key: str, what: str) -> Any:
+    """obj[key] of a JSON object, or a FormatError naming the missing key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise FormatError("%s needs \"%s\"" % (what, key))
+    return obj[key]
+
+
 def _decode_vector(v: Any, what: str = "vector") -> Tuple[Scalar, ...]:
     if not isinstance(v, list) or not v:
         raise FormatError("%s must be a nonempty array" % what)
@@ -234,12 +241,14 @@ def decode_moebius(obj: Any) -> MoebiusMap:
             raise FormatError("each factor is one inversion or reflection")
         if "inversion" in entry:
             body = entry["inversion"]
-            factors.append(SphereInversion(_decode_vector(body["center"], "center"),
-                                           decode_scalar(body["r2"])))
+            factors.append(SphereInversion(
+                _decode_vector(_require(body, "center", "inversion"), "center"),
+                decode_scalar(_require(body, "r2", "inversion"))))
         elif "reflection" in entry:
             body = entry["reflection"]
-            factors.append(HyperplaneReflection(_decode_vector(body["normal"], "normal"),
-                                                decode_scalar(body["offset"])))
+            factors.append(HyperplaneReflection(
+                _decode_vector(_require(body, "normal", "reflection"), "normal"),
+                decode_scalar(_require(body, "offset", "reflection"))))
         else:
             raise FormatError("unknown factor kind %r" % list(entry))
     dim = obj.get("dim", factors[0].dim if factors else None)
@@ -342,9 +351,10 @@ def decode_coloring(obj: Any) -> ProceduralColoring:
 
 
 def _require_int(obj: Mapping, key: str) -> int:
-    if key not in obj or isinstance(obj[key], bool) or not isinstance(obj[key], int):
-        raise FormatError("descriptor needs integer %r" % key)
-    return obj[key]
+    v = _require(obj, key, "descriptor")
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise FormatError("descriptor needs integer \"%s\"" % key)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +363,11 @@ def _require_int(obj: Mapping, key: str) -> int:
 
 def _encode_colored_pair(p: Point, c: int) -> Dict[str, Any]:
     return {"point": encode_point(p), "color": c}
+
+
+def _decode_colored_pair(obj: Any, n: int) -> Tuple[Point, Any]:
+    return (decode_point(_require(obj, "point", "witness point"), n),
+            _require(obj, "color", "witness point"))
 
 
 def encode_polychromatic_witness(w: PolychromaticWitness) -> Dict[str, Any]:
@@ -368,7 +383,7 @@ def decode_polychromatic_witness(obj: Any) -> PolychromaticWitness:
         raise FormatError("witness needs \"sphere\", \"points\", \"colors\"")
     sphere = decode_sphere(obj["sphere"])
     n = _sphere_ambient(sphere)
-    on = tuple((decode_point(e["point"], n), e["color"]) for e in obj["points"])
+    on = tuple(_decode_colored_pair(e, n) for e in obj["points"])
     return PolychromaticWitness(sphere, on, frozenset(obj["colors"]))
 
 
@@ -387,9 +402,8 @@ def decode_separation_witness(obj: Any) -> SeparationWitness:
     if not isinstance(sphere, Hypersphere):
         raise FormatError("separation witnesses use full hyperspheres")
     n = _sphere_ambient(sphere)
-    defining = tuple((decode_point(e["point"], n), e["color"])
-                     for e in obj["defining"])
-    sep = [(decode_point(e["point"], n), e["color"]) for e in obj["separated"]]
+    defining = tuple(_decode_colored_pair(e, n) for e in obj["defining"])
+    sep = [_decode_colored_pair(e, n) for e in obj["separated"]]
     if len(sep) != 2:
         raise FormatError("exactly two separated points expected")
     return SeparationWitness(sphere, defining, (sep[0], sep[1]))
@@ -430,8 +444,12 @@ def decode_map(obj: Any) -> FiniteImageMap:
     coloring = decode_coloring(obj["coloring"])
     dim = _image_dim(obj)
     image = tuple(decode_point(e, dim) for e in obj["image"])
+    if not isinstance(obj["table"], dict):
+        raise FormatError("table must be an object from colors to image indices")
     table = {}
     for key, val in obj["table"].items():
+        if isinstance(val, bool) or not isinstance(val, int):
+            raise FormatError("table values must be integer image indices")
         try:
             table[int(key)] = val
         except ValueError as e:

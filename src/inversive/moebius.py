@@ -4,15 +4,26 @@ A primitive is a sphere inversion (carrying center and squared radius) or a
 hyperplane reflection (mirror {x : <normal, x> + offset = 0}). Both are
 involutions, so the inverse of a composition is the reversed list. Factors
 apply first to last.
+
+Every primitive is the reflection X -> D X - 2 (r . X) r* of the light-cone
+model (`geom.lift_row`) in its mirror row r = (c, b, a), (1, -2m, <m,m> - rho)
+or (0, u, s), with r* = (-2a, b, -2c) and D = <b,b> - 4ca > 0. A point leaves
+as X_b / X_W (infinity when X_W is zero), a sphere enters as its dual and
+leaves as (-X_W, 2 X_b, -X_0), in the common kind of input and factors. A
+float is taken as the binary fraction it is, so a float image is the exact one
+rounded once, and a float point that the word stretches past 1/EPSILON goes to
+infinity (for one inversion: |x - m|^2 <= EPSILON rho).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .exactnum import common_kind, is_zero, promote, sign_of, sqrt_in_field
+from . import _linalg
+from .exactnum import EPSILON, common_kind, is_zero, promote, sign_of, sqrt_in_field
 from .geom import (
     GeometryError,
     Hypersphere,
@@ -21,7 +32,7 @@ from .geom import (
     _cdiv,
     _cmul,
     _uniform,
-    vec_add,
+    lift_row,
     vec_dot,
     vec_scale,
     vec_sub,
@@ -33,74 +44,36 @@ class NormalizationError(GeometryError):
     scalar field of the inputs."""
 
 
-@dataclass(frozen=True)
-class SphereInversion:
-    center: Tuple[Scalar, ...]
-    radius_sq: Scalar
-
-    def __post_init__(self):
-        k = common_kind([*self.center, self.radius_sq])
-        object.__setattr__(self, "center", tuple(promote(x, k) for x in self.center))
-        object.__setattr__(self, "radius_sq", promote(self.radius_sq, k))
-        if sign_of(self.radius_sq) <= 0:
-            raise GeometryError("inversion needs a positive squared radius")
-
-    @property
-    def dim(self) -> int:
-        return len(self.center)
-
-    def apply(self, p: Point) -> Point:
-        if p.is_infinity:
-            return Point.finite(self.center)
-        w = vec_sub(p.coords, self.center)
-        ww = vec_dot(w, w)
-        if is_zero(ww):
-            return Point.infinity(self.dim)
-        return Point.finite(vec_add(self.center, vec_scale(self.radius_sq / ww, w)))
-
-    def image_sphere(self, s: Hypersphere) -> Hypersphere:
-        m, rho = self.center, self.radius_sq
-        mm = vec_dot(m, m)
-        k = s.c * mm + vec_dot(s.b, m) + s.a
-        c2 = k
-        b2 = vec_add(vec_scale(rho, s.b), vec_scale(2 * (s.c * rho - k), m))
-        a2 = k * mm - 2 * s.c * rho * mm + s.c * rho * rho - rho * vec_dot(s.b, m)
-        return Hypersphere.make(c2, b2, a2)
+def _dyadic(xs: Sequence[Scalar]) -> List[Scalar]:
+    """Floats as the binary fractions they are, the other scalars as given."""
+    return [Fraction(x) if type(x) is float else x for x in xs]
 
 
-@dataclass(frozen=True)
-class HyperplaneReflection:
-    normal: Tuple[Scalar, ...]
-    offset: Scalar
-
-    def __post_init__(self):
-        k = common_kind([*self.normal, self.offset])
-        object.__setattr__(self, "normal", tuple(promote(x, k) for x in self.normal))
-        object.__setattr__(self, "offset", promote(self.offset, k))
-        if all(is_zero(x) for x in self.normal):
-            raise GeometryError("reflection needs a nonzero normal")
-
-    @property
-    def dim(self) -> int:
-        return len(self.normal)
-
-    def apply(self, p: Point) -> Point:
-        if p.is_infinity:
-            return p
-        u, s = self.normal, self.offset
-        lam = 2 * (vec_dot(u, p.coords) + s) / vec_dot(u, u)
-        return Point.finite(vec_sub(p.coords, vec_scale(lam, u)))
-
-    def image_sphere(self, s: Hypersphere) -> Hypersphere:
-        u, off = self.normal, self.offset
-        uu = vec_dot(u, u)
-        bu = vec_dot(s.b, u)
-        b2 = vec_add(s.b, vec_scale((4 * s.c * off - 2 * bu) / uu, u))
-        a2 = s.a + (4 * s.c * off * off - 2 * off * bu) / uu
-        return Hypersphere.make(s.c, b2, a2)
+def _integral(row: Sequence[Scalar]) -> Sequence[Scalar]:
+    """A float or rational sphere row as ints (it names the same sphere)."""
+    row = _dyadic(row)
+    exact = all(type(x) is int or type(x) is Fraction for x in row)
+    return _linalg.scaled_to_integers(row)[1] if exact else row
 
 
-PrimitiveMap = Union[SphereInversion, HyperplaneReflection]
+def _mirror(row: Sequence[Scalar]) -> tuple:
+    """(r, r*, D) for the sphere row r = (c, b, a)."""
+    c, *b, a = row = _integral(row)
+    return row, [-2 * a, *b, -2 * c], vec_dot(b, b) - 4 * c * a
+
+
+def _stretched_past_floats(w: Scalar, w0: Scalar, mirrors: Sequence[tuple]) -> bool:
+    """Whether the word stretches a point past 1/EPSILON: X_W over the input's
+    X_W and the product of the D's is the reciprocal of the stretch there."""
+    return abs(w) <= Fraction(EPSILON) * w0 * prod(d for _, _, d in mirrors)
+
+
+def _reflect(mirrors: Sequence[tuple], xs: List[Scalar]) -> List[Scalar]:
+    """D X - 2 (r . X) r* for each mirror (r, r*, D), first to last."""
+    for r, r_dual, disc in mirrors:
+        t = 2 * vec_dot(r, xs)
+        xs = [disc * x - t * y for x, y in zip(xs, r_dual)]
+    return xs
 
 
 @dataclass(frozen=True)
@@ -111,9 +84,10 @@ class MoebiusMap:
     dim: int
 
     def __post_init__(self):
-        for f in self.factors:
-            if f.dim != self.dim:
-                raise GeometryError("factor dimension mismatch")
+        if any(f.dim != self.dim for f in self.factors):
+            raise GeometryError("factor dimension mismatch")
+        object.__setattr__(self, "_mirrors", tuple(f._mirrors[0] for f in self.factors))
+        object.__setattr__(self, "_float", any(f._float for f in self.factors))
 
     @classmethod
     def identity(cls, dim: int) -> "MoebiusMap":
@@ -128,19 +102,82 @@ class MoebiusMap:
     def apply(self, p: Point) -> Point:
         if p.dim != self.dim:
             raise GeometryError("point dimension mismatch")
-        for f in self.factors:
-            p = f.apply(p)
-        return p
+        k = p.backend()
+        fl = self._float or k == "float"
+        if k == "float":
+            p, k = Point.finite(_dyadic(p.coords)), "rational"
+        lifted = lift_row(p, k)
+        xs = _reflect(self._mirrors, lifted)
+        w = xs[-1]
+        if is_zero(w) or fl and _stretched_past_floats(w, lifted[-1], self._mirrors):
+            return Point.infinity(self.dim)
+        coords = [Fraction(u, w) if type(w) is int else u / w for u in xs[1:-1]]
+        return Point.finite([promote(x, "float") for x in coords] if fl else coords)
 
     def image_sphere(self, s: Hypersphere) -> Hypersphere:
         if s.dim != self.dim:
             raise GeometryError("sphere dimension mismatch")
-        for f in self.factors:
-            s = f.image_sphere(s)
-        return s
+        c, *b, a = _integral([s.c, *s.b, s.a])
+        xs = _reflect(self._mirrors, [-2 * a, *b, -2 * c])
+        s2 = Hypersphere.make(-xs[-1], [2 * x for x in xs[1:-1]], -xs[0])
+        if self._float or type(s.c) is float:
+            c, *b, a = (promote(x, "float") for x in (s2.c, *s2.b, s2.a))
+            return Hypersphere.make(c, b, a)
+        return s2
 
     def inverse(self) -> "MoebiusMap":
         return MoebiusMap(tuple(reversed(self.factors)), self.dim)
+
+
+class _Primitive:
+    """A primitive acts as the word of itself alone: `_mirrors` is its mirror."""
+
+    apply = MoebiusMap.apply
+    image_sphere = MoebiusMap.image_sphere
+
+
+@dataclass(frozen=True)
+class SphereInversion(_Primitive):
+    center: Tuple[Scalar, ...]
+    radius_sq: Scalar
+
+    def __post_init__(self):
+        k = common_kind([*self.center, self.radius_sq])
+        object.__setattr__(self, "center", tuple(promote(x, k) for x in self.center))
+        object.__setattr__(self, "radius_sq", promote(self.radius_sq, k))
+        if sign_of(self.radius_sq) <= 0:
+            raise GeometryError("inversion needs a positive squared radius")
+        *m, rho = _dyadic([*self.center, self.radius_sq])
+        row = [promote(1, k), *vec_scale(-2, m), vec_dot(m, m) - rho]
+        object.__setattr__(self, "_mirrors", (_mirror(row),))
+        object.__setattr__(self, "_float", k == "float")
+
+    @property
+    def dim(self) -> int:
+        return len(self.center)
+
+
+@dataclass(frozen=True)
+class HyperplaneReflection(_Primitive):
+    normal: Tuple[Scalar, ...]
+    offset: Scalar
+
+    def __post_init__(self):
+        k = common_kind([*self.normal, self.offset])
+        object.__setattr__(self, "normal", tuple(promote(x, k) for x in self.normal))
+        object.__setattr__(self, "offset", promote(self.offset, k))
+        if all(is_zero(x) for x in self.normal):
+            raise GeometryError("reflection needs a nonzero normal")
+        row = [promote(0, k), *self.normal, self.offset]
+        object.__setattr__(self, "_mirrors", (_mirror(row),))
+        object.__setattr__(self, "_float", k == "float")
+
+    @property
+    def dim(self) -> int:
+        return len(self.normal)
+
+
+PrimitiveMap = Union[SphereInversion, HyperplaneReflection]
 
 
 def compose(f: MoebiusMap, g: MoebiusMap) -> MoebiusMap:
@@ -160,8 +197,9 @@ def translation_factors(v: Sequence[Scalar]) -> List[PrimitiveMap]:
     v = tuple(v)
     if all(is_zero(x) for x in v):
         return []
+    zero = promote(0, common_kind(v))
     return [
-        HyperplaneReflection(v, 0),
+        HyperplaneReflection(v, zero),
         HyperplaneReflection(v, -vec_dot(v, v) / 2),
     ]
 
@@ -273,7 +311,7 @@ def normalize(p: Point, q: Point, r: Optional[Point] = None) -> MoebiusMap:
         e1 = (promote(length, k),) + _zero_vec(n - 1, k)
         householder = vec_sub(r_img.coords, e1)
         if not all(is_zero(x) for x in householder):
-            factors.append(HyperplaneReflection(householder, 0))
+            factors.append(HyperplaneReflection(householder, promote(0, k)))
         factors += scaling_factors(1 / length, n)
         result = MoebiusMap(tuple(factors), n)
     _assert_normalized(result, p, q, r)
@@ -281,10 +319,7 @@ def normalize(p: Point, q: Point, r: Optional[Point] = None) -> MoebiusMap:
 
 
 def _three_point_plane_factors(p: Point, q: Point, r: Point) -> List[PrimitiveMap]:
-    k = "rational"
-    for pt in (p, q, r):
-        if not pt.is_infinity:
-            k = common_kind([promote(0, k), *pt.coords])
+    k = common_kind([x for pt in (p, q, r) for x in pt.coords or ()])
     one = promote(1, k)
     factors: List[PrimitiveMap] = []
     if q.is_infinity:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from inversive import cli
 from inversive.cli import main
 
 FIVE_POINT_DOC = {
@@ -422,3 +423,35 @@ class TestUsageErrors:
         code, out, _ = run_cli(["separate", "--input", str(bad)], capsys)
         assert code == 2
         assert json.loads(out)["verdict"] == "error"
+
+    def test_map_table_must_be_an_object(self, tmp_path, capsys):
+        doc = dict(SHARP_MAP_DOC, table=[0, 1, 2, 3])
+        code, out, _ = run_cli(["wcp", "check", "--map",
+                                write_json(tmp_path / "map.json", doc)], capsys)
+        assert code == 2
+        assert "table must be an object" in json.loads(out)["error"]
+
+    def test_map_table_values_must_be_integers(self, tmp_path, capsys):
+        doc = dict(SHARP_MAP_DOC, table={"1": "0", "2": 1, "3": 2, "4": 3, "5": 4})
+        code, out, _ = run_cli(["wcp", "check", "--map",
+                                write_json(tmp_path / "map.json", doc)], capsys)
+        assert code == 2
+        assert "integer image indices" in json.loads(out)["error"]
+
+    def test_witness_point_without_point_names_the_key(self, tmp_path, capsys):
+        doc = {"sphere": {"c": "1", "b": ["0", "0"], "a": "-1"},
+               "points": [{"color": 0}], "colors": [0]}
+        code, out, _ = run_cli(["validate", "--input",
+                                write_json(tmp_path / "w.json", doc)], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == 'witness point needs "point"'
+
+    def test_internal_key_error_is_not_bad_input(self, tmp_path, capsys, monkeypatch):
+        # an internal bug must surface as a traceback, never as exit 2
+        def broken(args):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "cmd_validate", broken)
+        report = write_json(tmp_path / "odd.json", {"hello": 1})
+        with pytest.raises(KeyError, match="internal"):
+            main(["validate", "--input", report])

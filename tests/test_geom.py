@@ -514,6 +514,22 @@ class TestSmallestSphere:
         with pytest.raises(BackendMismatch, match="exact coordinates"):
             span_key([P([1.0, 0.0]), P([0.0, 1.0]), P([-1.0, 0.0])])
 
+    @pytest.mark.parametrize("pts", [
+        [P([0.5, 1.0]), P([2.0, -1.0]), INF2],
+        [P([0.0, 0.0]), P([1.0, 1.0]), P([2.0, 2.0])],
+    ])
+    def test_float_extended_flat(self, pts):
+        ss = smallest_sphere(pts)
+        assert ss.dim == 1 and ss.surface.is_flat
+        for x in (ss.surface.c, *ss.surface.b, ss.surface.a, *ss.carrier.basis[-1]):
+            assert type(x) is float
+        assert all(ss.contains(p) for p in pts) and ss.contains(INF2)
+        assert not ss.contains(P([7.0, -3.0]))
+
+    def test_exact_extended_flat_keeps_rational_direction(self):
+        ss = smallest_sphere([P([THETA, 0]), INF2])
+        assert all(type(x) is Fraction for x in ss.carrier.basis[-1])
+
 
 def reference_smallest_sphere(points):
     """The construction smallest_sphere used before it solved the lifted

@@ -171,6 +171,16 @@ class TestMoebius:
         with pytest.raises(FormatError):
             decode_moebius({"factors": [{"twist": {}}]})
 
+    @pytest.mark.parametrize("entry, key", [
+        ({"inversion": {"center": ["0", "0"]}}, "r2"),
+        ({"inversion": {"r2": "1"}}, "center"),
+        ({"reflection": {"normal": ["1", "0"]}}, "offset"),
+        ({"reflection": "x"}, "normal"),
+    ])
+    def test_missing_factor_key_is_named(self, entry, key):
+        with pytest.raises(FormatError, match='needs "%s"' % key):
+            decode_moebius({"factors": [entry]})
+
 
 class TestConfigs:
     def test_round_trip(self):
@@ -221,6 +231,13 @@ class TestColorings:
             decode_coloring({"kind": "striped"})
         with pytest.raises(FormatError):
             decode_coloring({"n": 2})
+
+    def test_integer_fields_named(self):
+        with pytest.raises(FormatError, match='descriptor needs "n"'):
+            decode_coloring({"kind": "generic", "k": 4})
+        for bad in ("2", True, 2.0):
+            with pytest.raises(FormatError, match='descriptor needs integer "n"'):
+                decode_coloring({"kind": "generic", "n": bad, "k": 4})
 
 
 UNIT_CIRCLE_CONFIG = ColoredConfig(2, 4, (

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inversive.exactnum import Quartic2, THETA
+from inversive.exactnum import (
+    EPSILON,
+    THETA,
+    BackendMismatch,
+    Quartic2,
+    common_kind,
+    is_zero,
+)
 from inversive.geom import (
     CR_INFINITY,
     GeometryError,
@@ -16,6 +23,10 @@ from inversive.geom import (
     cross_ratio,
     on_sphere,
     sphere_through,
+    vec_add,
+    vec_dot,
+    vec_scale,
+    vec_sub,
 )
 from inversive.moebius import (
     HyperplaneReflection,
@@ -303,3 +314,327 @@ class TestCrossRatioInvariance:
                 # odd factor counts reverse orientation and conjugate
                 assert cr2 == (cr[0], -cr[1])
             checked += 1
+
+
+# ---------------------------------------------------------------------------
+# the per-factor formulas the primitives carried before they became
+# reflections of the light-cone model, kept verbatim as its oracle
+
+
+def reference_inversion_apply(self, p):
+    if p.is_infinity:
+        return Point.finite(self.center)
+    w = vec_sub(p.coords, self.center)
+    ww = vec_dot(w, w)
+    if is_zero(ww):
+        return Point.infinity(self.dim)
+    return Point.finite(vec_add(self.center, vec_scale(self.radius_sq / ww, w)))
+
+
+def reference_inversion_image_sphere(self, s):
+    m, rho = self.center, self.radius_sq
+    mm = vec_dot(m, m)
+    k = s.c * mm + vec_dot(s.b, m) + s.a
+    c2 = k
+    b2 = vec_add(vec_scale(rho, s.b), vec_scale(2 * (s.c * rho - k), m))
+    a2 = k * mm - 2 * s.c * rho * mm + s.c * rho * rho - rho * vec_dot(s.b, m)
+    return Hypersphere.make(c2, b2, a2)
+
+
+def reference_reflection_apply(self, p):
+    if p.is_infinity:
+        return p
+    u, s = self.normal, self.offset
+    lam = 2 * (vec_dot(u, p.coords) + s) / vec_dot(u, u)
+    return Point.finite(vec_sub(p.coords, vec_scale(lam, u)))
+
+
+def reference_reflection_image_sphere(self, s):
+    u, off = self.normal, self.offset
+    uu = vec_dot(u, u)
+    bu = vec_dot(s.b, u)
+    b2 = vec_add(s.b, vec_scale((4 * s.c * off - 2 * bu) / uu, u))
+    a2 = s.a + (4 * s.c * off * off - 2 * off * bu) / uu
+    return Hypersphere.make(s.c, b2, a2)
+
+
+def reference_apply(factors, p):
+    for f in factors:
+        if isinstance(f, SphereInversion):
+            p = reference_inversion_apply(f, p)
+        else:
+            p = reference_reflection_apply(f, p)
+    return p
+
+
+def reference_image_sphere(factors, s):
+    for f in factors:
+        if isinstance(f, SphereInversion):
+            s = reference_inversion_image_sphere(f, s)
+        else:
+            s = reference_reflection_image_sphere(f, s)
+    return s
+
+
+_TYPE_OF_KIND = {"rational": F, "quartic": Quartic2, "float": float}
+
+
+def _factor_scalars(factors):
+    for f in factors:
+        if isinstance(f, SphereInversion):
+            yield from (*f.center, f.radius_sq)
+        else:
+            yield from (*f.normal, f.offset)
+
+
+def kind_rule(factors, scalars):
+    """The scalar type of an image: the common kind of the input's scalars
+    (none for infinity) and of every factor."""
+    return _TYPE_OF_KIND[common_kind([*scalars, *_factor_scalars(factors)])]
+
+
+def _rat(rng, num=9, den=4):
+    return F(rng.randint(-num, num), rng.randint(1, den))
+
+
+def _quartic_or_rat(rng, quartic):
+    x = _rat(rng)
+    return x + _rat(rng, 2, 2) * THETA + _rat(rng, 2, 2) * THETA ** 2 if quartic else x
+
+
+def seeded_word(rng, n, max_factors=4, quartic_share=0.2):
+    factors = []
+    for _ in range(rng.randint(1, max_factors)):
+        quartic = rng.random() < quartic_share
+        if rng.random() < 0.5:
+            center = tuple(_quartic_or_rat(rng, quartic) for _ in range(n))
+            r2 = F(rng.randint(4, 12), 2)
+            if quartic:
+                r2 += rng.choice([-1, 0, 1]) * THETA
+            factors.append(SphereInversion(center, r2))
+        else:
+            normal = tuple(_quartic_or_rat(rng, quartic) for _ in range(n))
+            if all(x == 0 for x in normal):
+                normal = (F(1),) + (F(0),) * (n - 1)
+            factors.append(HyperplaneReflection(normal, _quartic_or_rat(rng, quartic)))
+    return MoebiusMap(tuple(factors), n)
+
+
+def _probes(rng, m):
+    """Infinity, random points, every inversion centre, and the point the
+    word sends to infinity."""
+    n = m.dim
+    pts = [Point.infinity(n)] + [Point.finite([_rat(rng) for _ in range(n)])
+                                 for _ in range(3)]
+    pts += [Point.finite(f.center) for f in m.factors if isinstance(f, SphereInversion)]
+    pts.append(reference_apply(m.inverse().factors, Point.infinity(n)))
+    return pts
+
+
+def _spheres(rng, m):
+    """Random spheres, and spheres through each probe (the spheres through
+    an inversion centre or the preimage of infinity become flats)."""
+    n = m.dim
+    out = []
+    for anchor in _probes(rng, m):
+        for _ in range(4):
+            pts = [anchor] + [Point.finite([_rat(rng) for _ in range(n)]) for _ in range(n)]
+            try:
+                out.append(sphere_through(pts))
+            except GeometryError:
+                continue
+            break
+    return out
+
+
+def assert_point_matches(got, factors, p):
+    expected = reference_apply(factors, p)
+    assert got == expected
+    if not got.is_infinity:
+        want = kind_rule(factors, p.coords or ())
+        assert all(type(x) is want for x in got.coords), (got, want)
+
+
+def assert_sphere_matches(got, factors, s):
+    assert got == reference_image_sphere(factors, s)
+    want = kind_rule(factors, (s.c, *s.b, s.a))
+    assert all(type(x) is want for x in (got.c, *got.b, got.a)), (got, want)
+
+
+class TestAgainstPerFactorReference:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_seeded_words(self, n):
+        rng = random.Random(600 + n)
+        flats = 0
+        for _ in range(25):
+            m = seeded_word(rng, n)
+            for p in _probes(rng, m):
+                assert_point_matches(m.apply(p), m.factors, p)
+                for f in m.factors:
+                    assert_point_matches(f.apply(p), (f,), p)
+            for s in _spheres(rng, m):
+                img = m.image_sphere(s)
+                flats += img.is_flat
+                assert_sphere_matches(img, m.factors, s)
+                for f in m.factors:
+                    assert_sphere_matches(f.image_sphere(s), (f,), s)
+        assert flats > 0
+
+    def test_kind_rule_on_orbits_through_infinity(self):
+        # the reflection keeps infinity; the old formulas then handed the
+        # rational centre on as Fractions, the reflections answer in the
+        # common kind of every factor
+        word = MoebiusMap.of(HyperplaneReflection((THETA, F(0)), F(0)),
+                             SphereInversion((F(1), F(2)), F(3)))
+        img = word.apply(Point.infinity(2))
+        assert img == Point.finite((1, 2))
+        assert all(type(x) is Quartic2 for x in img.coords)
+        rational = reference_apply(word.factors, Point.infinity(2))
+        assert all(type(x) is F for x in rational.coords)
+
+    def test_float_word(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            m = seeded_word(rng, 2, quartic_share=0)
+            # one float factor among exact ones: mirror rows must not keep
+            # exact literals beside float entries
+            f = m.factors[0]
+            if isinstance(f, SphereInversion):
+                fl = SphereInversion(tuple(map(float, f.center)), float(f.radius_sq))
+            else:
+                fl = HyperplaneReflection(tuple(map(float, f.normal)), float(f.offset))
+            word = MoebiusMap((fl,) + m.factors[1:], 2)
+            for p in [Point.infinity(2)] + [Point.finite([_rat(rng) for _ in range(2)])
+                                            for _ in range(5)]:
+                got, expected = word.apply(p), reference_apply(word.factors, p)
+                assert got.is_infinity == expected.is_infinity
+                if got.is_infinity:
+                    continue
+                assert all(type(x) is float for x in got.coords)
+                for x, y in zip(got.coords, expected.coords):
+                    assert abs(x - y) <= EPSILON * max(1.0, abs(y))
+            centre = (_rat(rng), _rat(rng))
+            s = Hypersphere.make(1, vec_scale(-2, centre), vec_dot(centre, centre) - 4)
+            # the old reflection formula kept c exact beside float entries
+            # and raised BackendMismatch on an exact sphere, so the oracle
+            # gets the sphere in floats
+            s_float = Hypersphere.make(float(s.c), tuple(map(float, s.b)), float(s.a))
+            got, expected = word.image_sphere(s), reference_image_sphere(word.factors, s_float)
+            for x, y in zip((got.c, *got.b, got.a), (expected.c, *expected.b, expected.a)):
+                assert type(x) is float and abs(x - y) <= EPSILON
+
+    def assert_float_close(self, factors, pts):
+        m = MoebiusMap(tuple(factors), factors[0].dim)
+        for p in pts:
+            got, expected = m.apply(p), reference_apply(factors, p)
+            assert got.is_infinity == expected.is_infinity, (p, got, expected)
+            if not got.is_infinity:
+                for x, y in zip(got.coords, expected.coords):
+                    assert type(x) is float and abs(x - y) <= EPSILON * max(1.0, abs(y))
+
+    def test_float_small_normal_reflection(self):
+        # D = <u,u> = 1e-10 scales X_W; it must not read as infinity
+        for normal, offset in [((1e-5, 0.0), 0.0), ((1e-5, -3e-5), 2e-5), ((1e-4, 0.0, 1e-4), 0.0)]:
+            f = HyperplaneReflection(normal, offset)
+            n = len(normal)
+            pts = [Point.infinity(n), Point.finite((1.0, 2.0, -0.5)[:n]),
+                   Point.finite((-3.0, 0.25, 7.0)[:n])]
+            self.assert_float_close([f], pts)
+            self.assert_float_close([f, f], pts)
+
+    def test_float_translation_and_scaling(self):
+        pts = [Point.infinity(2), Point.finite((1.0, 2.0)), Point.finite((-0.3, 0.001))]
+        for v in [(1e-3, 0.0), (1e-3, -2e-3), (-250.0, 40.0)]:
+            self.assert_float_close(translation_factors(v), pts)
+        for s in [1e-4, 0.5, 1e4]:
+            self.assert_float_close(scaling_factors(s, 2), pts)
+            self.assert_float_close(scaling_factors(s, 2) + translation_factors((0.5, 0.0)), pts)
+
+    def test_float_normalize(self):
+        p, q, r = Point.finite((1e-3, 0.0)), Point.finite((0.75, -2.0)), Point.finite((0.5, 1.5))
+        cases = [(p, Point.infinity(2), None), (p, q, None), (q, p, None), (p, q, r),
+                 (p, Point.infinity(2), r), (Point.infinity(2), q, r),
+                 (Point.finite((1e-3, 0.0, 2.0)), Point.finite((0.0, 0.0, 1.0)),
+                  Point.finite((2.0, 0.0, -1.0)))]
+        for a, b, c in cases:
+            m = normalize(a, b, c)
+            n = m.dim
+            probes = [a, b] + ([c] if c else []) + [Point.finite((0.25, -1.0, 3.0)[:n])]
+            self.assert_float_close(list(m.factors), probes)
+
+    def test_float_image_is_the_exact_image_rounded(self):
+        # lifted float coordinates would cancel near a centre and lose a small
+        # radius beside a far centre; floats are taken as binary fractions
+        def exact_twin(f):
+            if isinstance(f, SphereInversion):
+                return SphereInversion(tuple(map(F, f.center)), F(f.radius_sq))
+            return HyperplaneReflection(tuple(map(F, f.normal)), F(f.offset))
+
+        small = normalize(Point.finite((1e-3, 2e-4)), Point.finite((0.0, 0.0)),
+                          Point.finite((1e-4, 0.0)))
+        cases = [([SphereInversion((1e9, 0.0), 1.0)], (1e9 + 0.5, 0.0)),
+                 ([SphereInversion((1e5, -2.0), 1e-3)], (1e5 + 0.5, -2.0)),
+                 ([SphereInversion((0.0, 0.0), 1.0)], (1e-4, 0.0)),
+                 ([SphereInversion((0.1, 0.2), 3.0)], (0.1 + 1e-4, 0.2)),
+                 ([HyperplaneReflection((1e-5, 3.0), 0.7)], (1.0, 2.0)),
+                 (list(small.factors), (1e-4, 0.0)),
+                 (list(small.factors), (0.3, -0.7))]
+        for factors, x in cases:
+            m = MoebiusMap(tuple(factors), 2)
+            twin = MoebiusMap(tuple(map(exact_twin, factors)), 2)
+            exact = twin.apply(Point.finite([F(c) for c in x]))
+            assert m.apply(Point.finite(x)).coords == tuple(map(float, exact.coords))
+            if max(map(abs, x)) > 10:
+                # spheres there are degenerate in unit-normalized float coefficients
+                continue
+            s = Hypersphere.make(1.0, (-1.0, 0.5), -3.6875)
+            img = twin.image_sphere(Hypersphere.make(F(s.c), tuple(map(F, s.b)), F(s.a)))
+            assert m.image_sphere(s) == Hypersphere.make(
+                float(img.c), tuple(map(float, img.b)), float(img.a))
+        assert small.apply(Point.finite((1e-4, 0.0))).coords[0] == 1.0
+
+    def test_float_infinity_is_a_stretch_past_one_over_epsilon(self):
+        f = SphereInversion((0.0, 0.0), 1.0)
+        # |x|^2 just below and just above EPSILON, as the old formula decided
+        self.assert_float_close([f], [Point.finite((3e-5, 0.0)), Point.finite((3.2e-5, 0.0))])
+        assert f.apply(Point.finite((3e-5, 0.0))).is_infinity
+        assert MoebiusMap.of(*scaling_factors(1e10, 2)).apply(Point.finite((1.0, 0.0))).is_infinity
+
+    def test_float_input_under_exact_word(self):
+        f = SphereInversion((F(1), F(1, 2)), F(2))
+        self.assert_float_close([f], [Point.finite((0.25, -1.0))])
+        s = Hypersphere.make(1.0, (-1.0, 0.5), -3.6875)
+        got, expected = f.image_sphere(s), reference_image_sphere([f], s)
+        for x, y in zip((got.c, *got.b, got.a), (expected.c, *expected.b, expected.a)):
+            assert type(x) is float and abs(x - y) <= EPSILON
+
+    def test_float_beside_quartic_is_refused(self):
+        f = SphereInversion((0.5, 0.0), 1.0)
+        with pytest.raises(BackendMismatch):
+            f.apply(Point.finite((THETA, F(1))))
+        with pytest.raises(BackendMismatch):
+            f.image_sphere(Hypersphere.make(1, (THETA, 0), -1))
+
+    @given(st.lists(st.tuples(st.booleans(), st.tuples(coords, coords), coords,
+                              st.sampled_from([F(0), F(1), THETA])),
+                    min_size=1, max_size=5),
+           st.one_of(st.none(), st.tuples(coords, coords)))
+    @settings(deadline=None, max_examples=60)
+    def test_hypothesis_words(self, specs, pt):
+        factors = []
+        for is_inversion, vec, scalar, twist in specs:
+            vec = (vec[0] + twist, vec[1])
+            if is_inversion:
+                factors.append(SphereInversion(vec, abs(scalar) + 1))
+            elif any(vec):
+                factors.append(HyperplaneReflection(vec, scalar))
+        if not factors:
+            return
+        m = MoebiusMap(tuple(factors), 2)
+        p = Point.infinity(2) if pt is None else Point.finite(pt)
+        for q in (p, reference_apply(m.inverse().factors, Point.infinity(2))):
+            assert_point_matches(m.apply(q), m.factors, q)
+        through = {p, Point.finite((0, 0)), Point.finite((1, 2))}
+        if len(through) == 3:
+            s = sphere_through(list(through))
+            assert_sphere_matches(m.image_sphere(s), m.factors, s)

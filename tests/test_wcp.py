@@ -86,6 +86,14 @@ class TestCircularGeneralPosition:
         assert set(report.on_circle) == {Z0, ZI, Z2I, INF}
         assert not report.circle.contains(Z1)
 
+    def test_collinear_float_points_fail_with_their_line(self):
+        line = [Point.finite((float(x), 0.0)) for x in range(4)]
+        off = Point.finite((1.0, 5.0))
+        report = circular_general_position(line + [off])
+        assert not report.verdict
+        assert set(report.on_circle) == set(line)
+        assert report.circle.surface.is_flat and not report.circle.contains(off)
+
     def test_five_in_position_pass(self):
         report = circular_general_position([Z0, Z1, INF, ZI, Z12])
         assert report.verdict
