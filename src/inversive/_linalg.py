@@ -4,13 +4,15 @@ matrix (int and Fraction entries), each row's denominators cleared, to
 `bareiss`: fraction-free elimination whose every entry stays an integer
 minor of the input. Quartic2 and float matrices go through `rref` over the
 field; the float path uses partial pivoting and treats entries within
-EPSILON as zero, the exact paths take the first nonzero pivot.
+EPSILON as zero, the exact paths take the first nonzero pivot. `cut` adds a
+row to a nullspace basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .exactnum import EPSILON, is_zero
@@ -121,6 +123,28 @@ def bareiss(rows: Sequence[Sequence[int]], ncols: int,
         pivots.append(col)
         r += 1
     return m, pivots
+
+
+def cut(basis: Sequence[Sequence], row: Sequence) -> Optional[List[List]]:
+    """A basis of the vectors of span(basis) that annihilate `row`, None when
+    all do: w_j = (r.b_i) b_j - (r.b_j) b_i, j != i, for the first b_i with
+    r.b_i != 0, kept canonical (primitive ints with lead > 0, else lead 1)."""
+    dots = [sum(map(mul, row, b)) for b in basis]
+    i = next((i for i, f in enumerate(dots) if f), -1)
+    if i < 0:
+        return None
+    p, top = dots[i], basis[i]
+    return [_canonical([p * x - f * y for x, y in zip(b, top)]) if f else b
+            for j, (b, f) in enumerate(zip(basis, dots)) if j != i]
+
+
+def _canonical(v: List) -> List:
+    lead = next(x for x in v if x)
+    if type(lead) is int:
+        g = gcd(*v) if lead > 0 else -gcd(*v)
+        return [x // g for x in v]
+    inv = 1 / lead
+    return [x * inv for x in v]
 
 
 def rank(rows: Sequence[Sequence], ncols: int) -> int:

@@ -12,7 +12,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from .colorings import (
     ColoredConfig,
@@ -39,7 +40,7 @@ from .geom import (
     separated,
     side,
     smallest_sphere,
-    span_key,
+    span_walk,
     sphere_through,
     vec_add,
     vec_dot,
@@ -104,33 +105,36 @@ IndexEntry = Tuple[Tuple[int, ...], Set[int]]
 
 
 def sphere_index(points: Sequence[Point], size: int,
-                 key_of: Callable[[List[Point]], Optional[tuple]]
+                 key_of: Optional[Callable[[List[Point]], Optional[tuple]]] = None
                  ) -> Dict[tuple, IndexEntry]:
     """The spheres spanned by `size`-subsets of the points, grouped by the
-    canonical key `key_of` gives each subset: key -> (first subset,
-    incident indices).
-
-    Subsets are walked once in lexicographic order, so the groups keep the
-    order of their first subsets; a subset whose `key_of` raises
-    GeometryError or returns None spans nothing. The incident set is the
-    union of the group's subsets, and that is every point on the sphere: by
-    basis exchange on the lifted rows (for great flats, on the greedily
-    padded span) each point of a spanned sphere lies in some subset
-    spanning it."""
+    canonical key `span_walk` gives them, or `key_of` gives each subset (one
+    that raises GeometryError or returns None spans nothing): key -> (first
+    subset, incident indices), in the lexicographic order of first subsets.
+    The incident set is the union of the group's subsets, and that is every
+    point on the sphere: by basis exchange on the lifted rows (for great
+    flats, on the greedily padded span) each point of a spanned sphere lies
+    in some subset spanning it."""
+    keyed = span_walk(points, size) if key_of is None else _keyed_subsets(points, size, key_of)
     index: Dict[tuple, IndexEntry] = {}
-    for subset in combinations(range(len(points)), size):
-        try:
-            key = key_of([points[i] for i in subset])
-        except GeometryError:
-            continue
-        if key is None:
-            continue
+    for subset, key in keyed:
         entry = index.get(key)
         if entry is None:
             index[key] = (subset, set(subset))
         else:
             entry[1].update(subset)
     return index
+
+
+def _keyed_subsets(points: Sequence[Point], size: int, key_of: Callable
+                   ) -> Iterator[Tuple[Tuple[int, ...], tuple]]:
+    for subset in combinations(range(len(points)), size):
+        try:
+            key = key_of([points[i] for i in subset])
+        except GeometryError:
+            continue
+        if key is not None:
+            yield subset, key
 
 
 def most_colored(config: ColoredConfig, index: Dict[tuple, IndexEntry]
@@ -156,8 +160,8 @@ def max_polychromatic(config: ColoredConfig, d: int) -> PolychromaticWitness:
     if len(pts) < size:
         raise DegenerateConfigError("too few points to span any %d-sphere" % d)
     # a size-subset spans a d-sphere exactly when its lifted rows are
-    # independent, which is when span_key gives a key
-    index = sphere_index(pts, size, span_key)
+    # independent, which is when the walk keys it
+    index = sphere_index(pts, size)
     if not index:
         raise DegenerateConfigError("no subset spans a %d-sphere" % d)
     subset, on = most_colored(config, index)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from ._linalg import rank
+from ._linalg import cut, nullspace, rank
 from .exactnum import (
     BackendMismatch,
     NormClass,
@@ -25,7 +25,7 @@ from .geom import (
     GeometryError,
     Point,
     Scalar,
-    on_common_sphere,
+    lift_row,
     vec_dot,
 )
 
@@ -387,6 +387,10 @@ def generic_position_points(n: int, count: int, seed: int = 0,
     rng = random.Random(seed)
     rats = _rational_stream(rng)
     chosen: List[Point] = []
+    # nullspace bases of the lifted subsets of at most n chosen points and the
+    # normals of the (n+1)-subsets, None when dependent
+    bases: List[Tuple[int, Optional[List]]] = [(0, nullspace([], n + 2))]
+    normals: List[Optional[List[int]]] = []
     attempts = 0
     limit = 400 * count + 400
     while len(chosen) < count:
@@ -404,21 +408,17 @@ def generic_position_points(n: int, count: int, seed: int = 0,
             if _euclid_degenerate(chosen, cand, n):
                 continue
         else:
-            if _inversive_degenerate(chosen, cand, n):
+            row = lift_row(cand)
+            if any(v is None or not vec_dot(v, row) for v in normals):
                 continue
+            for size, basis in list(bases):
+                grown = None if basis is None else cut(basis, row)
+                if size < n:
+                    bases.append((size + 1, grown))
+                else:
+                    normals.append(None if grown is None else grown[0])
         chosen.append(cand)
     return chosen
-
-
-def _inversive_degenerate(chosen: Sequence[Point], cand: Point, n: int) -> bool:
-    from itertools import combinations
-
-    if len(chosen) < n + 1:
-        return False
-    for subset in combinations(chosen, n + 1):
-        if on_common_sphere(list(subset) + [cand]):
-            return True
-    return False
 
 
 def _euclid_degenerate(chosen: Sequence[Point], cand: Point, n: int) -> bool:

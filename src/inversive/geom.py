@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import _linalg
 from .exactnum import (
+    EPSILON,
     BackendMismatch,
     Quartic2,
     common_kind,
@@ -130,7 +131,8 @@ class Hypersphere:
     """Canonical coefficients (c, b, a) of a nondegenerate generalized sphere.
 
     Exact backends scale so the first nonzero of (c, b_1..b_n, a) equals 1;
-    the float backend scales to unit coefficient norm with the same sign rule.
+    the float backend scales to unit coefficient norm with the same sign rule
+    and takes a discriminant within EPSILON * (<b,b> + |4ca|) of zero as zero.
     """
 
     c: Scalar
@@ -156,8 +158,14 @@ class Hypersphere:
         else:
             entries = [x / lead for x in entries]
         c, b, a = entries[0], tuple(entries[1:-1]), entries[-1]
-        disc = vec_dot(b, b) - 4 * c * a
-        if sign_of(disc) <= 0:
+        bb = vec_dot(b, b)
+        disc = bb - 4 * c * a
+        if k == "float":
+            # zero up to the size of its two terms, wherever the sphere sits
+            degenerate = disc <= EPSILON * (bb + abs(4 * c * a))
+        else:
+            degenerate = sign_of(disc) <= 0
+        if degenerate:
             raise DegenerateSphereError("discriminant <b,b> - 4ca is not positive")
         return cls(c, b, a)
 
@@ -580,3 +588,28 @@ def span_key(points: Sequence[Point]) -> Optional[tuple]:
     if len(points) + len(ns) > ncols:
         return None
     return _echelon_key(ns, ncols)
+
+
+def span_walk(points: Sequence[Point], size: int) -> Iterator[Tuple[tuple, tuple]]:
+    """(subset, key) for each `size`-subset that `span_key` keys, in order and
+    grouped alike. Each point is lifted once; a depth-first walk cuts the
+    prefix's nullspace basis (its pencil of spheres) by one row per point."""
+    points, k = _uniform(points)
+    if k == "float":
+        raise BackendMismatch("sphere keys need exact coordinates")
+    rows = [lift_row(p, k) for p in points]
+    ncols = points[0].dim + 2 if points else 0
+
+    def walk(start: int, prefix: Tuple[int, ...], basis: List[List]) -> Iterator:
+        for i in range(start, len(rows) - size + len(prefix) + 1):
+            cut = _linalg.cut(basis, rows[i])
+            if cut is None:
+                continue
+            subset = prefix + (i,)
+            if len(subset) < size:
+                yield from walk(i + 1, subset, cut)
+            else:
+                yield subset, ((tuple(cut[0]),) if len(cut) == 1
+                               else _echelon_key(cut, ncols))
+
+    yield from walk(0, (), _linalg.nullspace([], ncols))

@@ -116,6 +116,19 @@ def _require(obj: Any, key: str, what: str) -> Any:
     return obj[key]
 
 
+def _array(v: Any, field: str) -> list:
+    """A JSON array field as it is, or a FormatError naming the field."""
+    if not isinstance(v, list):
+        raise FormatError("\"%s\" must be an array" % field)
+    return v
+
+
+def _color(c: Any) -> int:
+    if isinstance(c, bool) or not isinstance(c, int):
+        raise FormatError("colors must be integers, not %r" % (c,))
+    return c
+
+
 def _decode_vector(v: Any, what: str = "vector") -> Tuple[Scalar, ...]:
     if not isinstance(v, list) or not v:
         raise FormatError("%s must be a nonempty array" % what)
@@ -174,9 +187,7 @@ def _decode_flat(obj: Any) -> Flat:
     if not isinstance(obj, dict) or "basepoint" not in obj:
         raise FormatError("flat needs \"basepoint\" and \"basis\"")
     base = _decode_vector(obj["basepoint"], "basepoint")
-    rows = obj.get("basis", [])
-    if not isinstance(rows, list):
-        raise FormatError("basis must be an array of vectors")
+    rows = _array(obj.get("basis", []), "basis")
     # Rebuild through points so a hand-edited, non-orthogonal basis is
     # re-orthogonalized instead of silently breaking membership tests.
     pts = [Point.finite(base)]
@@ -236,7 +247,7 @@ def decode_moebius(obj: Any) -> MoebiusMap:
     if not isinstance(obj, dict) or "factors" not in obj:
         raise FormatError("map needs a \"factors\" array")
     factors = []
-    for entry in obj["factors"]:
+    for entry in _array(obj["factors"], "factors"):
         if not isinstance(entry, dict) or len(entry) != 1:
             raise FormatError("each factor is one inversion or reflection")
         if "inversion" in entry:
@@ -277,10 +288,10 @@ def decode_config(obj: Any) -> ColoredConfig:
     if not isinstance(n, int) or not isinstance(k, int):
         raise FormatError("\"n\" and \"k\" must be integers")
     items = []
-    for entry in obj["points"]:
+    for entry in _array(obj["points"], "points"):
         if not isinstance(entry, dict) or "color" not in entry:
             raise FormatError("each configuration point needs a \"color\"")
-        items.append((decode_point(entry, n), entry["color"]))
+        items.append((decode_point(entry, n), _color(entry["color"])))
     return ColoredConfig(n, k, tuple(items))
 
 
@@ -291,7 +302,7 @@ def decode_point_list(obj: Any) -> Tuple[int, List[Point]]:
     n = obj["n"]
     if not isinstance(n, int):
         raise FormatError("\"n\" must be an integer")
-    return n, [decode_point(entry, n) for entry in obj["points"]]
+    return n, [decode_point(entry, n) for entry in _array(obj["points"], "points")]
 
 
 # ---------------------------------------------------------------------------
@@ -334,17 +345,17 @@ def decode_coloring(obj: Any) -> ProceduralColoring:
     if kind == "generic":
         n, k = _require_int(obj, "n"), _require_int(obj, "k")
         if "points" in obj:
-            pts = tuple(decode_point(e, n) for e in obj["points"])
+            pts = tuple(decode_point(e, n) for e in _array(obj["points"], "points"))
             return GenericPoints(n, k, pts)
         return GenericPoints.random(n, k, obj.get("seed", 0))
     if kind == "point-list":
         n = _require_int(obj, "n")
         pts, cols = [], []
-        for entry in obj.get("points", []):
-            if "color" not in entry:
+        for entry in _array(obj.get("points", []), "points"):
+            if not isinstance(entry, dict) or "color" not in entry:
                 raise FormatError("each listed point needs a \"color\"")
             pts.append(decode_point(entry, n))
-            cols.append(entry["color"])
+            cols.append(_color(entry["color"]))
         return PointListBackground(n, tuple(pts), tuple(cols),
                                    _require_int(obj, "background"))
     raise FormatError("unknown coloring kind %r" % kind)
@@ -367,7 +378,7 @@ def _encode_colored_pair(p: Point, c: int) -> Dict[str, Any]:
 
 def _decode_colored_pair(obj: Any, n: int) -> Tuple[Point, Any]:
     return (decode_point(_require(obj, "point", "witness point"), n),
-            _require(obj, "color", "witness point"))
+            _color(_require(obj, "color", "witness point")))
 
 
 def encode_polychromatic_witness(w: PolychromaticWitness) -> Dict[str, Any]:
@@ -383,8 +394,9 @@ def decode_polychromatic_witness(obj: Any) -> PolychromaticWitness:
         raise FormatError("witness needs \"sphere\", \"points\", \"colors\"")
     sphere = decode_sphere(obj["sphere"])
     n = _sphere_ambient(sphere)
-    on = tuple(_decode_colored_pair(e, n) for e in obj["points"])
-    return PolychromaticWitness(sphere, on, frozenset(obj["colors"]))
+    on = tuple(_decode_colored_pair(e, n) for e in _array(obj["points"], "points"))
+    colors = frozenset(_color(c) for c in _array(obj["colors"], "colors"))
+    return PolychromaticWitness(sphere, on, colors)
 
 
 def encode_separation_witness(w: SeparationWitness) -> Dict[str, Any]:
@@ -402,8 +414,9 @@ def decode_separation_witness(obj: Any) -> SeparationWitness:
     if not isinstance(sphere, Hypersphere):
         raise FormatError("separation witnesses use full hyperspheres")
     n = _sphere_ambient(sphere)
-    defining = tuple(_decode_colored_pair(e, n) for e in obj["defining"])
-    sep = [_decode_colored_pair(e, n) for e in obj["separated"]]
+    defining = tuple(_decode_colored_pair(e, n)
+                     for e in _array(obj["defining"], "defining"))
+    sep = [_decode_colored_pair(e, n) for e in _array(obj["separated"], "separated")]
     if len(sep) != 2:
         raise FormatError("exactly two separated points expected")
     return SeparationWitness(sphere, defining, (sep[0], sep[1]))
@@ -416,7 +429,7 @@ def encode_great_flat(f: GreatFlat) -> Dict[str, Any]:
 def decode_great_flat(obj: Any) -> GreatFlat:
     if not isinstance(obj, dict) or "basis" not in obj:
         raise FormatError("great flat needs a \"basis\"")
-    rows = [_decode_vector(row, "basis vector") for row in obj["basis"]]
+    rows = [_decode_vector(row, "basis vector") for row in _array(obj["basis"], "basis")]
     if not rows:
         raise FormatError("basis must be nonempty")
     return GreatFlat.span(rows)
@@ -442,8 +455,10 @@ def decode_map(obj: Any) -> FiniteImageMap:
     if not isinstance(obj, dict) or not {"coloring", "image", "table"} <= set(obj):
         raise FormatError("map needs \"coloring\", \"image\", \"table\"")
     coloring = decode_coloring(obj["coloring"])
-    dim = _image_dim(obj)
-    image = tuple(decode_point(e, dim) for e in obj["image"])
+    entries = _array(obj["image"], "image")
+    dim = next((len(e["coords"]) for e in entries
+                if isinstance(e, dict) and isinstance(e.get("coords"), list)), None)
+    image = tuple(decode_point(e, dim) for e in entries)
     if not isinstance(obj["table"], dict):
         raise FormatError("table must be an object from colors to image indices")
     table = {}
@@ -455,13 +470,6 @@ def decode_map(obj: Any) -> FiniteImageMap:
         except ValueError as e:
             raise FormatError("table keys must be integer colors") from e
     return FiniteImageMap(coloring, image, table)
-
-
-def _image_dim(obj: Mapping) -> Optional[int]:
-    for e in obj.get("image", []):
-        if isinstance(e, dict) and "coords" in e:
-            return len(e["coords"])
-    return None
 
 
 def encode_violation(v: WcpViolation) -> Dict[str, Any]:

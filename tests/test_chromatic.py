@@ -35,7 +35,7 @@ from inversive.colorings import (
     TwoLine,
     generic_position_points,
 )
-from inversive.exactnum import THETA, BackendMismatch, norm_class_of
+from inversive.exactnum import SQRT2, THETA, BackendMismatch, norm_class_of
 from inversive.geom import (
     DegenerateConfigError,
     GeometryError,
@@ -43,6 +43,7 @@ from inversive.geom import (
     Point,
     smallest_sphere,
     span_key,
+    span_walk,
     sphere_through,
 )
 
@@ -237,6 +238,46 @@ class TestAgainstPerSubsetScan:
                     assert key == s.key()
                     if size == n + 1:
                         assert key == sphere_through(subset).key()
+
+
+class TestSpanWalk:
+    """The walk against the per-subset oracle `span_key`."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(mixed_configs())
+    def test_walk_index_matches_span_key_index(self, case):
+        config, _ = case
+        n, pts = config.n, config.points()
+        for d in range(n):
+            size = n + 1 if d == n - 1 else d + 2
+            walked = list(span_walk(pts, size))
+            keys = {s: span_key([pts[i] for i in s])
+                    for s in combinations(range(len(pts)), size)}
+            # the walk keys exactly the spanning subsets, in order
+            assert [s for s, _ in walked] == [s for s, k in keys.items() if k is not None]
+            # and its keys group them as span_key does
+            pairs = {(key, keys[s]) for s, key in walked}
+            assert len(pairs) == len({k for k, _ in pairs}) == len({k for _, k in pairs})
+            assert (list(sphere_index(pts, size).values())
+                    == list(sphere_index(pts, size, span_key).values()))
+
+    def test_one_leaf_vector_is_primitive_with_positive_lead(self):
+        # x^2 + y^2 - 1 through (1, 0), (0, 1), (-1, 0)
+        [(subset, key)] = span_walk(UNIT_CIRCLE_CONFIG.points()[:3], 3)
+        assert subset == (0, 1, 2)
+        assert key == ((1, 0, 0, -1),)
+        quartic = [Point.finite((THETA, 0)), Point.finite((0, THETA)),
+                   Point.finite((-THETA, 0)), Point.infinity(2)]
+        assert [key for _, key in span_walk(quartic, 3)][0] == ((1, 0, 0, -SQRT2),)
+
+    def test_dependent_prefix_drops_its_subtree(self):
+        # in R^3 four points of one circle span no 2-sphere, so every
+        # 4-subset holding all of them is skipped
+        circle = [fp(1, 0, 0), fp(0, 1, 0), fp(-1, 0, 0), fp(0, -1, 0)]
+        pts = circle + [fp(0, 0, 1), fp(0, 0, 2)]
+        subsets = [s for s, _ in span_walk(pts, 4)]
+        assert (0, 1, 2, 3) not in subsets
+        assert len(subsets) == 14
 
 
 class TestSphereIndex:

@@ -446,6 +446,21 @@ class TestUsageErrors:
         assert code == 2
         assert json.loads(out)["error"] == 'witness point needs "point"'
 
+    def test_map_image_must_be_an_array(self, tmp_path, capsys):
+        doc = dict(SHARP_MAP_DOC, image=7)
+        code, out, _ = run_cli(["wcp", "check", "--map",
+                                write_json(tmp_path / "map.json", doc)], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == '"image" must be an array'
+
+    def test_witness_colors_must_be_an_array(self, tmp_path, capsys):
+        doc = {"sphere": {"c": "1", "b": ["0", "0"], "a": "-1"},
+               "points": [{"point": {"coords": ["1", "0"]}, "color": 1}], "colors": 5}
+        code, out, _ = run_cli(["validate", "--input",
+                                write_json(tmp_path / "w.json", doc)], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == '"colors" must be an array'
+
     def test_internal_key_error_is_not_bad_input(self, tmp_path, capsys, monkeypatch):
         # an internal bug must surface as a traceback, never as exit 2
         def broken(args):

@@ -1,5 +1,6 @@
 """Tests for the procedural colorings and generic-position sampling."""
 
+import random
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -16,6 +17,7 @@ from inversive.colorings import (
     GenericPoints,
     PointListBackground,
     TwoLine,
+    _rational_stream,
     _stereographic,
     color_of,
     generic_position_points,
@@ -24,7 +26,7 @@ from inversive.colorings import (
     sample_class,
 )
 from inversive.exactnum import BackendMismatch, THETA
-from inversive.geom import Point, concyclic
+from inversive.geom import Point, concyclic, on_common_sphere
 
 nonzero_rationals = st.fractions(min_value=-30, max_value=30, max_denominator=9).filter(
     lambda q: q != 0
@@ -216,6 +218,44 @@ class TestGenericPosition:
 
     def test_deterministic(self):
         assert generic_position_points(2, 6, seed=11) == generic_position_points(2, 6, seed=11)
+
+
+def reference_generic_position_points(n, count, seed):
+    """The inversive sampling with the per-subset rule the shared bases
+    replaced: a candidate is rejected when it and some n+1 chosen points
+    lie on a common sphere."""
+    rats = _rational_stream(random.Random(seed))
+    chosen = []
+    while len(chosen) < count:
+        cand = Point.finite(tuple(next(rats) for _ in range(n)))
+        if cand in chosen:
+            continue
+        if len(chosen) >= n + 1 and any(
+                on_common_sphere(list(subset) + [cand])
+                for subset in combinations(chosen, n + 1)):
+            continue
+        chosen.append(cand)
+    return chosen
+
+
+class TestGenericPositionReference:
+    @pytest.mark.parametrize("n,count,seeds", [
+        (1, 9, range(5)), (2, 14, (0, 1, 2, 48)), (3, 9, range(5)), (4, 8, range(3))])
+    def test_same_points_as_the_per_subset_rule(self, n, count, seeds):
+        for seed in seeds:
+            assert (generic_position_points(n, count, seed)
+                    == reference_generic_position_points(n, count, seed))
+
+    def test_a_concyclic_candidate_is_rejected(self):
+        # seed 48 draws a candidate concyclic with three chosen points, so
+        # the sample is not the first 14 distinct candidates
+        rats = _rational_stream(random.Random(48))
+        first = []
+        while len(first) < 14:
+            cand = Point.finite((next(rats), next(rats)))
+            if cand not in first:
+                first.append(cand)
+        assert generic_position_points(2, 14, 48) != first
 
 
 class TestRationalSpherePoints:

@@ -1,5 +1,6 @@
 """Incidence predicates, sphere constructions, and the planar invariants."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -89,6 +90,21 @@ class TestOnSphereAndSide:
             Hypersphere.make(1, (0, 0), 1)  # empty
         with pytest.raises(DegenerateSphereError):
             Hypersphere.make(0, (0, 0), 0)
+
+    def test_float_degeneracy_is_relative_to_scale(self):
+        # radius 2 around (1000, 0): the discriminant of the unit-scaled
+        # coefficients is about 1.6e-11, below EPSILON
+        far = Hypersphere.make(1.0, (-2000.0, 0.0), 999996.0)
+        assert far.radius_sq() == pytest.approx(4.0)
+        s = sphere_through([P([1002.0, 0.0]), P([998.0, 0.0]), P([1000.0, 2.0])])
+        assert on_sphere(P([1000.0, -2.0]), s)
+        assert not on_sphere(P([1000.0, -2.001]), s)
+        assert Hypersphere.make(0.0, (1.0, 0.0), -1e6).is_flat
+        # zero radius stays degenerate wherever the centre is
+        for c, b, a in ((1.0, (0.0, 0.0), 0.0), (1.0, (-2000.0, 0.0), 1e6),
+                        (2.0, (-4.0, -8.0), 10.0), (1.0, (-2e-3, 0.0), 1e-6)):
+            with pytest.raises(DegenerateSphereError):
+                Hypersphere.make(c, b, a)
 
     def test_center_and_radius(self):
         s = sphere_through([P([0, 0]), P([1, 0]), P([0, 1])])
@@ -351,6 +367,56 @@ class TestBareiss:
         d = red[0][pivots[0]] if pivots else 1
         assert all(type(x) is int for r in red for x in r)
         assert red == [[d * x for x in r] for r in ref]
+
+
+QUARTIC_ENTRIES = [Quartic2(0), Quartic2(1), Quartic2(-2), THETA, SQRT2, 1 + THETA,
+                   THETA * SQRT2 - Fraction(1, 3)]
+
+
+class TestCut:
+    """`cut` narrows a nullspace basis by one row; `nullspace` of every
+    independent row so far is the oracle."""
+
+    @staticmethod
+    def walk(rows, ncols):
+        basis, taken = _linalg.nullspace([], ncols), []
+        for row in rows:
+            cut = _linalg.cut(basis, row)
+            assert (cut is None) == (_linalg.rank(taken + [row], ncols) == len(taken))
+            if cut is None:
+                continue
+            taken.append(row)
+            ns = _linalg.nullspace(taken, ncols)
+            assert len(cut) == len(ns) == len(basis) - 1
+            assert _linalg.rank(cut, ncols) == _linalg.rank(cut + ns, ncols) == len(ns)
+            assert all(not sum(a * x for a, x in zip(r, v)) for r in taken for v in cut)
+            basis = cut
+            yield cut
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda cols: st.lists(
+        st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), min_size=1, max_size=6)))
+    def test_int_rows_match_nullspace(self, rows):
+        for basis in self.walk(rows, len(rows[0])):
+            for v in basis:
+                assert all(type(x) is int for x in v)
+                assert math.gcd(*v) == 1
+                assert next(x for x in v if x) > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda cols: st.lists(
+        st.lists(st.sampled_from(QUARTIC_ENTRIES), min_size=cols, max_size=cols),
+        min_size=1, max_size=5)))
+    def test_quartic_rows_match_nullspace(self, rows):
+        for basis in self.walk(rows, len(rows[0])):
+            for v in basis:
+                assert next(x for x in v if x) == 1
+
+    def test_dependent_row_returns_none(self):
+        basis = _linalg.cut(_linalg.nullspace([], 3), [1, 2, 3])
+        assert _linalg.cut(basis, [-2, -4, -6]) is None
+        assert _linalg.cut(basis, [0, 0, 0]) is None
+        assert _linalg.cut(basis, [1, 0, 0]) == [[0, 3, -2]]
 
 
 class TestCrossRatio:

@@ -326,6 +326,57 @@ class TestMaps:
             decode_map(obj)
 
 
+SPHERE_DOC = {"c": "1", "b": ["0", "0"], "a": "-1"}
+PAIR_DOC = {"point": {"coords": ["1", "0"]}, "color": 1}
+
+
+class TestArrayFields:
+    """Every field a decoder iterates must be an array; anything else is a
+    FormatError naming the field, never a TypeError."""
+
+    @pytest.mark.parametrize("decode,doc,field", [
+        (decode_config, {"n": 2, "k": 2, "points": 5}, "points"),
+        (decode_point_list, {"n": 2, "points": 5}, "points"),
+        (decode_coloring, {"kind": "generic", "n": 2, "k": 3, "points": 5}, "points"),
+        (decode_coloring, {"kind": "point-list", "n": 2, "background": 1, "points": 5},
+         "points"),
+        (decode_moebius, {"factors": 5}, "factors"),
+        (decode_polychromatic_witness,
+         {"sphere": SPHERE_DOC, "points": 5, "colors": [1]}, "points"),
+        (decode_polychromatic_witness,
+         {"sphere": SPHERE_DOC, "points": [PAIR_DOC], "colors": 5}, "colors"),
+        (decode_separation_witness,
+         {"sphere": SPHERE_DOC, "defining": 5, "separated": []}, "defining"),
+        (decode_separation_witness,
+         {"sphere": SPHERE_DOC, "defining": [PAIR_DOC], "separated": 5}, "separated"),
+        (decode_great_flat, {"basis": 5}, "basis"),
+        (decode_sphere, {"carrier": {"basepoint": ["0", "0"], "basis": 5},
+                         "surface": None}, "basis"),
+        (decode_map, {"coloring": {"kind": "two-line"}, "image": 7, "table": {}}, "image"),
+        (decode_point, {"coords": 5}, "coords"),
+    ])
+    def test_wrong_type_names_the_field(self, decode, doc, field):
+        with pytest.raises(FormatError, match='"?%s"? must be a' % field):
+            decode(doc)
+
+    @pytest.mark.parametrize("decode,doc", [
+        (decode_config, {"n": 2, "k": 2, "points": [{"coords": ["0", "0"], "color": "1"}]}),
+        (decode_coloring, {"kind": "point-list", "n": 2, "background": 1,
+                           "points": [{"coords": ["0", "0"], "color": [2]}]}),
+        (decode_polychromatic_witness,
+         {"sphere": SPHERE_DOC, "points": [PAIR_DOC], "colors": [[1]]}),
+        (decode_polychromatic_witness,
+         {"sphere": SPHERE_DOC, "points": [dict(PAIR_DOC, color=True)], "colors": [1]}),
+    ])
+    def test_colors_must_be_integers(self, decode, doc):
+        with pytest.raises(FormatError, match="colors must be integers"):
+            decode(doc)
+
+    def test_listed_point_must_be_an_object(self):
+        with pytest.raises(FormatError, match='needs a "color"'):
+            decode_coloring({"kind": "point-list", "n": 2, "background": 1, "points": [5]})
+
+
 class TestCanonicalJson:
     def test_sorted_and_newline_terminated(self):
         text = canonical_json({"b": 1, "a": [2, 3]})
