@@ -5,9 +5,11 @@ set of c*<x,x> + <b,x> + a with <b,b> - 4ca > 0; c = 0 gives an extended
 hyperplane through infinity. Everything here is backend-generic: exact over
 rationals or the quartic field, tolerance-based over floats. Everything
 works on lifted rows (<x,x>, x, 1), integer for rational points, through
-`_linalg`, which picks the elimination. A sphere of any dimension is keyed
-by the reduced echelon basis of its coefficient space, the span of the
-(c, b, a) of the hyperspheres through it; float spheres have no key.
+`_linalg`, which picks the elimination. A rational point lifts once: its
+integer row is cached on it, and the predicates read it through `_lifted`.
+A sphere of any dimension is keyed by the reduced echelon basis of its
+coefficient space, the span of the (c, b, a) of the hyperspheres through
+it; float spheres have no key.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import _linalg
@@ -68,7 +71,9 @@ def vec_is_zero(u: Sequence) -> bool:
 
 @dataclass(frozen=True)
 class Point:
-    """A point of R^n or the single point at infinity."""
+    """A point of R^n or the single point at infinity. Its backend and, if
+    rational, its integer lifted row are computed once and cached on the
+    instance, outside the fields (so outside ==, hash and repr)."""
 
     coords: Optional[Tuple[Scalar, ...]]
     dim: int
@@ -90,9 +95,18 @@ class Point:
         return self.coords is None
 
     def backend(self) -> str:
+        return self._kind
+
+    @cached_property
+    def _kind(self) -> str:
+        return "rational" if self.coords is None else common_kind(self.coords)
+
+    @cached_property
+    def _row(self) -> Tuple[int, ...]:
         if self.coords is None:
-            return "rational"
-        return common_kind(self.coords)
+            return (1,) + (0,) * (self.dim + 1)
+        d, xs = _linalg.scaled_to_integers(self.coords)
+        return (sum(v * v for v in xs), *(v * d for v in xs), d * d)
 
     def __repr__(self) -> str:
         if self.coords is None:
@@ -241,12 +255,10 @@ def lift_row(p: Point, backend: str = "rational") -> List[Scalar]:
     """Row (<x,x>, x, 1) of the sphere-coefficient system; infinity lifts to
     (1, 0, .., 0), the equation forcing c = 0. On the rational backend it is
     the integer row (sum X_i^2, X_i * D, D^2), X = x * D for the common
-    denominator D of x, which `_linalg` eliminates fraction-free."""
+    denominator D of x, which `_linalg` eliminates fraction-free; it is
+    computed once per point and cached on it, and this returns a copy."""
     if backend == "rational":
-        if p.is_infinity:
-            return [1] + [0] * (p.dim + 1)
-        d, xs = _linalg.scaled_to_integers(p.coords)
-        return [sum(v * v for v in xs), *(v * d for v in xs), d * d]
+        return list(p._row)
     one = promote(1, backend)
     zero = one - one
     if p.is_infinity:
@@ -255,14 +267,23 @@ def lift_row(p: Point, backend: str = "rational") -> List[Scalar]:
     return [vec_dot(x, x), *x, one]
 
 
-def _check_distinct(points: Sequence[Point], where: str) -> None:
-    seen = []
-    for p in points:
-        if p in seen:
-            raise DegenerateConfigError("duplicate point in %s" % where)
-        seen.append(p)
-    if sum(1 for p in points if p.is_infinity) > 1:
-        raise DegenerateConfigError("more than one point at infinity")
+def _lifted(points: Sequence[Point]) -> Tuple[List[Sequence[Scalar]], int]:
+    """(rows, n): the lifted rows of points of R^n_inf. An all-rational family
+    reads each point's cached integer row; any other is promoted to one
+    backend first."""
+    if not points:
+        raise GeometryError("need at least one point")
+    n = points[0].dim
+    if all(p.dim == n for p in points) and all(p.backend() == "rational" for p in points):
+        return [p._row for p in points], n
+    points, k = _uniform(points)
+    return [lift_row(p, k) for p in points], n
+
+
+def _check_distinct(items: Sequence, where: str) -> None:
+    """Refuse equal points, or equal lifted rows (which are equal points)."""
+    if any(x in items[:i] for i, x in enumerate(items)):
+        raise DegenerateConfigError("duplicate point in %s" % where)
 
 
 def sphere_through(points: Sequence[Point]) -> Hypersphere:
@@ -272,12 +293,10 @@ def sphere_through(points: Sequence[Point]) -> Hypersphere:
     c = 0. Inputs that fail to pin down a unique sphere raise; over the
     rationals the coefficients are the signed maximal minors of the lift.
     """
-    points, k = _uniform(points)
-    n = points[0].dim
-    if len(points) != n + 1:
+    rows, n = _lifted(points)
+    if len(rows) != n + 1:
         raise GeometryError("need exactly n+1 points in dimension n")
-    _check_distinct(points, "sphere_through")
-    rows = [lift_row(p, k) for p in points]
+    _check_distinct(rows, "sphere_through")
     ns = _linalg.nullspace(rows, n + 2)
     if len(ns) != 1:
         raise DegenerateSphereError("points do not determine a unique sphere")
@@ -291,22 +310,20 @@ def concyclic(p1: Point, p2: Point, p3: Point, p4: Point) -> bool:
     Rank of the 4 x (n+2) lifted matrix is at most 3 exactly on concyclic
     quadruples.
     """
-    points, k = _uniform([p1, p2, p3, p4])
-    _check_distinct(points, "concyclic")
-    rows = [lift_row(p, k) for p in points]
-    return _linalg.rank(rows, points[0].dim + 2) <= 3
+    rows, n = _lifted([p1, p2, p3, p4])
+    _check_distinct(rows, "concyclic")
+    return _linalg.rank(rows, n + 2) <= 3
 
 
 def on_common_sphere(points: Sequence[Point]) -> bool:
     """Whether the given distinct points all lie on one generalized sphere of
     positive codimension. For n+2 points of R^n_inf this is the cospherical
     test; the lifted matrix drops rank exactly then."""
-    pts, k = _uniform(points)
-    _check_distinct(pts, "on_common_sphere")
-    if not 3 <= len(pts) <= pts[0].dim + 2:
+    rows, n = _lifted(points)
+    _check_distinct(rows, "on_common_sphere")
+    if not 3 <= len(rows) <= n + 2:
         raise GeometryError("need between 3 and n+2 points")
-    rows = [lift_row(p, k) for p in pts]
-    return _linalg.rank(rows, pts[0].dim + 2) < len(rows)
+    return _linalg.rank(rows, n + 2) < len(rows)
 
 
 def second_intersection(s: Hypersphere, base: Point, direction: Sequence[Scalar]) -> Point:
@@ -546,13 +563,11 @@ def smallest_sphere(points: Sequence[Point]) -> SubSphere:
     infinity among the inputs the answer is always the extended hull. A row
     (2<v, base>, v, 0) per hull normal v puts the centre -b/2c in the hull.
     """
-    points, k = _uniform(points)
     if len(points) < 2:
         raise GeometryError("need at least two points")
-    _check_distinct(points, "smallest_sphere")
-    n = points[0].dim
+    rows, n = _lifted(points)
+    _check_distinct(rows, "smallest_sphere")
     hull = Flat.through([p for p in points if not p.is_infinity])
-    rows = [lift_row(p, k) for p in points]
     for v in _linalg.nullspace(hull.basis, n):
         rows.append([2 * vec_dot(v, hull.basepoint), *v, 0])
     ns = _linalg.nullspace(rows, n + 2)
@@ -579,13 +594,12 @@ def span_key(points: Sequence[Point]) -> Optional[tuple]:
     """`smallest_sphere(points).key()` from the nullspace of the lifted rows,
     or None when they are dependent (the sphere has dimension below
     len(points) - 2)."""
-    points, k = _uniform(points)
-    if k == "float":
-        raise BackendMismatch("sphere keys need exact coordinates")
-    _check_distinct(points, "span_key")
-    ncols = points[0].dim + 2
-    ns = _linalg.nullspace([lift_row(p, k) for p in points], ncols)
-    if len(points) + len(ns) > ncols:
+    rows, n = _lifted(points)
+    _refuse_float(rows[0][0])
+    _check_distinct(rows, "span_key")
+    ncols = n + 2
+    ns = _linalg.nullspace(rows, ncols)
+    if len(rows) + len(ns) > ncols:
         return None
     return _echelon_key(ns, ncols)
 
@@ -594,11 +608,9 @@ def span_walk(points: Sequence[Point], size: int) -> Iterator[Tuple[tuple, tuple
     """(subset, key) for each `size`-subset that `span_key` keys, in order and
     grouped alike. Each point is lifted once; a depth-first walk cuts the
     prefix's nullspace basis (its pencil of spheres) by one row per point."""
-    points, k = _uniform(points)
-    if k == "float":
-        raise BackendMismatch("sphere keys need exact coordinates")
-    rows = [lift_row(p, k) for p in points]
-    ncols = points[0].dim + 2 if points else 0
+    rows, n = _lifted(points)
+    _refuse_float(rows[0][0])
+    ncols = n + 2
 
     def walk(start: int, prefix: Tuple[int, ...], basis: List[List]) -> Iterator:
         for i in range(start, len(rows) - size + len(prefix) + 1):

@@ -1,5 +1,6 @@
 """Incidence predicates, sphere constructions, and the planar invariants."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from inversive.geom import (
     _check_distinct,
     _extended_flat_subsphere,
     _uniform,
+    lift_row,
     vec_dot,
     vec_scale,
     CR_INFINITY,
@@ -678,3 +680,131 @@ class TestFlat:
         f1 = Flat.through([P([0, 0, 1]), P([1, 0, 1]), P([0, 1, 1])])
         f2 = Flat.through([P([2, 3, 1]), P([-1, 0, 1]), P([5, 5, 1])])
         assert f1.key() == f2.key()
+
+
+def _rational_point(n):
+    """A rational point of R^n_inf: `Point.finite` over Fractions, a direct
+    `Point` over ints, or infinity."""
+    return st.one_of(
+        st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6),
+                 min_size=n, max_size=n).map(P),
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n).map(lambda xs: Point(tuple(xs), n)),
+        st.just(Point.infinity(n)))
+
+
+def _formula_row(p):
+    """(sum X_i^2, X_i * D, D^2), X = x * D for the least common denominator
+    D of x; (1, 0, .., 0) for infinity."""
+    if p.is_infinity:
+        return (1,) + (0,) * (p.dim + 1)
+    xs = [Fraction(x) for x in p.coords]
+    d = math.lcm(*(x.denominator for x in xs))
+    big = [int(x * d) for x in xs]
+    return (sum(v * v for v in big), *(v * d for v in big), d * d)
+
+
+def _to_quartic(p):
+    if p.is_infinity:
+        return p
+    return P([Quartic2.from_rational(x) for x in p.coords])
+
+
+def _outcome(f, *args):
+    """f's answer, or its exception class and message."""
+    try:
+        return f(*args)
+    except GeometryError as e:
+        return type(e), str(e)
+
+
+class TestLiftedRows:
+    """A rational point's lifted row is computed once and cached on it; the
+    predicates read the cached rows of an all-rational family and promote any
+    other family first."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(_rational_point(n), _rational_point(n))))
+    def test_cached_row_is_the_formula_and_names_the_point(self, pair):
+        p, q = pair
+        for x in pair:
+            assert x.backend() == "rational"
+            assert lift_row(x) == list(_formula_row(x))
+        # the row is the integer multiple D^2 (<x,x>, x, 1) of the plain lift
+        if not p.is_infinity:
+            row = lift_row(p)
+            assert [Fraction(v, row[-1]) for v in row] == [vec_dot(p.coords, p.coords), *p.coords, 1]
+        assert (lift_row(p) == lift_row(q)) == (p == q)
+        assert lift_row(p) == lift_row(Point.finite(p.coords) if p.coords else p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(_rational_point))
+    def test_lifting_leaves_the_value_alone(self, p):
+        fresh = Point(p.coords, p.dim)
+        before = (repr(p), hash(p))
+        row = lift_row(p)
+        row[0] = "not cached"
+        assert lift_row(p) == list(_formula_row(p))
+        assert (repr(p), hash(p)) == before == (repr(fresh), hash(fresh))
+        assert p == fresh and fresh == p
+        assert [f.name for f in dataclasses.fields(Point)] == ["coords", "dim"]
+        assert dataclasses.astuple(p) == (p.coords, p.dim)
+
+    @settings(max_examples=150, deadline=None)
+    @given(point_families(lambda n: n + 2), st.integers(0, 3))
+    def test_predicates_agree_with_the_promoted_path(self, family, mixed):
+        n, pts = family
+        slow = [_to_quartic(p) for p in pts]
+        # a rational family with one quartic point is promoted, not read from rows
+        half = pts[:mixed] + slow[mixed:mixed + 1] + pts[mixed + 1:]
+        for other in (slow, half):
+            assert on_common_sphere(pts) == on_common_sphere(other)
+            assert on_common_sphere(pts[:3]) == on_common_sphere(other[:3])
+            assert _outcome(sphere_through, pts[:n + 1]) == _outcome(sphere_through, other[:n + 1])
+            assert _outcome(sphere_through, pts[1:]) == _outcome(sphere_through, other[1:])
+            if n + 2 >= 4:
+                assert concyclic(*pts[:4]) == concyclic(*other[:4])
+
+    def test_duplicates_found_on_either_path(self):
+        a, b = P([Fraction(1, 2), 3]), P([0, Fraction(-2, 3)])
+        for p, q in ((a, b), (_to_quartic(a), _to_quartic(b)), (a, _to_quartic(b))):
+            again = Point(p.coords, 2)
+            with pytest.raises(DegenerateConfigError, match="duplicate point in on_common_sphere"):
+                on_common_sphere([p, q, again])
+            with pytest.raises(DegenerateConfigError, match="duplicate point in concyclic"):
+                concyclic(p, q, INF2, again)
+            with pytest.raises(DegenerateConfigError, match="duplicate point in sphere_through"):
+                sphere_through([p, again, q])
+        with pytest.raises(DegenerateConfigError, match="duplicate point in span_key"):
+            span_key([a, b, Point(a.coords, 2)])
+        # Point((1, 2), 2) and P([1, 2]) are one point
+        with pytest.raises(DegenerateConfigError, match="duplicate point in smallest_sphere"):
+            smallest_sphere([Point((1, 2), 2), b, P([1, 2])])
+
+    def test_error_precedence(self):
+        a, b = P([1, 2]), P([3, -1])
+        with pytest.raises(DegenerateConfigError, match="duplicate point in on_common_sphere"):
+            on_common_sphere([INF2, INF2, a, b])
+        # the count is checked before distinctness, as for any other count
+        with pytest.raises(GeometryError, match=r"need exactly n\+1 points") as err:
+            sphere_through([a, a])
+        assert type(err.value) is GeometryError
+        with pytest.raises(GeometryError, match="need at least two points"):
+            smallest_sphere([a])
+        # distinctness is checked before the count
+        with pytest.raises(DegenerateConfigError, match="duplicate point in on_common_sphere"):
+            on_common_sphere([a, a])
+        with pytest.raises(GeometryError, match="different ambient dimensions"):
+            on_common_sphere([a, a, P([1, 2, 3])])
+        with pytest.raises(BackendMismatch, match="cannot mix float"):
+            concyclic(a, a, b, P([0.5, 1.0]))
+        # float families are refused before their points are compared
+        f = P([0.5, 1.0])
+        with pytest.raises(BackendMismatch, match="sphere keys need exact coordinates"):
+            span_key([f, f])
+
+    def test_empty_family_is_a_geometry_error(self):
+        for f in (sphere_through, span_key, on_common_sphere):
+            with pytest.raises(GeometryError):
+                f([])
+        with pytest.raises(GeometryError, match="need at least two points"):
+            smallest_sphere([])
