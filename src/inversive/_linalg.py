@@ -15,7 +15,9 @@ from math import gcd, lcm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from .exactnum import EPSILON, is_zero
+from .exactnum import EPSILON, Quartic2, is_zero, promote
+
+_ONE = Quartic2(1)
 
 
 def _copy(rows: Sequence[Sequence]) -> List[List]:
@@ -128,43 +130,55 @@ def bareiss(rows: Sequence[Sequence[int]], ncols: int,
 def cut(basis: Sequence[Sequence], row: Sequence) -> Optional[List[List]]:
     """A basis of the vectors of span(basis) that annihilate `row`, None when
     all do: w_j = (r.b_i) b_j - (r.b_j) b_i, j != i, for the first b_i with
-    r.b_i != 0, kept canonical (primitive ints with lead > 0, else lead 1)."""
+    r.b_i != 0, each kept `canonical`."""
     dots = [sum(map(mul, row, b)) for b in basis]
     i = next((i for i, f in enumerate(dots) if f), -1)
     if i < 0:
         return None
     p, top = dots[i], basis[i]
-    return [_canonical([p * x - f * y for x, y in zip(b, top)]) if f else b
+    return [canonical([p * x - f * y for x, y in zip(b, top)]) if f else b
             for j, (b, f) in enumerate(zip(basis, dots)) if j != i]
 
 
-def _canonical(v: List) -> List:
-    lead = next(x for x in v if x)
-    if type(lead) is int:
-        g = gcd(*v) if lead > 0 else -gcd(*v)
-        return [x // g for x in v]
-    inv = 1 / lead
-    return [x * inv for x in v]
+def canonical(v: Sequence) -> List:
+    """The normal form of a nonzero exact row up to a nonzero factor, whatever
+    backend computed it: a row that is rational after division by its lead as
+    primitive ints with a positive lead, any other Q(2^(1/4)) row with lead 1."""
+    try:
+        g = gcd(*v)
+    except TypeError:  # Fraction or Q(2^(1/4)) entries
+        if any(isinstance(x, Quartic2) for x in v):
+            inv = _ONE / next(x for x in v if x)
+            v = [x * inv for x in v]
+            if not all(x.is_rational for x in v):
+                return v
+            v = [x.to_fraction() for x in v]
+        v = scaled_to_integers(v)[1]
+        g = gcd(*v)
+    g = g if next(x for x in v if x) > 0 else -g
+    return [x // g for x in v]
+
+
+def lead_one(v: Sequence, kind: str) -> List:
+    """A canonical row divided by its lead, as scalars of `kind`."""
+    if all(type(x) is int for x in v):
+        lead = next(x for x in v if x)
+        v = [Fraction(x, lead) for x in v]
+    return [promote(x, kind) for x in v] if kind == "quartic" else list(v)
 
 
 def rank(rows: Sequence[Sequence], ncols: int) -> int:
     ints = _integer_rows(rows)
-    if ints is None:
-        return len(rref(rows, ncols)[1])
-    return len(bareiss(ints, ncols, reduced=False)[1])
+    return len((rref(rows, ncols) if ints is None else bareiss(ints, ncols, False))[1])
 
 
 def echelon(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List], List[int]]:
-    """The nonzero rows of the reduced row echelon form, and the pivot
-    columns; Fraction rows for a rational matrix (the reduced Bareiss rows
-    divided by the last pivot)."""
+    """The nonzero rows of the reduced row echelon form of an exact matrix,
+    each `canonical`, and the pivot columns; a rational matrix's come from
+    the reduced Bareiss rows."""
     ints = _integer_rows(rows)
-    if ints is None:
-        m, pivots = rref(rows, ncols)
-        return m[: len(pivots)], pivots
-    m, pivots = bareiss(ints, ncols)
-    d = m[0][pivots[0]] if pivots else 1
-    return [[Fraction(x, d) for x in r] for r in m[: len(pivots)]], pivots
+    m, pivots = rref(rows, ncols) if ints is None else bareiss(ints, ncols)
+    return [canonical(r) for r in m[: len(pivots)]], pivots
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> List[List]:

@@ -61,10 +61,11 @@ class GreatFlat:
         ncols = len(vectors[0])
         if any(len(v) != ncols for v in vectors):
             raise GeometryError("spanning vectors disagree in length")
-        red, _ = _linalg.echelon(_promoted_rows(vectors), ncols)
+        rows = _promoted_rows(vectors)
+        red, _ = _linalg.echelon(rows, ncols)
         if not red:
             raise GeometryError("zero vectors span no subspace")
-        return cls(tuple(tuple(r) for r in red))
+        return cls(tuple(tuple(_linalg.lead_one(r, common_kind(rows[0]))) for r in red))
 
     @property
     def dim(self) -> int:
@@ -107,17 +108,17 @@ def great_flat_through(points: Sequence[Point], d: int) -> GreatFlat:
         raise GeometryError("points disagree in ambient dimension")
     if not 1 <= d <= ambient:
         raise GeometryError("target dimension out of range")
-    basis, _ = _linalg.echelon(_promoted_rows([list(p.coords) for p in points]), ambient)
+    rows = _promoted_rows([p.coords for p in points])
+    basis, _ = _linalg.echelon(rows, ambient)
     if len(basis) > d:
         raise GeometryError("points span more than the target dimension")
     for i in range(ambient):
         if len(basis) >= d:
             break
         e = [Fraction(1) if j == i else Fraction(0) for j in range(ambient)]
-        candidate = basis + [e]
-        if _linalg.rank(candidate, ambient) > len(basis):
-            basis = candidate
-    return GreatFlat.span(basis)
+        if _linalg.rank(basis + [e], ambient) > len(basis):
+            basis, rows = basis + [e], rows + [e]
+    return GreatFlat.span(rows)
 
 
 @dataclass(frozen=True)
@@ -153,10 +154,7 @@ def great_intersection(s: GreatFlat, c: GreatFlat) -> GreatIntersection:
         w = tuple(c1)
     else:
         w = vec_sub(vec_scale(a1, c2), vec_scale(a2, c1))
-    lead = next(x for x in w if not is_zero(x))
-    if isinstance(lead, int):
-        lead = Fraction(lead)
-    w = tuple(x / lead for x in w)
+    w = tuple(_linalg.lead_one(_linalg.canonical(w), common_kind(w)))
     nn = vec_dot(w, w)
     root = sqrt_in_field(nn)
     if root is not None:

@@ -73,7 +73,8 @@ class Quartic2:
 
     @classmethod
     def from_rational(cls, q: RatLike) -> "Quartic2":
-        return cls(q, 0, 0, 0)
+        q = _rational(q)
+        return _make(q.numerator, 0, 0, 0, q.denominator)
 
     @staticmethod
     def _coerce(other) -> Optional["Quartic2"]:

@@ -5,11 +5,11 @@ set of c*<x,x> + <b,x> + a with <b,b> - 4ca > 0; c = 0 gives an extended
 hyperplane through infinity. Everything here is backend-generic: exact over
 rationals or the quartic field, tolerance-based over floats. Everything
 works on lifted rows (<x,x>, x, 1), integer for rational points, through
-`_linalg`, which picks the elimination. A rational point lifts once: its
-integer row is cached on it, and the predicates read it through `_lifted`.
-A sphere of any dimension is keyed by the reduced echelon basis of its
-coefficient space, the span of the (c, b, a) of the hyperspheres through
-it; float spheres have no key.
+`_linalg`, which picks the elimination. A point lifts once and caches its
+row. A hypersphere is a row (c, b, a) annihilating the lifted rows of its
+points, so incidence is one dot product. Every sphere is keyed by the
+canonical echelon basis of its coefficient space, the span of the (c, b, a)
+of the hyperspheres through it; float spheres have no key.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import _linalg
@@ -71,9 +72,9 @@ def vec_is_zero(u: Sequence) -> bool:
 
 @dataclass(frozen=True)
 class Point:
-    """A point of R^n or the single point at infinity. Its backend and, if
-    rational, its integer lifted row are computed once and cached on the
-    instance, outside the fields (so outside ==, hash and repr)."""
+    """A point of R^n or the single point at infinity. Its backend and its
+    lifted row (integer for a rational point) are computed once and cached on
+    the instance, outside the fields (so outside ==, hash and repr)."""
 
     coords: Optional[Tuple[Scalar, ...]]
     dim: int
@@ -102,9 +103,11 @@ class Point:
         return "rational" if self.coords is None else common_kind(self.coords)
 
     @cached_property
-    def _row(self) -> Tuple[int, ...]:
+    def _row(self) -> Tuple[Scalar, ...]:
         if self.coords is None:
             return (1,) + (0,) * (self.dim + 1)
+        if self._kind != "rational":
+            return (vec_dot(self.coords, self.coords), *self.coords, promote(1, self._kind))
         d, xs = _linalg.scaled_to_integers(self.coords)
         return (sum(v * v for v in xs), *(v * d for v in xs), d * d)
 
@@ -142,12 +145,12 @@ class SideLabel(Enum):
 
 @dataclass(frozen=True)
 class Hypersphere:
-    """Canonical coefficients (c, b, a) of a nondegenerate generalized sphere.
-
-    Exact backends scale so the first nonzero of (c, b_1..b_n, a) equals 1;
-    the float backend scales to unit coefficient norm with the same sign rule
-    and takes a discriminant within EPSILON * (<b,b> + |4ca|) of zero as zero.
-    """
+    """Coefficients (c, b, a) of a nondegenerate generalized sphere, scaled so
+    the first nonzero of (c, b_1..b_n, a) is 1; the float backend scales to
+    unit coefficient norm with the same sign rule and takes a discriminant
+    within EPSILON * (<b,b> + |4ca|) of zero as zero. `make` also sets `row`,
+    (c, b, a) in `_linalg.canonical` form (as Q(2^(1/4)) scalars on that
+    backend, unit norm on floats), outside the fields as `Point._row` is."""
 
     c: Scalar
     b: Tuple[Scalar, ...]
@@ -157,31 +160,31 @@ class Hypersphere:
     def make(cls, c: Scalar, b: Sequence[Scalar], a: Scalar) -> "Hypersphere":
         entries = [c, *b, a]
         k = common_kind(entries)
-        entries = [promote(x, k) for x in entries]
-        lead = None
-        for x in entries:
-            if not is_zero(x):
-                lead = x
-                break
+        lead = next((x for x in entries if not is_zero(x)), None)
         if lead is None:
             raise DegenerateSphereError("zero coefficient vector")
         if k == "float":
             norm = sum(x * x for x in entries) ** 0.5
             scale = (1.0 / norm) if lead > 0 else (-1.0 / norm)
-            entries = [x * scale for x in entries]
+            row = coeffs = [x * scale for x in entries]
         else:
-            entries = [x / lead for x in entries]
-        c, b, a = entries[0], tuple(entries[1:-1]), entries[-1]
-        bb = vec_dot(b, b)
-        disc = bb - 4 * c * a
+            row = _linalg.canonical(entries)
+            coeffs = _linalg.lead_one(row, k)
+            if k == "quartic":
+                row = [promote(x, k) for x in row]
+        rc, *rb, ra = row
+        bb = vec_dot(rb, rb)
+        disc = bb - 4 * rc * ra
         if k == "float":
             # zero up to the size of its two terms, wherever the sphere sits
-            degenerate = disc <= EPSILON * (bb + abs(4 * c * a))
+            degenerate = disc <= EPSILON * (bb + abs(4 * rc * ra))
         else:
             degenerate = sign_of(disc) <= 0
         if degenerate:
             raise DegenerateSphereError("discriminant <b,b> - 4ca is not positive")
-        return cls(c, b, a)
+        s = cls(coeffs[0], tuple(coeffs[1:-1]), coeffs[-1])
+        object.__setattr__(s, "row", tuple(row))
+        return s
 
     @property
     def dim(self) -> int:
@@ -202,21 +205,24 @@ class Hypersphere:
         disc = vec_dot(self.b, self.b) - 4 * self.c * self.a
         return disc / (4 * self.c * self.c)
 
-    def evaluate(self, p: Point) -> Scalar:
-        if p.is_infinity:
-            raise GeometryError("evaluate expects a finite point")
-        x = p.coords
-        return self.c * vec_dot(x, x) + vec_dot(self.b, x) + self.a
-
     def contains(self, p: Point) -> bool:
-        if p.is_infinity:
-            return is_zero(self.c)
-        return is_zero(self.evaluate(p))
+        return is_zero(_incidence(self, p))
 
     def key(self) -> tuple:
-        """Its own lead-1 row: the echelon key of its coefficient space."""
+        """Its own row: the echelon key of its coefficient space."""
         _refuse_float(self.c)
-        return ((self.c, *self.b, self.a),)
+        return (self.row,)
+
+
+def _incidence(s: Hypersphere, p: Point) -> Scalar:
+    """A positive multiple of c<x,x> + <b,x> + a (c at infinity); with a float
+    on either side, the one on the stored (c, b, a), so EPSILON keeps its scale."""
+    if p.dim != s.dim:
+        raise GeometryError("point dimension mismatch")
+    if p.backend() == "float" or type(s.c) is float:
+        q = p if p.is_infinity else Point.finite([promote(x, "float") for x in p.coords])
+        return vec_dot((s.c, *s.b, s.a), q._row)
+    return sum(map(mul, s.row, p._row))
 
 
 def on_sphere(p: Point, s: Hypersphere) -> bool:
@@ -228,18 +234,11 @@ def side(p: Point, s: Hypersphere) -> SideLabel:
 
     Canonical scaling pins the orientation, so labels are reproducible.
     """
-    if s.is_flat:
-        if p.is_infinity:
-            return SideLabel.ON
-        sg = sign_of(s.evaluate(p))
-        if sg == 0:
-            return SideLabel.ON
-        return SideLabel.POSITIVE if sg > 0 else SideLabel.NEGATIVE
-    if p.is_infinity:
-        return SideLabel.OUTSIDE
-    sg = sign_of(s.evaluate(p))
+    sg = sign_of(_incidence(s, p))
     if sg == 0:
         return SideLabel.ON
+    if s.is_flat:
+        return SideLabel.POSITIVE if sg > 0 else SideLabel.NEGATIVE
     return SideLabel.INSIDE if sg < 0 else SideLabel.OUTSIDE
 
 
@@ -255,26 +254,19 @@ def lift_row(p: Point, backend: str = "rational") -> List[Scalar]:
     """Row (<x,x>, x, 1) of the sphere-coefficient system; infinity lifts to
     (1, 0, .., 0), the equation forcing c = 0. On the rational backend it is
     the integer row (sum X_i^2, X_i * D, D^2), X = x * D for the common
-    denominator D of x, which `_linalg` eliminates fraction-free; it is
-    computed once per point and cached on it, and this returns a copy."""
-    if backend == "rational":
-        return list(p._row)
-    one = promote(1, backend)
-    zero = one - one
-    if p.is_infinity:
-        return [one] + [zero] * p.dim + [zero]
-    x = p.coords
-    return [vec_dot(x, x), *x, one]
+    denominator D of x. A point caches its row in its own backend; another
+    backend gets that row promoted, a positive multiple of the lift."""
+    row = p._row
+    return list(row) if backend == p.backend() else [promote(x, backend) for x in row]
 
 
 def _lifted(points: Sequence[Point]) -> Tuple[List[Sequence[Scalar]], int]:
-    """(rows, n): the lifted rows of points of R^n_inf. An all-rational family
-    reads each point's cached integer row; any other is promoted to one
-    backend first."""
+    """(rows, n): the lifted rows of points of R^n_inf. A family of one
+    backend reads each point's cached row; any other is promoted first."""
     if not points:
         raise GeometryError("need at least one point")
     n = points[0].dim
-    if all(p.dim == n for p in points) and all(p.backend() == "rational" for p in points):
+    if all(p.dim == n for p in points) and len({p.backend() for p in points}) == 1:
         return [p._row for p in points], n
     points, k = _uniform(points)
     return [lift_row(p, k) for p in points], n
@@ -521,18 +513,15 @@ class SubSphere:
         return self.carrier.ambient
 
     def contains(self, p: Point) -> bool:
-        if self.surface is None:
-            return True
-        if p.is_infinity:
-            return is_zero(self.surface.c)
-        return self.carrier.contains(p) and self.surface.contains(p)
+        return self.surface is None or (self.surface.contains(p)
+                                        and self.carrier.contains(p))
 
     def key(self) -> tuple:
         if self.surface is None:
             return ()
         s = self.surface
         _refuse_float(s.c)
-        rows = [[s.c, *s.b, s.a], *self.carrier._hyperplane_rows()]
+        rows = [s.row, *self.carrier._hyperplane_rows()]
         return _echelon_key(rows, self.ambient + 2)
 
 
@@ -586,7 +575,8 @@ def _refuse_float(x: Scalar) -> None:
 
 def _echelon_key(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple:
     """The key of the generalized sphere whose coefficient space the exact
-    rows (c, b, a) span: the nonzero rows of its reduced row echelon form."""
+    rows (c, b, a) span: the canonical nonzero rows of its reduced row
+    echelon form."""
     return tuple(tuple(r) for r in _linalg.echelon(rows, ncols)[0])
 
 
@@ -605,9 +595,10 @@ def span_key(points: Sequence[Point]) -> Optional[tuple]:
 
 
 def span_walk(points: Sequence[Point], size: int) -> Iterator[Tuple[tuple, tuple]]:
-    """(subset, key) for each `size`-subset that `span_key` keys, in order and
-    grouped alike. Each point is lifted once; a depth-first walk cuts the
-    prefix's nullspace basis (its pencil of spheres) by one row per point."""
+    """(subset, key) for each `size`-subset that `span_key` keys, in order,
+    with the key `span_key` gives it. Each point is lifted once; a depth-first
+    walk cuts the prefix's nullspace basis (its pencil of spheres) by one row
+    per point."""
     rows, n = _lifted(points)
     _refuse_float(rows[0][0])
     ncols = n + 2

@@ -282,13 +282,9 @@ def encode_config(cfg: ColoredConfig) -> Dict[str, Any]:
 
 
 def decode_config(obj: Any) -> ColoredConfig:
-    if not isinstance(obj, dict) or not {"n", "k", "points"} <= set(obj):
-        raise FormatError("configuration needs \"n\", \"k\", \"points\"")
-    n, k = obj["n"], obj["k"]
-    if not isinstance(n, int) or not isinstance(k, int):
-        raise FormatError("\"n\" and \"k\" must be integers")
+    n, k = _require_int(obj, "n", "configuration"), _require_int(obj, "k", "configuration")
     items = []
-    for entry in _array(obj["points"], "points"):
+    for entry in _array(_require(obj, "points", "configuration"), "points"):
         if not isinstance(entry, dict) or "color" not in entry:
             raise FormatError("each configuration point needs a \"color\"")
         items.append((decode_point(entry, n), _color(entry["color"])))
@@ -297,12 +293,9 @@ def decode_config(obj: Any) -> ColoredConfig:
 
 def decode_point_list(obj: Any) -> Tuple[int, List[Point]]:
     """Decode {"n": ..., "points": [...]} into (n, points)."""
-    if not isinstance(obj, dict) or not {"n", "points"} <= set(obj):
-        raise FormatError("point list needs \"n\" and \"points\"")
-    n = obj["n"]
-    if not isinstance(n, int):
-        raise FormatError("\"n\" must be an integer")
-    return n, [decode_point(entry, n) for entry in _array(obj["points"], "points")]
+    n = _require_int(obj, "n", "point list")
+    points = _array(_require(obj, "points", "point list"), "points")
+    return n, [decode_point(entry, n) for entry in points]
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +354,10 @@ def decode_coloring(obj: Any) -> ProceduralColoring:
     raise FormatError("unknown coloring kind %r" % kind)
 
 
-def _require_int(obj: Mapping, key: str) -> int:
-    v = _require(obj, key, "descriptor")
+def _require_int(obj: Mapping, key: str, what: str = "descriptor") -> int:
+    v = _require(obj, key, what)
     if isinstance(v, bool) or not isinstance(v, int):
-        raise FormatError("descriptor needs integer \"%s\"" % key)
+        raise FormatError("%s needs integer \"%s\"" % (what, key))
     return v
 
 

@@ -117,7 +117,7 @@ class MoebiusMap:
     def image_sphere(self, s: Hypersphere) -> Hypersphere:
         if s.dim != self.dim:
             raise GeometryError("sphere dimension mismatch")
-        c, *b, a = _integral([s.c, *s.b, s.a])
+        c, *b, a = _integral(s.row)
         xs = _reflect(self._mirrors, [-2 * a, *b, -2 * c])
         s2 = Hypersphere.make(-xs[-1], [2 * x for x in xs[1:-1]], -xs[0])
         if self._float or type(s.c) is float:

@@ -461,6 +461,18 @@ class TestUsageErrors:
         assert code == 2
         assert json.loads(out)["error"] == '"colors" must be an array'
 
+    @pytest.mark.parametrize("field", ["n", "k"])
+    def test_config_booleans_are_not_integers(self, tmp_path, capsys, field):
+        # JSON true once decoded as n = 1 (or k = 1) and searched the line
+        doc = {"n": 1, "k": 3, "points": [{"coords": [str(x)], "color": x + 1}
+                                          for x in range(3)]}
+        doc[field] = True
+        code, out, err = run_cli(["search", "--input", write_json(tmp_path / "cfg.json", doc),
+                                  "--dim", "0", "--target", "2"], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == 'configuration needs integer "%s"' % field
+        assert field in err
+
     def test_internal_key_error_is_not_bad_input(self, tmp_path, capsys, monkeypatch):
         # an internal bug must surface as a traceback, never as exit 2
         def broken(args):

@@ -15,7 +15,7 @@ from inversive.euclid import (
     max_colors_great,
     verify_flag_euclidean,
 )
-from inversive.exactnum import BackendMismatch, THETA
+from inversive.exactnum import BackendMismatch, Quartic2, THETA
 from inversive.geom import GeometryError, Point, span_key, vec_dot
 
 F = Fraction
@@ -54,6 +54,14 @@ class TestGreatFlat:
             flat = GreatFlat.span(vectors)
             assert all(type(x) is F for r in flat.basis for x in r)
         assert GreatFlat.span([[F(1, 2), 1, 0], [0, F(2, 3), 0]]) == XY_PLANE
+
+    def test_rational_valued_quartic_bases_stay_quartic(self):
+        q = [[Quartic2(1), Quartic2(1), Quartic2(0)], [Quartic2(1), Quartic2(-1), Quartic2(0)]]
+        assert GreatFlat.span(q) == XY_PLANE
+        assert all(type(x) is Quartic2 for r in GreatFlat.span(q).basis for x in r)
+        flat = great_flat_through([Point.finite((Quartic2(1), Quartic2(0), Quartic2(0)))], 2)
+        assert flat == XY_PLANE
+        assert all(type(x) is Quartic2 for r in flat.basis for x in r)
 
     def test_section_key_is_the_key_of_its_points(self):
         assert XY_PLANE.subsphere().key() == span_key([E1, E2, sp(-1, 0, 0)])

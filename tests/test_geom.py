@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from inversive import _linalg
-from inversive.exactnum import Quartic2, THETA, SQRT2, BackendMismatch
+from inversive.exactnum import Quartic2, THETA, SQRT2, BackendMismatch, sign_of
 from inversive.geom import (
     _check_distinct,
     _extended_flat_subsphere,
@@ -261,6 +261,14 @@ def _oracle_rows(sympy, points):
     return sympy.Matrix(rows)
 
 
+def _primitive(row):
+    """A nonzero rational row scaled to primitive ints with a positive pivot."""
+    d = math.lcm(*(Fraction(x).denominator for x in row))
+    ints = [int(x * d) for x in row]
+    g = math.gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
+    return [x // g for x in ints]
+
+
 class TestAgainstSympy:
     """The rank and nullspace predicates against sympy's exact linear algebra
     over QQ, an oracle that shares no code with `_linalg`."""
@@ -310,7 +318,7 @@ class TestAgainstSympy:
         ref, ref_pivots = sympy.Matrix(
             [[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows]).rref()
         assert pivots == list(ref_pivots)
-        assert red == [[Fraction(int(v.p), int(v.q)) for v in ref.row(i)]
+        assert red == [_primitive([Fraction(int(v.p), int(v.q)) for v in ref.row(i)])
                        for i in range(len(pivots))]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -333,13 +341,13 @@ class TestEchelon:
         min_size=1, max_size=5)))
     def test_rational_rows_match_rref(self, rows):
         # int, Fraction and mixed rows: their denominators are cleared row by
-        # row and the reduced Bareiss rows divided back to Fractions
+        # row and the reduced Bareiss rows taken over their content
         ncols = len(rows[0])
         ref, ref_pivots = _linalg.rref([[Fraction(x) for x in r] for r in rows], ncols)
         red, pivots = _linalg.echelon(rows, ncols)
         assert pivots == ref_pivots
-        assert red == ref[: len(pivots)]
-        assert all(type(x) is Fraction for r in red for x in r)
+        assert red == [_primitive(r) for r in ref[: len(pivots)]]
+        assert all(type(x) is int for r in red for x in r)
         assert _linalg.rank(rows, ncols) == len(pivots)
         for vec in _linalg.nullspace(rows, ncols):
             assert all(type(x) is int for x in vec)
@@ -410,9 +418,16 @@ class TestCut:
         st.lists(st.sampled_from(QUARTIC_ENTRIES), min_size=cols, max_size=cols),
         min_size=1, max_size=5)))
     def test_quartic_rows_match_nullspace(self, rows):
+        # a vector that is rational up to a factor comes out as primitive
+        # ints with a positive lead, as on the rational backend
         for basis in self.walk(rows, len(rows[0])):
             for v in basis:
-                assert next(x for x in v if x) == 1
+                lead = next(x for x in v if x)
+                if all(not isinstance(x, Quartic2) or x.is_rational for x in v):
+                    assert all(type(x) is int for x in v)
+                    assert math.gcd(*v) == 1 and lead > 0
+                else:
+                    assert lead == 1
 
     def test_dependent_row_returns_none(self):
         basis = _linalg.cut(_linalg.nullspace([], 3), [1, 2, 3])
@@ -808,3 +823,93 @@ class TestLiftedRows:
                 f([])
         with pytest.raises(GeometryError, match="need at least two points"):
             smallest_sphere([])
+
+
+def _formula_side(p, s):
+    """The side of p read off the literal c<x,x> + <b,x> + a on the lead-1
+    (or unit-norm) coefficients; infinity lies on every flat and outside
+    every round sphere."""
+    if p.is_infinity:
+        return SideLabel.ON if s.is_flat else SideLabel.OUTSIDE
+    x = p.coords
+    value = s.c * sum(v * v for v in x) + sum(u * v for u, v in zip(s.b, x)) + s.a
+    sg = sign_of(value)
+    if sg == 0:
+        return SideLabel.ON
+    if s.is_flat:
+        return SideLabel.POSITIVE if sg > 0 else SideLabel.NEGATIVE
+    return SideLabel.INSIDE if sg < 0 else SideLabel.OUTSIDE
+
+
+def _to_float(p):
+    return p if p.is_infinity else P([float(x) for x in p.coords])
+
+
+def _scaled_by_theta(p):
+    return p if p.is_infinity else P([THETA * x for x in p.coords])
+
+
+class TestIncidenceAgainstFormula:
+    """`contains` and `side` take the sign of one dot product of the sphere's
+    row with the point's cached lifted row; the oracle evaluates the sphere's
+    equation at the point's coordinates."""
+
+    @staticmethod
+    def check(s, points):
+        for p in points:
+            expected = _formula_side(p, s)
+            assert side(p, s) is expected
+            assert s.contains(p) == on_sphere(p, s) == (expected is SideLabel.ON)
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_families(lambda n: n + 2))
+    def test_exact_spheres(self, family):
+        n, pts = family
+        tests = pts + [Point.infinity(n)]
+        try:
+            s = sphere_through(pts[:n + 1])
+        except (DegenerateSphereError, DegenerateConfigError):
+            assume(False)
+        event("flat" if s.is_flat else "round")
+        self.check(s, tests)
+        # the same sphere met by Q(2^(1/4)) points, and its promoted twin
+        quartic = [_to_quartic(p) for p in tests]
+        twin = sphere_through(quartic[:n + 1])
+        assert twin == s and hash(twin) == hash(s) and twin.key() == s.key()
+        assert all(isinstance(x, Quartic2) for x in (twin.c, *twin.b, twin.a))
+        self.check(s, quartic)
+        self.check(twin, tests)
+        # an irrational sphere: every point scaled by 2^(1/4)
+        scaled = [_scaled_by_theta(p) for p in tests]
+        self.check(sphere_through(scaled[:n + 1]), scaled + tests)
+
+    @settings(max_examples=150, deadline=None)
+    @given(point_families(lambda n: n + 2))
+    def test_float_against_exact(self, family):
+        n, pts = family
+        floats = [_to_float(p) for p in pts] + [Point.infinity(n)]
+        try:
+            s = sphere_through(pts[:n + 1])
+            fs = sphere_through(floats[:n + 1])
+        except (DegenerateSphereError, DegenerateConfigError):
+            assume(False)
+        self.check(s, floats)
+        self.check(fs, pts + [Point.infinity(n)])
+
+    def test_float_tolerance_is_on_the_stored_coefficients(self):
+        # the rows are primitive ints (1000, 0, 0, -1) and (D^2 <x,x>, D x, D^2)
+        # with D = 10^10; scaled by them, these gaps of about 1e-10 would
+        # exceed EPSILON
+        small = Hypersphere.make(1, (0, 0), Fraction(-1, 1000))
+        assert small.row == (1000, 0, 0, -1)
+        assert on_sphere(P([math.sqrt(0.001 + 5e-10), 0.0]), small)
+        near = P([Fraction(10 ** 10 + 1, 10 ** 10), 0])
+        assert on_sphere(near, Hypersphere.make(1.0, (0.0, 0.0), -1.0))
+        assert not on_sphere(near, UNIT_CIRCLE)
+
+    def test_dimension_mismatch_raises(self):
+        for p in (P([1, 0, 0]), P([1]), Point.infinity(3), P([1.0, 0.0, 0.0])):
+            for f in (UNIT_CIRCLE.contains, lambda q: side(q, UNIT_CIRCLE),
+                      lambda q: on_sphere(q, X_AXIS)):
+                with pytest.raises(GeometryError, match="dimension mismatch"):
+                    f(p)

@@ -204,6 +204,17 @@ class TestConfigs:
         assert n == 2
         assert pts == [fp(1, 2), Point.infinity(2)]
 
+    @pytest.mark.parametrize("decode, obj, what", [
+        (decode_config, {"n": True, "k": 2, "points": []}, 'configuration needs integer "n"'),
+        (decode_config, {"n": 1, "k": False, "points": []}, 'configuration needs integer "k"'),
+        (decode_config, {"n": "2", "k": 2, "points": []}, 'configuration needs integer "n"'),
+        (decode_point_list, {"n": True, "points": []}, 'point list needs integer "n"'),
+    ])
+    def test_dimension_and_count_are_integers_not_booleans(self, decode, obj, what):
+        with pytest.raises(FormatError) as e:
+            decode(obj)
+        assert str(e.value) == what
+
 
 class TestColorings:
     @pytest.mark.parametrize("col", [

@@ -144,6 +144,15 @@ class TestImageSphere:
                 continue
             assert m.image_sphere(s) == expected
 
+    def test_rational_valued_quartic_sphere_keeps_its_kind(self):
+        # its row is the primitive int row, held as Q(2^(1/4)) scalars
+        unit = Hypersphere.make(Quartic2(2), (Quartic2(0), Quartic2(0)), Quartic2(-2))
+        assert unit.row == (1, 0, 0, -1)
+        img = SphereInversion((F(1), F(0)), F(1)).image_sphere(unit)
+        assert all(type(x) is Quartic2 for x in (img.c, *img.b, img.a, *img.row))
+        assert img == SphereInversion((F(1), F(0)), F(1)).image_sphere(
+            Hypersphere.make(1, (0, 0), -1))
+
     def test_incidence_preserved_3d(self):
         rng = random.Random(11)
         for _ in range(10):
