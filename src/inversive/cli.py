@@ -8,9 +8,13 @@ Reports contain the seed and sample sizes that produced them and nothing
 clock- or host-dependent, so a rerun with the same arguments is
 byte-identical. `search --jobs` is accepted for compatibility and ignored;
 searches need exact coordinates.
+
+`main(argv)` may be called repeatedly in one process: the parser is built on
+the first call and reused, and each call looks its handler up by name.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -145,7 +149,8 @@ def _name_suffix(arg: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (verdict, payload, statistics, parameters)
+# subcommand handlers, found by `main` as cmd_<command name> with `-` and
+# spaces read as `_`; each returns (verdict, payload, statistics, parameters)
 
 _VERIFY_DEFAULT_SAMPLES = {"flag": 30, "generic": 30, "two-line": 40,
                            "flag-euclidean": 16}
@@ -323,6 +328,7 @@ def cmd_validate(args) -> Tuple[str, Dict, Dict, Dict]:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="inversive",
@@ -341,8 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None,
                    help="points per color class")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify_construction,
-                   command_name="verify-construction")
 
     p = sub.add_parser("search",
                        help="most-colored sphere spanned by a configuration")
@@ -352,7 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int,
                    help="accepted for compatibility and ignored")
     p.add_argument("--plot", default=None, help="also write an SVG (n = 2)")
-    p.set_defaults(func=cmd_search, command_name="search")
 
     p = sub.add_parser("search-procedural",
                        help="search a procedural coloring for a polychromatic circle")
@@ -362,13 +365,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples-per-class", type=int, default=None)
-    p.set_defaults(func=cmd_search_procedural, command_name="search-procedural")
 
     p = sub.add_parser("separate",
                        help="hypersphere separating two colors of an (n+3)-point configuration")
     p.add_argument("--input", required=True, help="ColoredConfig JSON file")
     p.add_argument("--plot", default=None, help="also write an SVG (n = 2)")
-    p.set_defaults(func=cmd_separate, command_name="separate")
 
     pe = sub.add_parser("euclid", help="great-sphere analogue commands")
     pes = pe.add_subparsers(dest="subcommand", required=True)
@@ -376,13 +377,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="intersection of a great hypersphere and a great circle")
     p.add_argument("--input", required=True,
                    help="JSON file {\"sphere\": {\"basis\": ...}, \"circle\": {\"basis\": ...}}")
-    p.set_defaults(func=cmd_euclid_intersect, command_name="euclid intersect")
     p = pes.add_parser("verify",
                        help="scan the Euclidean flag coloring for violations")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_euclid_verify, command_name="euclid verify")
 
     pw = sub.add_parser("wcp", help="weak circle preservation commands")
     pws = pw.add_subparsers(dest="subcommand", required=True)
@@ -390,44 +389,40 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True, help="map JSON file")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_wcp_check, command_name="wcp check")
     p = pws.add_parser("refute",
                        help="five-point refutation of weak circle preservation")
     p.add_argument("--map", required=True, help="map JSON file")
     p.add_argument("--budget", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_wcp_refute, command_name="wcp refute")
     p = pws.add_parser("sharp",
                        help="build the four-point map that defeats five-point-free tests")
     p.add_argument("--input", required=True, help="point list JSON file")
     p.add_argument("--check", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_wcp_sharp, command_name="wcp sharp")
 
     p = sub.add_parser("plot", help="draw a planar configuration to SVG")
     p.add_argument("--input", required=True, help="ColoredConfig JSON file")
     p.add_argument("--out", required=True, help="output SVG path")
-    p.set_defaults(func=cmd_plot, command_name="plot")
 
     p = sub.add_parser("validate",
                        help="revalidate a witness from an earlier report")
     p.add_argument("--input", required=True, help="report or witness JSON file")
-    p.set_defaults(func=cmd_validate, command_name="validate")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    name = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+    handler = globals()["cmd_" + name.replace("-", "_").replace(" ", "_")]
     try:
-        verdict, payload, statistics, parameters = args.func(args)
+        verdict, payload, statistics, parameters = handler(args)
     except (FormatError, GeometryError, BackendMismatch, OSError,
             json.JSONDecodeError) as e:
         sys.stderr.write("error: %s\n" % e)
-        _print_report(args.command_name, {}, "error", {"error": str(e)})
+        _print_report(name, {}, "error", {"error": str(e)})
         return 2
-    _print_report(args.command_name, parameters, verdict, payload, statistics)
+    _print_report(name, parameters, verdict, payload, statistics)
     return _EXIT_BY_VERDICT[verdict]
 
 

@@ -111,28 +111,38 @@ class Point:
         d, xs = _linalg.scaled_to_integers(self.coords)
         return (sum(v * v for v in xs), *(v * d for v in xs), d * d)
 
+    def _row_in(self, k: str) -> Tuple[Scalar, ...]:
+        """Its lifted row on backend k, cached: `_row` on its own backend, else
+        (<x,x>, x, 1) of its promoted coordinates (infinity's row promoted)."""
+        if k == self._kind:
+            return self._row
+        rows = self.__dict__.setdefault("_rows", {})
+        if k not in rows:
+            xs = [promote(x, k) for x in (self._row if self.coords is None else self.coords)]
+            rows[k] = tuple(xs) if self.coords is None else (vec_dot(xs, xs), *xs, promote(1, k))
+        return rows[k]
+
     def __repr__(self) -> str:
         if self.coords is None:
             return "Point.infinity(%d)" % self.dim
         return "Point(%s)" % (self.coords,)
 
 
-def _uniform(points: Sequence[Point]) -> Tuple[List[Point], str]:
-    """Promote a family of points to one shared backend."""
-    dims = {p.dim for p in points}
-    if len(dims) > 1:
+def _family_kind(points: Sequence[Point]) -> str:
+    """The one backend a family of points of one dimension shares."""
+    if len({p.dim for p in points}) > 1:
         raise GeometryError("points live in different ambient dimensions")
-    kinds = {p.backend() for p in points if not p.is_infinity}
+    kinds = {p._kind for p in points if p.coords is not None}
     if "float" in kinds and kinds != {"float"}:
         raise BackendMismatch("cannot mix float with exact points")
-    k = "float" if "float" in kinds else ("quartic" if "quartic" in kinds else "rational")
-    out = []
-    for p in points:
-        if p.is_infinity:
-            out.append(p)
-        else:
-            out.append(Point(tuple(promote(x, k) for x in p.coords), p.dim))
-    return out, k
+    return "float" if "float" in kinds else ("quartic" if "quartic" in kinds else "rational")
+
+
+def _uniform(points: Sequence[Point]) -> Tuple[List[Point], str]:
+    """Promote a family of points to one shared backend."""
+    k = _family_kind(points)
+    return [p if p.is_infinity else Point(tuple(promote(x, k) for x in p.coords), p.dim)
+            for p in points], k
 
 
 class SideLabel(Enum):
@@ -220,8 +230,7 @@ def _incidence(s: Hypersphere, p: Point) -> Scalar:
     if p.dim != s.dim:
         raise GeometryError("point dimension mismatch")
     if p.backend() == "float" or type(s.c) is float:
-        q = p if p.is_infinity else Point.finite([promote(x, "float") for x in p.coords])
-        return vec_dot((s.c, *s.b, s.a), q._row)
+        return vec_dot((s.c, *s.b, s.a), p._row_in("float"))
     return sum(map(mul, s.row, p._row))
 
 
@@ -254,22 +263,17 @@ def lift_row(p: Point, backend: str = "rational") -> List[Scalar]:
     """Row (<x,x>, x, 1) of the sphere-coefficient system; infinity lifts to
     (1, 0, .., 0), the equation forcing c = 0. On the rational backend it is
     the integer row (sum X_i^2, X_i * D, D^2), X = x * D for the common
-    denominator D of x. A point caches its row in its own backend; another
-    backend gets that row promoted, a positive multiple of the lift."""
-    row = p._row
-    return list(row) if backend == p.backend() else [promote(x, backend) for x in row]
+    denominator D of x. A wider backend gets the lift of the promoted point."""
+    return list(p._row_in(backend))
 
 
 def _lifted(points: Sequence[Point]) -> Tuple[List[Sequence[Scalar]], int]:
-    """(rows, n): the lifted rows of points of R^n_inf. A family of one
-    backend reads each point's cached row; any other is promoted first."""
+    """(rows, n): the lifted rows of points of R^n_inf, each read from the
+    point's cache for the family's backend."""
     if not points:
         raise GeometryError("need at least one point")
-    n = points[0].dim
-    if all(p.dim == n for p in points) and len({p.backend() for p in points}) == 1:
-        return [p._row for p in points], n
-    points, k = _uniform(points)
-    return [lift_row(p, k) for p in points], n
+    k = _family_kind(points)
+    return [p._row if p._kind == k else p._row_in(k) for p in points], points[0].dim
 
 
 def _check_distinct(items: Sequence, where: str) -> None:

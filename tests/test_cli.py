@@ -1,7 +1,11 @@
 """End-to-end tests for the command line: exit codes, report shape,
 byte-identical reruns, and the validate round trip."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -482,3 +486,77 @@ class TestUsageErrors:
         report = write_json(tmp_path / "odd.json", {"hello": 1})
         with pytest.raises(KeyError, match="internal"):
             main(["validate", "--input", report])
+
+
+class TestRepeatedCalls:
+    """main builds its parser on the first call and reuses it; calls in one
+    process share no parsed state."""
+
+    FLAG = ["verify-construction", "--kind", "flag", "--n", "2", "--samples", "4", "--seed", "3"]
+
+    def test_same_argv_twice_gives_the_same_report(self, capsys):
+        first = run_cli(self.FLAG, capsys)
+        assert first[0] == 0
+        assert run_cli(self.FLAG, capsys) == first
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_usage_error_leaves_the_next_call_alone(self, capsys):
+        code, out, _ = run_cli(self.FLAG, capsys)
+        with pytest.raises(SystemExit) as exc:
+            main(self.FLAG + ["--frobnicate"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_cli(self.FLAG, capsys)[:2] == (code, out)
+
+    def test_omitted_optional_takes_its_default_again(self, capsys):
+        generic = ["verify-construction", "--kind", "generic", "--n", "2"]
+        _, out, _ = run_cli(generic + ["--k", "6"], capsys)
+        assert json.loads(out)["parameters"]["k"] == 6
+        _, out, _ = run_cli(generic, capsys)
+        assert json.loads(out)["parameters"]["k"] == 5
+
+    def test_import_builds_no_parser(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        probe = "import inversive.cli as c; print(c._build_parser.cache_info().currsize)"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert done.stdout == "0\n"
+
+
+def _commands(parser, path=()):
+    """(path, parser) for every command the parser registers, a path being
+    its subcommand names from the top, e.g. ("wcp", "check")."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield path, parser
+    for group in groups:
+        for name, sub in group.choices.items():
+            yield from _commands(sub, path + (name,))
+
+
+def _handler_name(path):
+    return "cmd_" + "_".join(path).replace("-", "_")
+
+
+class TestDispatch:
+    """main finds each command's handler by name when it runs."""
+
+    def test_every_command_has_a_handler(self):
+        names = [_handler_name(path) for path, _ in _commands(cli._build_parser())]
+        assert len(names) == 11
+        for name in names:
+            assert callable(getattr(cli, name, None)), name
+        assert sorted(names) == sorted(n for n in vars(cli) if n.startswith("cmd_"))
+
+    def test_each_command_runs_its_handler_under_its_name(self, capsys, monkeypatch):
+        for path, parser in _commands(cli._build_parser()):
+            ran = []
+            monkeypatch.setattr(cli, _handler_name(path),
+                                lambda args: ran.append(args) or ("written", {}, {}, {}))
+            argv = list(path)
+            for a in parser._actions:
+                if a.required and a.option_strings:
+                    argv += [a.option_strings[0], a.choices[0] if a.choices else "1"]
+            code, out, _ = run_cli(argv, capsys)
+            assert (code, len(ran)) == (0, 1)
+            assert json.loads(out)["command"] == " ".join(path)

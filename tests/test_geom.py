@@ -9,10 +9,11 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from inversive import _linalg
-from inversive.exactnum import Quartic2, THETA, SQRT2, BackendMismatch, sign_of
+from inversive.exactnum import Quartic2, THETA, SQRT2, BackendMismatch, promote, sign_of
 from inversive.geom import (
     _check_distinct,
     _extended_flat_subsphere,
+    _lifted,
     _uniform,
     lift_row,
     vec_dot,
@@ -823,6 +824,80 @@ class TestLiftedRows:
                 f([])
         with pytest.raises(GeometryError, match="need at least two points"):
             smallest_sphere([])
+
+
+def _promoted_rows(points):
+    """Reference rows of a mixed family: the family promoted point by point
+    with `_uniform`, then each finite point's own lift and infinity's row
+    promoted entry by entry."""
+    promoted, k = _uniform(points)
+    return [lift_row(q, k) if q.backend() == k else [promote(x, k) for x in lift_row(q)]
+            for q in promoted]
+
+
+def _typed(rows):
+    return [[(type(x), x) for x in r] for r in rows]
+
+
+class TestMixedFamilyRows:
+    """A family mixing backends (rational beside Q(2^(1/4)), or infinity
+    beside either quartic or float points) reads a row each point caches for
+    the family's backend, and builds no point to get it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(point_families(lambda n: n + 2), st.integers(0, 3), st.booleans())
+    def test_rows_are_the_promoted_lifts(self, family, at, inf):
+        n, pts = family
+        at %= len(pts)
+        pts = pts[:at] + [_to_quartic(pts[at])] + pts[at + 1:] + ([Point.infinity(n)] if inf else [])
+        want = _promoted_rows(pts)
+        assert _typed(_lifted(pts)[0]) == _typed(want)
+        # read from the cache the second time
+        assert _typed(_lifted(pts)[0]) == _typed(want)
+
+    def test_float_family_with_infinity(self):
+        pts = [INF2, P([0.5, 1.0]), P([2.0, -1.0])]
+        rows, n = _lifted(pts)
+        assert n == 2 and _typed(rows) == _typed(_promoted_rows(pts))
+        assert list(rows[0]) == [1.0, 0.0, 0.0, 0.0] and type(rows[0][0]) is float
+
+    def test_rational_point_and_its_quartic_twin_are_one_point(self):
+        a, b, c = P([Fraction(1, 2), 3]), P([0, Fraction(-2, 3)]), P([THETA, 1])
+        twin = _to_quartic(a)
+        rows = _lifted([a, twin])[0]
+        assert rows[0] == rows[1] and type(rows[0][1]) is Quartic2
+        with pytest.raises(DegenerateConfigError, match="duplicate point in sphere_through"):
+            sphere_through([a, b, twin])
+        with pytest.raises(DegenerateConfigError, match="duplicate point in on_common_sphere"):
+            on_common_sphere([twin, b, a])
+        with pytest.raises(DegenerateConfigError, match="duplicate point in concyclic"):
+            concyclic(a, c, INF2, twin)
+        with pytest.raises(DegenerateConfigError, match="duplicate point in span_key"):
+            span_key([a, twin, c])
+
+    def test_no_point_is_built(self, monkeypatch):
+        a, b, c = P([Fraction(1, 2), 3]), P([0, Fraction(-2, 3)]), P([THETA, 1])
+        fa = P([0.5, 1.0])
+        float_circle = Hypersphere.make(1.0, (0.0, 0.0), -1.0)
+        built = []
+        init = Point.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Point, "__init__", counting_init)
+        for _ in range(2):
+            s = sphere_through([a, c, INF2])
+            assert s.contains(a) and s.contains(c) and s.contains(INF2)
+            assert not on_common_sphere([a, b, c, INF2])
+            assert not concyclic(a, b, c, INF2)
+            assert span_key([a, b, c]) is not None
+            assert side(a, float_circle) is SideLabel.OUTSIDE
+            assert on_sphere(INF2, Hypersphere.make(0.0, (0.0, 1.0), 0.0))
+            assert list(_lifted([INF2, fa])[0][0]) == [1.0, 0.0, 0.0, 0.0]
+            assert side(fa, UNIT_CIRCLE) is SideLabel.OUTSIDE
+        assert built == []
 
 
 def _formula_side(p, s):
