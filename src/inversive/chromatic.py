@@ -191,6 +191,8 @@ def _two_line_targeted(coloring: TwoLine, target: int) -> Optional[Polychromatic
 
 def default_samples_per_class(budget: int) -> int:
     """How many points per color class a budget-limited search samples."""
+    if budget < 0:
+        raise ColoringError("budget must be nonnegative")
     return max(3, min(10, round(budget ** (1.0 / 3.0))))
 
 
@@ -211,12 +213,15 @@ def find_polychromatic(coloring: ProceduralColoring, target: int,
         raise ColoringError("target %d exceeds the coloring's %d colors" % (target, k))
     if target < 1:
         raise ColoringError("target must be positive")
+    m = default_samples_per_class(budget)  # refuses a negative budget
+    if samples_per_class is not None:
+        if samples_per_class < 1:
+            raise ColoringError("need a positive sample count")
+        m = samples_per_class
     if isinstance(coloring, TwoLine) and coloring.extended:
         witness = _two_line_targeted(coloring, target)
         if witness is not None:
             return witness
-    m = (samples_per_class if samples_per_class is not None
-         else default_samples_per_class(budget))
     by_class: List[List[Point]] = []
     for i in range(1, k + 1):
         try:
@@ -629,6 +634,8 @@ def verify_two_line(per_class: int = 40, seed: int = 0) -> Dict:
     total is a violation. Line triples (three samples on one line) stay
     within that line's at-most-three colors by construction and are counted,
     not enumerated."""
+    if per_class < 1:
+        raise ColoringError("need a positive sample count")
     samples = _axis_samples(per_class, seed)
     c1 = [(v, c) for axis, v, c in samples if axis == "C1"]
     c2 = [(v, c) for axis, v, c in samples if axis == "C2"]

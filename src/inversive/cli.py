@@ -181,6 +181,8 @@ def cmd_verify_construction(args) -> Tuple[str, Dict, Dict, Dict]:
 
 
 def cmd_search(args) -> Tuple[str, Dict, Dict, Dict]:
+    if args.target < 1:
+        raise FormatError("--target must be positive")
     cfg = decode_config(_load_json(args.input))
     witness = max_polychromatic(cfg, args.dim)
     found = len(witness.color_set) >= args.target

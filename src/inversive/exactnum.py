@@ -4,6 +4,9 @@ Three backends coexist: rationals (int or fractions.Fraction), the real
 quartic field Q(t) with t = 2**(1/4) on integer numerators over one common
 denominator, with an exact integer sign and no refinement state, and IEEE
 floats with one constant tolerance, EPSILON, that only predicates consult.
+The numerators are elements of the ring Z[t]; `zt_mul` and `zt_cofactor`
+are its arithmetic on int 4-tuples, shared with the fraction-free
+elimination of `_linalg`.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import sys
 from enum import Enum
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 EPSILON = 1e-9
 
@@ -40,10 +43,43 @@ def _make(n0: int, n1: int, n2: int, n3: int, d: int) -> "Quartic2":
     g = math.gcd(n0, n1, n2, n3, d)
     if g != 1:
         n0, n1, n2, n3, d = n0 // g, n1 // g, n2 // g, n3 // g, d // g
+    return _new((n0, n1, n2, n3), d)
+
+
+def _new(n: Tuple[int, int, int, int], d: int) -> "Quartic2":
+    # n / d already in canonical form
     x = object.__new__(Quartic2)
-    x._n = (n0, n1, n2, n3)
+    x._n = n
     x._d = d
     return x
+
+
+def zt_element(n: Sequence[int], d: int = 1) -> "Quartic2":
+    """(n0 + n1*t + n2*t**2 + n3*t**3) / d for n in Z[t] and a nonzero int d."""
+    if d == 1:
+        return _new(tuple(n), 1)
+    n0, n1, n2, n3 = n
+    return _make(n0, n1, n2, n3, d) if d > 0 else _make(-n0, -n1, -n2, -n3, -d)
+
+
+def zt_mul(a: Sequence[int], b: Sequence[int]) -> Tuple[int, int, int, int]:
+    """The product in Z[t]: the convolution folded once through t**4 = 2."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 + 2 * (a1 * b3 + a2 * b2 + a3 * b1),
+            a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2),
+            a0 * b2 + a1 * b1 + a2 * b0 + 2 * a3 * b3,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0)
+
+
+def zt_cofactor(n: Sequence[int]) -> Tuple[Tuple[int, int, int, int], int]:
+    """(c, norm) with n * c = norm, a nonzero int for nonzero n in Z[t]: c is
+    the product of the three other conjugates of n, and norm its field norm."""
+    # n = E + tO, E, O in Z[s], s = t**2: (E - tO)(c0 - c1*s) with c0 + c1*s = E*E - s*O*O
+    n0, n1, n2, n3 = n
+    c0, c1 = _conjugate_product(n0, n1, n2, n3)
+    return ((n0 * c0 - 2 * n2 * c1, 2 * n3 * c1 - n1 * c0,
+             n2 * c0 - n0 * c1, n1 * c1 - n3 * c0), c0 * c0 - 2 * c1 * c1)
 
 
 def _sqrt2_sign(u: int, v: int) -> int:
@@ -102,6 +138,10 @@ class Quartic2:
         return Fraction(self._n[0], self._d)
 
     def __add__(self, other):
+        if type(other) is int:
+            # n/d + k = (n0 + k*d, n1, n2, n3)/d keeps gcd(n, d) = 1
+            n0, n1, n2, n3 = self._n
+            return _new((n0 + other * self._d, n1, n2, n3), self._d)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -115,7 +155,7 @@ class Quartic2:
 
     def __neg__(self):
         n0, n1, n2, n3 = self._n
-        return _make(-n0, -n1, -n2, -n3, self._d)
+        return _new((-n0, -n1, -n2, -n3), self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -130,33 +170,28 @@ class Quartic2:
         return o + (-self)
 
     def __mul__(self, other):
+        if type(other) is int:
+            # gcd(k*n, d) = gcd(k, d) as gcd(n, d) = 1
+            d = self._d
+            g = math.gcd(other, d)
+            if g != 1:
+                other, d = other // g, d // g
+            n0, n1, n2, n3 = self._n
+            return _new((other * n0, other * n1, other * n2, other * n3), d)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a0, a1, a2, a3 = self._n
-        b0, b1, b2, b3 = o._n
-        # convolution folded once through t**4 = 2
-        return _make(
-            a0 * b0 + 2 * (a1 * b3 + a2 * b2 + a3 * b1),
-            a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2),
-            a0 * b2 + a1 * b1 + a2 * b0 + 2 * (a3 * b3),
-            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
-            self._d * o._d,
-        )
+        return _make(*zt_mul(self._n, o._n), self._d * o._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Quartic2":
-        n0, n1, n2, n3 = self._n
-        if not (n0 or n1 or n2 or n3):
+        if not self:
             raise ZeroDivisionError("quartic division by zero")
-        # self*d = E + t*O with E, O in Z[s]; (E + tO)(E - tO) = c0 + c1*s, and
-        # 1/self = d*(E - tO)(c0 - c1*s)/norm with norm = c0**2 - 2*c1**2 != 0
-        c0, c1 = _conjugate_product(n0, n1, n2, n3)
-        norm = c0 * c0 - 2 * c1 * c1
-        d = self._d if norm > 0 else -self._d
-        return _make(d * (n0 * c0 - 2 * n2 * c1), d * (2 * n3 * c1 - n1 * c0),
-                     d * (n2 * c0 - n0 * c1), d * (n1 * c1 - n3 * c0), abs(norm))
+        # 1/self = d * cofactor(n) / norm(n) for self = n/d
+        (c0, c1, c2, c3), norm = zt_cofactor(self._n)
+        d = self._d
+        return zt_element((d * c0, d * c1, d * c2, d * c3), norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -203,15 +238,23 @@ class Quartic2:
     def __hash__(self):
         # hash(self.coeffs[0]) for rational elements, else hash(self.coeffs):
         # as in Fraction.__hash__, c/d hashes like the int sign(c)*(|c|/d mod P)
-        n, d = self._n, self._d
+        n0, n1, n2, n3 = self._n
+        d = self._d
         if d != 1:
             P = _HASH_MODULUS
             try:
                 dinv = pow(d, -1, P)
             except ValueError:  # P divides d
                 return hash(self.coeffs[0] if self.is_rational else self.coeffs)
-            n = tuple(c * dinv % P if c >= 0 else -(-c * dinv % P) for c in n)
-        return hash(n[0]) if self.is_rational else hash(n)
+            n0 = n0 * dinv % P if n0 >= 0 else -(-n0 * dinv % P)
+            if not (n1 or n2 or n3):
+                return hash(n0)
+            n1 = n1 * dinv % P if n1 >= 0 else -(-n1 * dinv % P)
+            n2 = n2 * dinv % P if n2 >= 0 else -(-n2 * dinv % P)
+            n3 = n3 * dinv % P if n3 >= 0 else -(-n3 * dinv % P)
+        elif not (n1 or n2 or n3):
+            return hash(n0)
+        return hash((n0, n1, n2, n3))
 
     def __abs__(self):
         return -self if quartic_sign(self) < 0 else self

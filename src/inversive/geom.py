@@ -30,6 +30,7 @@ from .exactnum import (
     is_zero,
     promote,
     sign_of,
+    zt_element,
 )
 
 Scalar = Union[int, Fraction, Quartic2, float]
@@ -111,6 +112,11 @@ class Point:
         d, xs = _linalg.scaled_to_integers(self.coords)
         return (sum(v * v for v in xs), *(v * d for v in xs), d * d)
 
+    @cached_property
+    def _zt(self) -> List[int]:
+        """Its lifted row scaled by a positive integer into Z[t], flattened."""
+        return [c for n in _linalg.zt_row(self._row) for c in n]
+
     def _row_in(self, k: str) -> Tuple[Scalar, ...]:
         """Its lifted row on backend k, cached: `_row` on its own backend, else
         (<x,x>, x, 1) of its promoted coordinates (infinity's row promoted)."""
@@ -138,10 +144,17 @@ def _family_kind(points: Sequence[Point]) -> str:
     return "float" if "float" in kinds else ("quartic" if "quartic" in kinds else "rational")
 
 
+_SCALAR_TYPE = {"rational": Fraction, "quartic": Quartic2, "float": float}
+
+
 def _uniform(points: Sequence[Point]) -> Tuple[List[Point], str]:
-    """Promote a family of points to one shared backend."""
+    """Promote a family of points to one shared backend; infinity, and a
+    point whose coordinates all have the backend's scalar type already, are
+    kept as they are."""
     k = _family_kind(points)
-    return [p if p.is_infinity else Point(tuple(promote(x, k) for x in p.coords), p.dim)
+    t = _SCALAR_TYPE[k]
+    return [p if p.is_infinity or all(type(x) is t for x in p.coords)
+            else Point(tuple(promote(x, k) for x in p.coords), p.dim)
             for p in points], k
 
 
@@ -216,22 +229,33 @@ class Hypersphere:
         return disc / (4 * self.c * self.c)
 
     def contains(self, p: Point) -> bool:
-        return is_zero(_incidence(self, p))
+        return is_zero(_incidence(self, p, True))
 
     def key(self) -> tuple:
         """Its own row: the echelon key of its coefficient space."""
         _refuse_float(self.c)
         return (self.row,)
 
+    @cached_property
+    def _zt(self) -> Tuple[List[int], ...]:
+        """Its row scaled by a positive integer into Z[t], twisted for `zt_dot`."""
+        return _linalg.zt_twisted(_linalg.zt_row(self.row))
 
-def _incidence(s: Hypersphere, p: Point) -> Scalar:
+
+def _incidence(s: Hypersphere, p: Point, zero_test: bool = False) -> Scalar:
     """A positive multiple of c<x,x> + <b,x> + a (c at infinity); with a float
-    on either side, the one on the stored (c, b, a), so EPSILON keeps its scale."""
+    on either side, the one on the stored (c, b, a), so EPSILON keeps its scale.
+    An exact pair with a Q(2^(1/4)) side takes it over Z[t], from their cached
+    Z[t] rows; with zero_test only its vanishing is computed (nonzero reads 1)."""
     if p.dim != s.dim:
         raise GeometryError("point dimension mismatch")
-    if p.backend() == "float" or type(s.c) is float:
+    if p._kind == "rational" and type(s.row[0]) is int:
+        return sum(map(mul, s.row, p._row))
+    if p._kind == "float" or type(s.c) is float:
         return vec_dot((s.c, *s.b, s.a), p._row_in("float"))
-    return sum(map(mul, s.row, p._row))
+    if zero_test:
+        return int(not _linalg.zt_vanishes(s._zt, p._zt))
+    return zt_element(_linalg.zt_dot(s._zt, p._zt))
 
 
 def on_sphere(p: Point, s: Hypersphere) -> bool:

@@ -200,6 +200,8 @@ def sample_circles(count: int, seed: int = 0) -> List[Tuple[Hypersphere, List[Po
     """Seeded genuine circles in the plane, each with four exact points on
     it: three random rational points plus the second intersection of the
     line toward their midpoint."""
+    if count < 1:
+        raise GeometryError("need a positive circle count")
     rng = random.Random(seed)
     out: List[Tuple[Hypersphere, List[Point]]] = []
     while len(out) < count:

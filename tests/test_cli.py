@@ -560,3 +560,54 @@ class TestDispatch:
             code, out, _ = run_cli(argv, capsys)
             assert (code, len(ran)) == (0, 1)
             assert json.loads(out)["command"] == " ".join(path)
+
+
+class TestBadCounts:
+    """A negative budget or target, or a sample count below one, is bad
+    input: exit 2 with a JSON error report, never a traceback or a verdict
+    over an empty sample."""
+
+    @staticmethod
+    def refused(argv, capsys, reason):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        rep = json.loads(out)
+        assert rep["verdict"] == "error"
+        assert reason in rep["error"] and reason in err
+
+    def test_negative_procedural_budget(self, capsys):
+        self.refused(["search-procedural", "--coloring", "two-line", "--target", "4",
+                      "--budget", "-1"], capsys, "budget must be nonnegative")
+
+    def test_zero_samples_per_class(self, capsys):
+        self.refused(["search-procedural", "--coloring", "two-line", "--target", "4",
+                      "--samples-per-class", "0"], capsys, "need a positive sample count")
+
+    def test_negative_wcp_check_samples(self, tmp_path, capsys):
+        path = write_json(tmp_path / "map.json", SHARP_MAP_DOC)
+        self.refused(["wcp", "check", "--map", path, "--samples", "-1"], capsys,
+                     "need a positive circle count")
+
+    def test_negative_wcp_sharp_check(self, tmp_path, capsys):
+        pts = write_json(tmp_path / "pts.json", {"n": 2, "points": [
+            {"coords": ["0", "0"]}, {"coords": ["1", "0"]},
+            {"coords": ["0", "1"]}, {"coords": ["1", "2"]}]})
+        self.refused(["wcp", "sharp", "--input", pts, "--check", "-1"], capsys,
+                     "need a positive circle count")
+
+    def test_negative_wcp_refute_budget(self, tmp_path, capsys):
+        # the extended two-line coloring's documented circle needs no search,
+        # so the budget is checked before it is found
+        path = write_json(tmp_path / "map.json", SHARP_MAP_DOC)
+        self.refused(["wcp", "refute", "--map", path, "--budget", "-3"], capsys,
+                     "budget must be nonnegative")
+
+    def test_negative_search_target(self, tmp_path, capsys):
+        path = write_json(tmp_path / "cfg.json", FIVE_POINT_DOC)
+        self.refused(["search", "--input", path, "--dim", "1", "--target", "-3"], capsys,
+                     "--target must be positive")
+
+    @pytest.mark.parametrize("kind", ["two-line", "flag"])
+    def test_zero_construction_samples(self, capsys, kind):
+        self.refused(["verify-construction", "--kind", kind, "--samples", "0"], capsys,
+                     "need a positive sample count")

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from inversive import _linalg
-from inversive.exactnum import Quartic2, THETA, SQRT2, BackendMismatch, promote, sign_of
+from inversive.exactnum import (Quartic2, THETA, SQRT2, BackendMismatch, promote, sign_of,
+                               zt_mul)
 from inversive.geom import (
     _check_distinct,
     _extended_flat_subsphere,
@@ -435,6 +436,149 @@ class TestCut:
         assert _linalg.cut(basis, [-2, -4, -6]) is None
         assert _linalg.cut(basis, [0, 0, 0]) is None
         assert _linalg.cut(basis, [1, 0, 0]) == [[0, 3, -2]]
+
+
+_SMALL_Q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_QUARTICS = st.one_of(st.sampled_from(QUARTIC_ENTRIES),
+                      st.tuples(*[_SMALL_Q] * 4).map(lambda c: Quartic2(*c)))
+_MIXED_ENTRIES = st.one_of(st.integers(-3, 3), _SMALL_Q, _QUARTICS)
+
+
+@st.composite
+def quartic_matrices(draw):
+    """A matrix of int, Fraction and Quartic2 entries, at least one of them
+    a Quartic2; two draws in three add a dependency, a row that is a
+    Q(2^(1/4)) combination of the others or a repeated column."""
+    ncols, nrows = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_MIXED_ENTRIES, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    deficiency = draw(st.sampled_from(["none", "row", "column"]))
+    if deficiency == "row":
+        weights = draw(st.lists(_MIXED_ENTRIES, min_size=nrows, max_size=nrows))
+        combo = []
+        for j in range(ncols):
+            acc = Quartic2(0)
+            for w, r in zip(weights, rows):
+                acc = acc + w * r[j]
+            combo.append(acc)
+        rows.insert(draw(st.integers(0, nrows)), combo)
+    elif deficiency == "column" and ncols > 1:
+        j = draw(st.integers(1, ncols - 1))
+        rows = [r[:j] + [r[0]] + r[j + 1:] for r in rows]
+    if not any(isinstance(x, Quartic2) for r in rows for x in r):
+        # a row times 2^(1/4) keeps the rank and puts the matrix over Q(t)
+        rows[0] = [x * THETA for x in rows[0]]
+    return rows
+
+
+class TestZtKernelAgainstSympy:
+    """The Z[t] elimination behind `rank`, `nullspace` and `echelon` on
+    Q(2^(1/4)) matrices, and the Z[t] incidence behind `side`, against
+    sympy's exact arithmetic in QQ<2**(1/4)>, which shares no code with
+    `_linalg` or `exactnum`."""
+
+    @pytest.fixture(scope="class")
+    def field(self, sympy):
+        from sympy.polys.matrices import DomainMatrix
+
+        t = sympy.Integer(2) ** sympy.Rational(1, 4)
+        K = sympy.QQ.algebraic_field(t)
+        powers = [K.from_sympy(t) ** i for i in range(4)]
+
+        def element(x):
+            cs = x.coeffs if isinstance(x, Quartic2) else (x, 0, 0, 0)
+            return sum((K.convert(sympy.QQ(Fraction(c).numerator, Fraction(c).denominator)) * g
+                        for c, g in zip(cs, powers)), K.zero)
+
+        def matrix(rows, ncols):
+            return DomainMatrix([[element(x) for x in r] for r in rows], (len(rows), ncols), K)
+
+        return sympy, K, element, matrix
+
+    @staticmethod
+    def exact_divisions(monkeypatch):
+        """Check that every division of the Z[t] elimination leaves no
+        remainder: (p a - f b) c is a multiple of the norm, and the quotient
+        times the previous pivot gives p a - f b back. Returns the number of
+        steps checked, as a one-item list."""
+        real = _linalg._zt_step
+        count = [0]
+
+        def checked(p, a, f, b, prev):
+            q, c, norm = prev
+            x = tuple(u - v for u, v in zip(zt_mul(p, a), zt_mul(f, b)))
+            y = x if c is None else zt_mul(x, c)
+            assert all(v % norm == 0 for v in y)
+            out = real(p, a, f, b, prev)
+            assert zt_mul(out, q) == x
+            count[0] += 1
+            return out
+
+        monkeypatch.setattr(_linalg, "_zt_step", checked)
+        return count
+
+    @settings(max_examples=120, deadline=None)
+    @given(quartic_matrices())
+    def test_rank_nullspace_echelon(self, field, rows):
+        with pytest.MonkeyPatch.context() as mp:
+            self.check_kernel(field, rows, self.exact_divisions(mp))
+
+    @staticmethod
+    def check_kernel(field, rows, steps):
+        sympy, K, element, matrix = field
+        ncols = len(rows[0])
+        ref = matrix(rows, ncols)
+        rank = ref.rank()
+        event("rank-deficient" if rank < min(len(rows), ncols) else "full rank")
+        assert _linalg.rank(rows, ncols) == rank
+        # the nullspace: the right number of independent vectors, each
+        # annihilating every row, so the span is sympy's
+        basis = _linalg.nullspace(rows, ncols)
+        assert len(basis) == ncols - rank
+        for v in basis:
+            ev = [element(x) for x in v]
+            for r in rows:
+                assert sum((element(x) * y for x, y in zip(r, ev)), K.zero) == K.zero
+        if basis:
+            assert matrix(basis, ncols).rank() == len(basis)
+        # echelon: sympy's rref rows, each up to its lead
+        red, pivots = _linalg.echelon(rows, ncols)
+        ref_red, ref_pivots = ref.rref()
+        assert pivots == list(ref_pivots)
+        for mine, theirs in zip(red, ref_red.to_list()):
+            lead = element(next(x for x in mine if x))
+            assert [K.quo(element(x), lead) for x in mine] == theirs
+        assert steps[0] > 0 or rank <= 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_QUARTICS, st.one_of(_QUARTICS, _SMALL_Q)), min_size=6, max_size=6,
+                    unique=True))
+    def test_side_matches_sign(self, field, coords):
+        sympy, K, element, _ = field
+        pts = [P(c) for c in coords]
+        try:
+            s = sphere_through(pts[:3])
+        except (DegenerateSphereError, DegenerateConfigError):
+            assume(False)
+        event("flat" if s.is_flat else "round")
+        for p in pts + [P([Fraction(1, 2), 3]), INF2]:
+            if p.is_infinity:
+                value = element(s.c)
+            else:
+                x = [element(v) for v in p.coords]
+                b = [element(v) for v in s.b]
+                value = (element(s.c) * sum((v * v for v in x), K.zero)
+                         + sum((u * v for u, v in zip(b, x)), K.zero) + element(s.a))
+            # a nonzero value of this size is far from zero at 50 digits
+            sg = 0 if value == K.zero else (1 if K.to_sympy(value).evalf(50) > 0 else -1)
+            if sg == 0:
+                expected = SideLabel.ON
+            elif s.is_flat:
+                expected = SideLabel.POSITIVE if sg > 0 else SideLabel.NEGATIVE
+            else:
+                expected = SideLabel.INSIDE if sg < 0 else SideLabel.OUTSIDE
+            assert side(p, s) is expected
+            assert s.contains(p) == (sg == 0)
 
 
 class TestCrossRatio:
@@ -898,6 +1042,56 @@ class TestMixedFamilyRows:
             assert list(_lifted([INF2, fa])[0][0]) == [1.0, 0.0, 0.0, 0.0]
             assert side(fa, UNIT_CIRCLE) is SideLabel.OUTSIDE
         assert built == []
+
+
+class TestUniformFamilies:
+    """`_uniform` keeps a point already on the family's backend and builds a
+    promoted twin only for the others."""
+
+    def test_one_backend_family_builds_no_point(self, monkeypatch):
+        from inversive import moebius
+
+        a, b, c = P([Fraction(1, 2), 3]), P([0, Fraction(-2, 3)]), P([2, Fraction(5, 7)])
+        axes = [P([1, 0, 0]), P([0, 1, 0]), P([0, 0, 1])]
+        origin = P([0, 0])
+        built = []
+        init = Point.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Point, "__init__", counting_init)
+        assert smallest_sphere([a, b, c]).key() == smallest_sphere([c, a, b]).key()
+        assert smallest_sphere(axes).dim == 1
+        assert cross_ratio(a, b, c, INF2) is not CR_INFINITY
+        assert built == []
+        # normalize builds the images of the maps it checks, but no promoted
+        # twin of its inputs
+        real = moebius._uniform
+
+        def spy(points):
+            before = len(built)
+            out, k = real(points)
+            assert len(built) == before and all(x is y for x, y in zip(out, points))
+            return out, k
+
+        monkeypatch.setattr(moebius, "_uniform", spy)
+        m = moebius.normalize(a, b)
+        assert m.apply(a) == origin and m.apply(b) == INF2
+        m = moebius.normalize(origin, INF2, P([3, 4]))
+        assert m.apply(P([3, 4])) == P([1, 0])
+
+    def test_mixed_and_int_families_are_promoted(self):
+        a, q = P([Fraction(1, 2), 3]), P([THETA, 1])
+        out, k = _uniform([a, q, INF2])
+        assert k == "quartic" and out[1] is q and out[2] is INF2
+        assert out[0] == _to_quartic(a) and out[0].backend() == "quartic"
+        # a point built directly over ints gets Fraction coordinates
+        ints = Point((1, 2), 2)
+        out, k = _uniform([ints, a])
+        assert k == "rational" and out[1] is a
+        assert [type(x) for x in out[0].coords] == [Fraction, Fraction] and out[0] == ints
 
 
 def _formula_side(p, s):
