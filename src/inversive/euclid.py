@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 from . import _linalg
@@ -75,14 +76,22 @@ class GreatFlat:
     def ambient(self) -> int:
         return len(self.basis[0])
 
+    @cached_property
+    def _normals(self) -> List[List[Scalar]]:
+        """A basis of the subspace's orthogonal complement, computed once."""
+        return _linalg.nullspace(self.basis, self.ambient)
+
     def contains_direction(self, v: Sequence[Scalar]) -> bool:
-        rows = _promoted_rows(list(self.basis) + [list(v)])
-        return _linalg.rank(rows, self.ambient) == self.dim
+        if len(v) != self.ambient:
+            raise GeometryError("direction of length %d in R^%d" % (len(v), self.ambient))
+        if any(isinstance(x, float) for x in v):
+            raise BackendMismatch("cannot mix float with exact scalars")
+        return all(is_zero(vec_dot(u, v)) for u in self._normals)
 
     def contains(self, p: Point) -> bool:
-        if p.is_infinity:
-            return False
-        return self.contains_direction(p.coords)
+        if p.dim != self.ambient:
+            raise GeometryError("point dimension mismatch")
+        return not p.is_infinity and self.contains_direction(p.coords)
 
     def subsphere(self) -> SubSphere:
         """The great sphere as a carrier flat cut by the unit sphere."""
@@ -144,10 +153,9 @@ def great_intersection(s: GreatFlat, c: GreatFlat) -> GreatIntersection:
         raise GeometryError("first argument must be a hyperplane subspace")
     if c.dim != 2:
         raise GeometryError("second argument must be a plane subspace")
-    normals = _linalg.nullspace([list(b) for b in s.basis], s.ambient)
-    if len(normals) != 1:
+    if len(s._normals) != 1:
         raise GeometryError("hyperplane basis is not full rank")
-    u = normals[0]
+    u = s._normals[0]
     c1, c2 = [list(b) for b in c.basis]
     a1, a2 = vec_dot(u, c1), vec_dot(u, c2)
     if is_zero(a1) and is_zero(a2):

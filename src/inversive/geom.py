@@ -7,9 +7,10 @@ rationals or the quartic field, tolerance-based over floats. Everything
 works on lifted rows (<x,x>, x, 1), integer for rational points, through
 `_linalg`, which picks the elimination. A point lifts once and caches its
 row. A hypersphere is a row (c, b, a) annihilating the lifted rows of its
-points, so incidence is one dot product. Every sphere is keyed by the
-canonical echelon basis of its coefficient space, the span of the (c, b, a)
-of the hyperspheres through it; float spheres have no key.
+points, so incidence is one dot product. Every sphere is the common zero set
+of such rows, computed once and cached: incidence reads them, and its key is
+their canonical echelon basis, the span of the (c, b, a) of the hyperspheres
+through it. Float spheres have no key.
 """
 
 from __future__ import annotations
@@ -476,33 +477,8 @@ class Flat:
     def ambient(self) -> int:
         return len(self.basepoint)
 
-    def coords_of(self, p: Point) -> List[Scalar]:
-        if p.is_infinity:
-            raise GeometryError("infinity has no flat coordinates")
-        v = vec_sub(p.coords, self.basepoint)
-        ts = []
-        for d in self.basis:
-            t = vec_dot(v, d) / vec_dot(d, d)
-            ts.append(t)
-            v = vec_sub(v, vec_scale(t, d))
-        if not vec_is_zero(v):
-            raise GeometryError("point is not on the flat")
-        return ts
-
-    def point_at(self, ts: Sequence[Scalar]) -> Point:
-        x = self.basepoint
-        for t, d in zip(ts, self.basis):
-            x = vec_add(x, vec_scale(t, d))
-        return Point.finite(x)
-
-    def contains(self, p: Point) -> bool:
-        if p.is_infinity:
-            return True
-        v = vec_sub(p.coords, self.basepoint)
-        v = _orthogonal_residual(v, self.basis)
-        return vec_is_zero(v)
-
-    def _hyperplane_rows(self) -> List[List[Scalar]]:
+    @cached_property
+    def _rows(self) -> List[List[Scalar]]:
         """Coefficient rows (0, v, -<v, base>) of the extended hyperplanes
         through the flat, one per normal v in the nullspace of its basis."""
         normals = _linalg.nullspace(self.basis, self.ambient)
@@ -510,7 +486,7 @@ class Flat:
 
     def key(self) -> tuple:
         _refuse_float(self.basepoint[0])
-        return _echelon_key(self._hyperplane_rows(), self.ambient + 2)
+        return _echelon_key(self._rows, self.ambient + 2)
 
 
 def _orthogonal_residual(v: Sequence[Scalar], basis: Sequence[Sequence[Scalar]]) -> Tuple:
@@ -525,10 +501,16 @@ def _orthogonal_residual(v: Sequence[Scalar], basis: Sequence[Sequence[Scalar]])
 class SubSphere:
     """A d-sphere presented as carrier flat (dimension d+1) cut by an ambient
     hypersphere whose center lies in the carrier; surface None means the whole
-    extended space (the degenerate answer for unconstrained inputs)."""
+    extended space. Its spheres, the surface and the extended hyperplanes
+    through the carrier, are built once: incidence and the key read their rows."""
 
     carrier: Flat
     surface: Optional[Hypersphere]
+
+    def __post_init__(self):
+        if self.surface is not None and self.surface.dim != self.ambient:
+            raise GeometryError("surface in dimension %d cannot cut a carrier in dimension %d"
+                                % (self.surface.dim, self.ambient))
 
     @property
     def dim(self) -> int:
@@ -540,16 +522,25 @@ class SubSphere:
     def ambient(self) -> int:
         return self.carrier.ambient
 
-    def contains(self, p: Point) -> bool:
-        return self.surface is None or (self.surface.contains(p)
-                                        and self.carrier.contains(p))
-
-    def key(self) -> tuple:
+    @cached_property
+    def _spheres(self) -> Tuple[Hypersphere, ...]:
+        """Its surface and the carrier's hyperplanes, each with c = 0 * a on a's backend."""
         if self.surface is None:
             return ()
-        s = self.surface
-        _refuse_float(s.c)
-        rows = [s.row, *self.carrier._hyperplane_rows()]
+        return (self.surface, *(Hypersphere.make(0 * a, v, a) for _, *v, a in self.carrier._rows))
+
+    def contains(self, p: Point) -> bool:
+        if p.dim != self.ambient:
+            raise GeometryError("point dimension mismatch")
+        return all(is_zero(_incidence(s, p, True)) for s in self._spheres)
+
+    def key(self) -> tuple:
+        return self._key
+
+    @cached_property
+    def _key(self) -> tuple:
+        rows = [s.row for s in self._spheres]
+        _refuse_float(rows[0][0] if rows else 0)
         return _echelon_key(rows, self.ambient + 2)
 
 
@@ -585,8 +576,8 @@ def smallest_sphere(points: Sequence[Point]) -> SubSphere:
     rows, n = _lifted(points)
     _check_distinct(rows, "smallest_sphere")
     hull = Flat.through([p for p in points if not p.is_infinity])
-    for v in _linalg.nullspace(hull.basis, n):
-        rows.append([2 * vec_dot(v, hull.basepoint), *v, 0])
+    for _, *v, a in hull._rows:
+        rows.append([-2 * a, *v, 0])
     ns = _linalg.nullspace(rows, n + 2)
     if ns:
         vec = ns[0]

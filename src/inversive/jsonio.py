@@ -188,8 +188,8 @@ def _decode_flat(obj: Any) -> Flat:
         raise FormatError("flat needs \"basepoint\" and \"basis\"")
     base = _decode_vector(obj["basepoint"], "basepoint")
     rows = _array(obj.get("basis", []), "basis")
-    # Rebuild through points so a hand-edited, non-orthogonal basis is
-    # re-orthogonalized instead of silently breaking membership tests.
+    # Rebuild through points so a hand-edited basis comes back independent
+    # and orthogonal, as every carrier is built and printed.
     pts = [Point.finite(base)]
     for row in rows:
         v = _decode_vector(row, "basis vector")

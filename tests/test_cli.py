@@ -404,6 +404,18 @@ class TestValidate:
         assert code == 1
         assert json.loads(out)["verdict"] == "invalid-witness"
 
+    def test_surface_of_another_dimension_is_invalid(self, tmp_path, capsys):
+        # a circle of the plane cannot cut a carrier plane of R^3
+        doc = {"sphere": {"carrier": {"basepoint": ["0", "0", "0"],
+                                      "basis": [["1", "0", "0"], ["0", "1", "0"]]},
+                          "surface": {"c": "1", "b": ["0", "0"], "a": "-1"}},
+               "points": [{"point": {"coords": ["1", "0", "0"]}, "color": 1}], "colors": [1]}
+        code, out, _ = run_cli(["validate", "--input",
+                                write_json(tmp_path / "w.json", doc)], capsys)
+        rep = json.loads(out)
+        assert code == 1 and rep["verdict"] == "invalid-witness"
+        assert rep["reason"] == "surface in dimension 2 cannot cut a carrier in dimension 3"
+
     def test_not_a_witness(self, tmp_path, capsys):
         report = write_json(tmp_path / "odd.json", {"hello": 1})
         code, _, _ = run_cli(["validate", "--input", report], capsys)

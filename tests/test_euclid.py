@@ -5,7 +5,9 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
+from inversive import _linalg
 from inversive.chromatic import PolychromaticWitness
 from inversive.colorings import ColoredConfig, FlagEuclidean, rational_sphere_points, sample_class
 from inversive.euclid import (
@@ -30,6 +32,17 @@ XY_PLANE = GreatFlat.span([[1, 0, 0], [0, 1, 0]])
 XZ_PLANE = GreatFlat.span([[1, 0, 0], [0, 0, 1]])
 
 
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def old_contains_direction(flat, v):
+    """The rule contains_direction had before it read cached normals: v lies
+    in the subspace when appending it keeps the rank of the basis."""
+    rows = [[Quartic2.from_rational(x) if type(x) is not Quartic2 else x for x in r]
+            for r in [*flat.basis, v]]
+    return _linalg.rank(rows, flat.ambient) == flat.dim
+
+
 class TestGreatFlat:
     def test_reduced_basis_is_canonical(self):
         a = GreatFlat.span([[1, 1, 0], [1, -1, 0]])
@@ -41,6 +54,42 @@ class TestGreatFlat:
         assert not XY_PLANE.contains(E3)
         assert XY_PLANE.contains_direction((7, -2, 0))
         assert not XY_PLANE.contains_direction((0, 0, 1))
+
+    def test_wrong_lengths_are_refused(self):
+        # a plain zip dot product would truncate both
+        for v in [(7, -2), (7, -2, 0, 1)]:
+            with pytest.raises(GeometryError, match="direction of length %d in R.3" % len(v)):
+                XY_PLANE.contains_direction(v)
+        for p in (sp(1, 0), sp(1, 0, 0, 0), Point.infinity(2), Point.infinity(4)):
+            with pytest.raises(GeometryError, match="point dimension mismatch"):
+                XY_PLANE.contains(p)
+        assert not XY_PLANE.contains(Point.infinity(3))
+        with pytest.raises(BackendMismatch):
+            XY_PLANE.contains_direction((7.0, -2.0, 0.0))
+
+    def test_membership_reads_cached_normals(self, monkeypatch):
+        flat = GreatFlat.span([[1, 2, 0], [0, 1, 1]])
+        assert flat.contains_direction((1, 3, 1))
+        for name in ("nullspace", "echelon", "rank"):
+            monkeypatch.setattr(_linalg, name, lambda *a: pytest.fail("eliminated again"))
+        assert flat.contains_direction((1, 3, 1)) and not flat.contains(E3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(3, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(small, min_size=n, max_size=n), min_size=1, max_size=n),
+        st.lists(small, min_size=n, max_size=n),
+        st.lists(small, min_size=n, max_size=n))), st.booleans(), st.booleans())
+    def test_contains_direction_is_the_rank_test(self, drawn, inside, quartic):
+        vectors, v, weights = drawn
+        assume(any(any(r) for r in vectors))
+        if inside:  # a combination of the spanning vectors
+            v = [sum(w * r[j] for w, r in zip(weights, vectors)) for j in range(len(v))]
+        if quartic:
+            vectors = [[THETA * x for x in r] for r in vectors]
+            v = [THETA ** 3 * x for x in v]
+        flat = GreatFlat.span(vectors)
+        assert flat.contains_direction(v) == old_contains_direction(flat, v)
+        event("inside" if flat.contains_direction(v) else "outside")
 
     def test_subsphere_section(self):
         s = XY_PLANE.subsphere()

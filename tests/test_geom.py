@@ -9,16 +9,19 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from inversive import _linalg
-from inversive.exactnum import (Quartic2, THETA, SQRT2, BackendMismatch, promote, sign_of,
-                               zt_mul)
+from inversive.colorings import ColoredConfig, TwoLine
+from inversive.exactnum import (Quartic2, THETA, SQRT2, BackendMismatch, is_zero, promote,
+                               sign_of, zt_mul)
 from inversive.geom import (
     _check_distinct,
     _extended_flat_subsphere,
     _lifted,
     _uniform,
     lift_row,
+    vec_add,
     vec_dot,
     vec_scale,
+    vec_sub,
     CR_INFINITY,
     DegenerateConfigError,
     DegenerateSphereError,
@@ -32,6 +35,7 @@ from inversive.geom import (
     cross_ratio,
     on_common_sphere,
     on_sphere,
+    second_intersection,
     power_condition,
     separated,
     side,
@@ -695,6 +699,22 @@ class TestSmallestSphere:
         assert ss.contains(P([5, 5, 0]))
         assert not ss.contains(P([0, 0, 1]))
 
+    def test_surface_must_live_in_the_carriers_space(self):
+        plane = Flat.through([P([0, 0, 0]), P([1, 0, 0]), P([0, 1, 0])])
+        with pytest.raises(GeometryError, match="surface in dimension 2 cannot cut a "
+                                                "carrier in dimension 3"):
+            SubSphere(plane, UNIT_CIRCLE)
+        with pytest.raises(GeometryError, match="surface in dimension 3 cannot cut"):
+            SubSphere(Flat.through([P([0, 0]), P([1, 0])]), Hypersphere.make(1, (0, 0, 0), -1))
+
+    def test_points_of_another_dimension_are_refused(self):
+        whole = smallest_sphere([P([0, 0]), P([1, 0]), P([0, 1]), P([2, 2])])
+        assert whole.surface is None and whole.contains(P([5, 7])) and whole.contains(INF2)
+        for ss in (whole, smallest_sphere([P([1, 0]), P([0, 1]), P([-1, 0])])):
+            for p in (P([1, 0, 0]), P([1]), Point.infinity(3)):
+                with pytest.raises(GeometryError, match="point dimension mismatch"):
+                    ss.contains(p)
+
     def test_whole_space_degenerate_answer(self):
         pts = [P([0, 0]), P([1, 0]), P([0, 1]), P([2, 2])]
         ss = smallest_sphere(pts)
@@ -759,6 +779,38 @@ class TestSmallestSphere:
         assert all(type(x) is Fraction for x in ss.carrier.basis[-1])
 
 
+def coords_of(flat, p):
+    """The coordinates of a point of the flat in its orthogonal basis, by
+    Gram-Schmidt; a point off the flat raises."""
+    if p.is_infinity:
+        raise GeometryError("infinity has no flat coordinates")
+    v = vec_sub(p.coords, flat.basepoint)
+    ts = []
+    for d in flat.basis:
+        t = vec_dot(v, d) / vec_dot(d, d)
+        ts.append(t)
+        v = vec_sub(v, vec_scale(t, d))
+    if not all(is_zero(x) for x in v):
+        raise GeometryError("point is not on the flat")
+    return ts
+
+
+def point_at(flat, ts):
+    x = flat.basepoint
+    for t, d in zip(ts, flat.basis):
+        x = vec_add(x, vec_scale(t, d))
+    return P(x)
+
+
+def flat_contains(flat, p):
+    """Whether the extended flat holds p: infinity, or a point with flat
+    coordinates (a zero Gram-Schmidt residual)."""
+    try:
+        return p.is_infinity or coords_of(flat, p) is not None
+    except GeometryError:
+        return False
+
+
 def reference_smallest_sphere(points):
     """The construction smallest_sphere used before it solved the lifted
     rows: the circumsphere from hull coordinates t with Gram weights
@@ -776,7 +828,7 @@ def reference_smallest_sphere(points):
     g = [vec_dot(d, d) for d in hull.basis]
     one = Quartic2(1) if k == "quartic" else Fraction(1)
     rows = []
-    for ts in (hull.coords_of(p) for p in finite):
+    for ts in (coords_of(hull, p) for p in finite):
         rows.append([vec_dot([gi * t for gi, t in zip(g, ts)], ts), *ts, one])
     ns = _linalg.nullspace(rows, hull.dim + 2)
     if not ns:
@@ -786,7 +838,7 @@ def reference_smallest_sphere(points):
     assert len(ns) == 1
     c, *w, a = [one * x for x in ns[0]]
     s = [-wi / (2 * gi * c) for wi, gi in zip(w, g)]
-    m = hull.point_at(s).coords
+    m = point_at(hull, s).coords
     r_sq = vec_dot([gi * si for gi, si in zip(g, s)], s) - a / c
     return SubSphere(hull, Hypersphere.make(one, vec_scale(-2, m), vec_dot(m, m) - r_sq))
 
@@ -831,15 +883,102 @@ class TestFlat:
         f = Flat.through([P([1, 1, 0]), P([2, 1, 0]), P([1, 3, 0])])
         assert f.dim == 2
         p = P([Fraction(5, 2), 2, 0])
-        assert f.contains(p)
-        assert f.point_at(f.coords_of(p)) == p
-        assert not f.contains(P([1, 1, 1]))
-        assert f.contains(Point.infinity(3))
+        assert flat_contains(f, p)
+        assert point_at(f, coords_of(f, p)) == p
+        assert not flat_contains(f, P([1, 1, 1]))
+        assert flat_contains(f, Point.infinity(3))
+        # the rows of its extended hyperplanes vanish on exactly its points
+        for q in (p, P([1, 1, 1]), Point.infinity(3)):
+            assert all(vec_dot(r, lift_row(q)) == 0 for r in f._rows) == flat_contains(f, q)
 
     def test_key_is_presentation_invariant(self):
         f1 = Flat.through([P([0, 0, 1]), P([1, 0, 1]), P([0, 1, 1])])
         f2 = Flat.through([P([2, 3, 1]), P([-1, 0, 1]), P([5, 5, 1])])
         assert f1.key() == f2.key()
+
+
+def old_subsphere_contains(ss, p):
+    """The incidence rule SubSphere had before it read cached rows: its
+    surface's test, then a zero Gram-Schmidt residual on its carrier."""
+    return ss.surface is None or (ss.surface.contains(p) and flat_contains(ss.carrier, p))
+
+
+def _probes(ss, pts):
+    """The points, infinity, and points on and near the sphere: from its
+    first finite point, the second intersection of a round surface with the
+    line along each carrier direction (on the sphere) and each axis (on the
+    surface, mostly off the carrier), a step along each for a flat surface,
+    and each of these moved by one along the last axis."""
+    n = pts[0].dim
+    probes = list(pts) + [Point.infinity(n)]
+    if ss.surface is None:
+        return probes
+    base = next(p for p in pts if not p.is_infinity)
+    axes = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    for d in list(ss.carrier.basis) + axes:
+        if ss.surface.is_flat:
+            q = P(vec_add(base.coords, d))
+        else:
+            try:
+                q = second_intersection(ss.surface, base, d)
+            except GeometryError:  # tangent
+                continue
+        probes += [q, P(vec_add(q.coords, axes[-1]))]
+    return probes
+
+
+class TestSubSphereIncidence:
+    """`SubSphere.contains` reads the rows of its surface and of the extended
+    hyperplanes through its carrier; the oracle is the rule it replaced."""
+
+    @staticmethod
+    def check(pts):
+        ss = smallest_sphere(pts)
+        probes = _probes(ss, pts)
+        verdicts = [ss.contains(q) for q in probes]
+        assert verdicts == [old_subsphere_contains(ss, q) for q in probes]
+        assert all(verdicts[:len(pts)])
+        event("%d-sphere in R^%d, %s" % (ss.dim, ss.ambient, sorted(set(verdicts))))
+
+    @settings(max_examples=150, deadline=None)
+    @given(point_families(lambda n: n + 2), st.integers(2, 6), st.booleans())
+    def test_rational_and_quartic(self, family, k, scaled):
+        n, pts = family
+        pts = pts[:min(k, n + 2)]
+        self.check([_scaled_by_theta(p) for p in pts] if scaled else pts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 100), st.lists(st.integers(0, 9), min_size=2, max_size=4, unique=True))
+    def test_two_line_points(self, seed, subset):
+        # Q(2^(1/4)) points of the two lines, the origin and infinity
+        pts = ColoredConfig.sample(TwoLine(extended=True), 2, seed).points()
+        self.check([pts[i] for i in subset])
+
+    @pytest.mark.parametrize("pts", [
+        [P([0.5, 1.0]), P([2.0, -1.0]), INF2],
+        [P([0.0, 0.0]), P([1.0, 1.0]), P([2.0, 2.0])],
+        [P([0.5, 1.0, 0.0]), P([2.0, -1.0, 0.0]), Point.infinity(3)],
+    ])
+    def test_float_extended_flats(self, pts):
+        ss = smallest_sphere(pts)
+        a, b = pts[0].coords, pts[1].coords
+        on = [P(vec_add(a, vec_scale(t, vec_sub(b, a)))) for t in (-2.0, 0.5, 3.0)]
+        step = (0.0,) * (len(a) - 1) + (0.25,)
+        off = [P(vec_add(q.coords, step)) for q in on] + [P([7.0, -3.0] + [0.0] * (len(a) - 2))]
+        probes = pts + on + off + [Point.infinity(len(a))]
+        assert [ss.contains(q) for q in probes] == [old_subsphere_contains(ss, q) for q in probes]
+        assert [ss.contains(q) for q in on + off] == [True] * len(on) + [False] * len(off)
+
+    def test_rows_are_computed_once(self, monkeypatch):
+        pts = [P([1, 0, 0]), P([0, 1, 0]), P([0, 0, 1])]
+        ss = smallest_sphere(pts)
+        key = span_key(pts)
+        assert ss.contains(pts[0]) and ss.key() == key
+        calls = []
+        for name in ("nullspace", "echelon", "rank"):
+            monkeypatch.setattr(_linalg, name, lambda *a, name=name: calls.append(name))
+        assert ss.contains(pts[1]) and not ss.contains(P([1, 1, 0]))
+        assert ss.key() == key and calls == []
 
 
 def _rational_point(n):

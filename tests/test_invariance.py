@@ -1,0 +1,74 @@
+"""Moebius invariance of the sphere layer.
+
+A Moebius word maps lifted rows linearly, up to a nonzero factor per point,
+so it keeps every incidence and the rank of every family of lifted rows. The
+images come from `moebius` (reflections of lifted rows in mirror rows); the
+answers come from `geom` on the images' own rows, so neither side checks
+itself. Samples are flag configurations with the origin and infinity in
+them, and the words are rational, so each word moves points to and from
+infinity.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings, strategies as st
+
+from inversive.colorings import ColoredConfig, FlagInversive
+from inversive.geom import smallest_sphere, span_key, span_walk
+from inversive.moebius import HyperplaneReflection, MoebiusMap, SphereInversion
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+radius_sq = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)
+
+
+def words(n):
+    """Rational words of 1-4 inversions and reflections of R^n_inf."""
+    vector = st.tuples(*[small] * n)
+    factor = st.one_of(
+        st.builds(SphereInversion, vector, radius_sq),
+        st.builds(HyperplaneReflection, vector.filter(any), small))
+    return st.lists(factor, min_size=1, max_size=4).map(lambda fs: MoebiusMap(tuple(fs), n))
+
+
+def samples(n):
+    """(points, their images, subsets of 2..n+2 indices) for a flag sample of
+    R^n_inf and a word."""
+    def draw(seed, m, data):
+        pts = ColoredConfig.sample(FlagInversive(n), 2, seed).points()
+        subsets = data.draw(st.lists(
+            st.lists(st.integers(0, len(pts) - 1), min_size=2, max_size=n + 2, unique=True),
+            min_size=1, max_size=5))
+        return pts, [m.apply(p) for p in pts], subsets
+    return st.builds(draw, st.integers(0, 200), words(n), st.data())
+
+
+def groups(points, size):
+    """The `size`-subsets that span a sphere, grouped by the sphere."""
+    by_key = {}
+    for subset, key in span_walk(points, size):
+        by_key.setdefault(key, []).append(subset)
+    return sorted(by_key.values())
+
+
+class TestSphereLayerInvariance:
+    def check(self, pts, images, subsets):
+        n = pts[0].dim
+        for subset in subsets:
+            s = smallest_sphere([pts[i] for i in subset])
+            t = smallest_sphere([images[i] for i in subset])
+            assert s.dim == t.dim
+            assert [t.contains(q) for q in images] == [s.contains(p) for p in pts]
+            assert ((span_key([images[i] for i in subset]) is None)
+                    == (span_key([pts[i] for i in subset]) is None))
+        for size in range(3, n + 3):
+            assert groups(images, size) == groups(pts, size)
+
+    @settings(max_examples=40, deadline=None)
+    @given(samples(2))
+    def test_plane(self, sample):
+        self.check(*sample)
+
+    @settings(max_examples=25, deadline=None)
+    @given(samples(3))
+    def test_space(self, sample):
+        self.check(*sample)
