@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
                     Tuple, Union)
 
 from .colorings import (
@@ -104,18 +104,14 @@ class SeparationWitness:
 IndexEntry = Tuple[Tuple[int, ...], Set[int]]
 
 
-def sphere_index(points: Sequence[Point], size: int,
-                 key_of: Optional[Callable[[List[Point]], Optional[tuple]]] = None
-                 ) -> Dict[tuple, IndexEntry]:
-    """The spheres spanned by `size`-subsets of the points, grouped by the
-    canonical key `span_walk` gives them, or `key_of` gives each subset (one
-    that raises GeometryError or returns None spans nothing): key -> (first
-    subset, incident indices), in the lexicographic order of first subsets.
-    The incident set is the union of the group's subsets, and that is every
-    point on the sphere: by basis exchange on the lifted rows (for great
-    flats, on the greedily padded span) each point of a spanned sphere lies
-    in some subset spanning it."""
-    keyed = span_walk(points, size) if key_of is None else _keyed_subsets(points, size, key_of)
+def sphere_index(keyed: Iterable[Tuple[Tuple[int, ...], tuple]]) -> Dict[tuple, IndexEntry]:
+    """Group (subset, key) pairs, given in the lexicographic order of their
+    subsets, by key: key -> (first subset, incident indices), in the order of
+    first subsets. The incident set is the union of the group's subsets. Each
+    caller brings its keyed stream, and makes that union every point on the
+    sphere: `span_walk` keys the subsets whose lifted rows span a sphere, and
+    by basis exchange each point of the sphere lies in one of them; `euclid`
+    keys every n-subset by its greedily padded span."""
     index: Dict[tuple, IndexEntry] = {}
     for subset, key in keyed:
         entry = index.get(key)
@@ -124,17 +120,6 @@ def sphere_index(points: Sequence[Point], size: int,
         else:
             entry[1].update(subset)
     return index
-
-
-def _keyed_subsets(points: Sequence[Point], size: int, key_of: Callable
-                   ) -> Iterator[Tuple[Tuple[int, ...], tuple]]:
-    for subset in combinations(range(len(points)), size):
-        try:
-            key = key_of([points[i] for i in subset])
-        except GeometryError:
-            continue
-        if key is not None:
-            yield subset, key
 
 
 def most_colored(config: ColoredConfig, index: Dict[tuple, IndexEntry]
@@ -161,7 +146,7 @@ def max_polychromatic(config: ColoredConfig, d: int) -> PolychromaticWitness:
         raise DegenerateConfigError("too few points to span any %d-sphere" % d)
     # a size-subset spans a d-sphere exactly when its lifted rows are
     # independent, which is when the walk keys it
-    index = sphere_index(pts, size)
+    index = sphere_index(span_walk(pts, size))
     if not index:
         raise DegenerateConfigError("no subset spans a %d-sphere" % d)
     subset, on = most_colored(config, index)

@@ -174,10 +174,16 @@ def cmd_verify_construction(args) -> Tuple[str, Dict, Dict, Dict]:
         k = args.k if args.k is not None else args.n + 3
         params["k"] = k
         res = verify_generic(args.n, k, seed=args.seed)
+    return (*_scan_report(res), params)
+
+
+def _scan_report(res: Dict) -> Tuple[str, Dict, Dict]:
+    """(verdict, payload, statistics) of a sharpness scan's result: its
+    violations, if any, go into the payload and the rest into statistics."""
     violations = res.pop("violations")
     verdict = "verified" if not violations else "violation-found"
     payload = {"violations": _jsonify(violations)} if violations else {}
-    return verdict, payload, _jsonify(res), params
+    return verdict, payload, _jsonify(res)
 
 
 def cmd_search(args) -> Tuple[str, Dict, Dict, Dict]:
@@ -247,13 +253,12 @@ def cmd_euclid_intersect(args) -> Tuple[str, Dict, Dict, Dict]:
 
 
 def cmd_euclid_verify(args) -> Tuple[str, Dict, Dict, Dict]:
-    samples = args.samples if args.samples is not None else 16
+    samples = args.samples
+    if samples is None:
+        samples = _VERIFY_DEFAULT_SAMPLES["flag-euclidean"]
     params = {"n": args.n, "samples": samples, "seed": args.seed}
     res = verify_flag_euclidean(args.n, per_class=samples, seed=args.seed)
-    violations = res.pop("violations")
-    verdict = "verified" if not violations else "violation-found"
-    payload = {"violations": _jsonify(violations)} if violations else {}
-    return verdict, payload, _jsonify(res), params
+    return (*_scan_report(res), params)
 
 
 def cmd_wcp_check(args) -> Tuple[str, Dict, Dict, Dict]:

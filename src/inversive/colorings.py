@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from ._linalg import cut, nullspace, rank
+from ._linalg import cut, nullspace
 from .exactnum import (
     BackendMismatch,
     NormClass,
@@ -374,14 +374,9 @@ def rational_sphere_points(n: int, count: int, seed: int = 0) -> List[Point]:
     return out
 
 
-def generic_position_points(n: int, count: int, seed: int = 0,
-                            euclidean: bool = False) -> List[Point]:
-    """Seeded rational points in spherically generic position.
-
-    Inversive mode: points of R^n with no n+2 of them on a common
-    (n-1)-sphere. Euclidean mode: points of the unit n-sphere in R^(n+1)
-    with every n+1 of them linearly independent.
-    """
+def generic_position_points(n: int, count: int, seed: int = 0) -> List[Point]:
+    """Seeded rational points of R^n in spherically generic position: no n+2
+    of them on a common (n-1)-sphere."""
     if count < 1:
         raise ColoringError("need a positive sample count")
     rng = random.Random(seed)
@@ -397,39 +392,20 @@ def generic_position_points(n: int, count: int, seed: int = 0,
         attempts += 1
         if attempts > limit:
             raise ColoringError("generic-position sampling did not converge")
-        if euclidean:
-            t = tuple(next(rats) for _ in range(n))
-            cand = Point.finite(_stereographic(t))
-        else:
-            cand = Point.finite(tuple(next(rats) for _ in range(n)))
+        cand = Point.finite(tuple(next(rats) for _ in range(n)))
         if cand in chosen:
             continue
-        if euclidean:
-            if _euclid_degenerate(chosen, cand, n):
-                continue
-        else:
-            row = lift_row(cand)
-            if any(v is None or not vec_dot(v, row) for v in normals):
-                continue
-            for size, basis in list(bases):
-                grown = None if basis is None else cut(basis, row)
-                if size < n:
-                    bases.append((size + 1, grown))
-                else:
-                    normals.append(None if grown is None else grown[0])
+        row = lift_row(cand)
+        if any(v is None or not vec_dot(v, row) for v in normals):
+            continue
+        for size, basis in list(bases):
+            grown = None if basis is None else cut(basis, row)
+            if size < n:
+                bases.append((size + 1, grown))
+            else:
+                normals.append(None if grown is None else grown[0])
         chosen.append(cand)
     return chosen
-
-
-def _euclid_degenerate(chosen: Sequence[Point], cand: Point, n: int) -> bool:
-    from itertools import combinations
-
-    for size in range(min(len(chosen), n), n + 1):
-        for subset in combinations(chosen, size):
-            rows = [p.coords for p in (*subset, cand)]
-            if rank(rows, len(rows[0])) < len(rows):
-                return True
-    return False
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,11 @@ A great (d-1)-sphere is the section of the unit sphere by a d-dimensional
 linear subspace through the origin, so everything here is exact linear
 algebra over subspace bases. Two great hyperspheres always meet: the
 intersection subspace has dimension at least one by counting.
+
+The span of a subset is padded to the target dimension by the first
+standard vectors that grow it (`_padding`), and the scans key a great
+hypersphere by the canonical form of its one normal: equal subspaces have
+equal orthogonal complements.
 """
 
 from __future__ import annotations
@@ -12,11 +17,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Sequence, Tuple
+from itertools import combinations
+from typing import Dict, List, Sequence, Tuple
 
 from . import _linalg
-from .chromatic import PolychromaticWitness, most_colored, sphere_index
-from .colorings import ColoredConfig, FlagEuclidean, sample_class
+from .chromatic import IndexEntry, PolychromaticWitness, most_colored, sphere_index
+from .colorings import ColoredConfig, FlagEuclidean
 from .exactnum import BackendMismatch, common_kind, is_zero, promote, sqrt_in_field
 from .geom import (
     DegenerateConfigError,
@@ -40,11 +46,35 @@ def _promoted_rows(vectors: Sequence[Sequence[Scalar]]) -> List[List[Scalar]]:
     return [[promote(x, k) for x in v] for v in vectors]
 
 
-def _on_unit_sphere(p: Point) -> None:
-    if p.is_infinity:
-        raise GeometryError("points of the unit sphere are finite")
-    if not is_zero(vec_dot(p.coords, p.coords) - 1):
-        raise GeometryError("point %r is not on the unit sphere" % (p,))
+def _unit_sphere_rows(points: Sequence[Point]) -> List[List[Scalar]]:
+    """The promoted coordinates of exact points of the unit sphere."""
+    for p in points:
+        if p.is_infinity:
+            raise GeometryError("points of the unit sphere are finite")
+        if not is_zero(vec_dot(p.coords, p.coords) - 1):
+            raise GeometryError("point %r is not on the unit sphere" % (p,))
+    return _promoted_rows([p.coords for p in points])
+
+
+def _padding(rows: Sequence[Sequence[Scalar]], d: int) -> Tuple[List[List[int]], List[List]]:
+    """(pads, normals): the first e_i outside the span of the exact rows, in
+    order, until it has dimension d, and a basis of the padded span's
+    orthogonal complement: the rows' nullspace, cut by each pad (an e_i that
+    some normal does not annihilate)."""
+    ambient = len(rows[0])
+    normals = _linalg.nullspace(rows, ambient)
+    if ambient - len(normals) > d:
+        raise GeometryError("points span more than the target dimension")
+    pads: List[List[int]] = []
+    for i in range(ambient):
+        if ambient - len(normals) >= d:
+            break
+        e = [int(j == i) for j in range(ambient)]
+        cut = _linalg.cut(normals, e)
+        if cut is not None:
+            pads.append(e)
+            normals = cut
+    return pads, normals
 
 
 @dataclass(frozen=True)
@@ -107,27 +137,17 @@ class GreatFlat:
 
 def great_flat_through(points: Sequence[Point], d: int) -> GreatFlat:
     """Span of unit-sphere points, padded to dimension d by appending the
-    first standard basis vectors that grow the span."""
+    first standard basis vectors that grow the span (`_padding`)."""
     if not points:
         raise GeometryError("need at least one point")
-    for p in points:
-        _on_unit_sphere(p)
+    rows = _unit_sphere_rows(points)
     ambient = points[0].dim
     if any(p.dim != ambient for p in points):
         raise GeometryError("points disagree in ambient dimension")
     if not 1 <= d <= ambient:
         raise GeometryError("target dimension out of range")
-    rows = _promoted_rows([p.coords for p in points])
-    basis, _ = _linalg.echelon(rows, ambient)
-    if len(basis) > d:
-        raise GeometryError("points span more than the target dimension")
-    for i in range(ambient):
-        if len(basis) >= d:
-            break
-        e = [Fraction(1) if j == i else Fraction(0) for j in range(ambient)]
-        if _linalg.rank(basis + [e], ambient) > len(basis):
-            basis, rows = basis + [e], rows + [e]
-    return GreatFlat.span(rows)
+    pads, _ = _padding(rows, d)
+    return GreatFlat.span(rows + pads)
 
 
 @dataclass(frozen=True)
@@ -176,20 +196,30 @@ def great_intersection(s: GreatFlat, c: GreatFlat) -> GreatIntersection:
     return GreatIntersection(w, (plus, minus), False)
 
 
+def _great_index(points: Sequence[Point], n: int) -> Dict[tuple, IndexEntry]:
+    """`sphere_index` of the min(n, len(points))-subsets of points of the unit
+    n-sphere, each keyed by the canonical normal of its span padded to
+    dimension n."""
+    rows = _unit_sphere_rows(points)
+    subsets = combinations(range(len(rows)), min(n, len(rows)))
+    return sphere_index(
+        (s, tuple(_linalg.canonical(_padding([rows[i] for i in s], n)[1][0])))
+        for s in subsets)
+
+
 def max_colors_great(config: ColoredConfig) -> PolychromaticWitness:
     """The most-colored great hypersphere spanned by n-subsets of a colored
-    configuration on the unit n-sphere; rank-deficient subsets are padded by
-    the deterministic completion, every configuration point on the span is
-    counted, and ties go to the lexicographically smallest subset."""
+    configuration on the unit n-sphere, n >= 1; rank-deficient subsets are
+    padded by the deterministic completion, every configuration point on the
+    span is counted, and ties go to the lexicographically smallest subset."""
     pts = config.points()
     if not pts:
         raise DegenerateConfigError("empty configuration")
-    for p in pts:
-        _on_unit_sphere(p)
     n = pts[0].dim - 1
-    index = sphere_index(pts, min(n, len(pts)),
-                         lambda subset: great_flat_through(subset, n).key())
-    subset, on = most_colored(config, index)
+    if n < 1:
+        raise GeometryError("great hyperspheres need a unit n-sphere with n >= 1; "
+                            "points of R^%d lie on S^%d" % (n + 1, n))
+    subset, on = most_colored(config, _great_index(pts, n))
     flat = great_flat_through([pts[i] for i in subset], n)
     return PolychromaticWitness(flat.subsphere(), on, frozenset(c for _, c in on))
 
@@ -198,24 +228,14 @@ def verify_flag_euclidean(n: int = 2, per_class: int = 16, seed: int = 0) -> dic
     """Sharpness scan for the flag coloring of the unit n-sphere: over great
     hyperspheres spanned by n-subsets of class samples, none may attain
     n+1 colors."""
-    coloring = FlagEuclidean(n)
-    samples: List[Tuple[Point, int]] = []
-    for i in range(1, coloring.k + 1):
-        for p in sample_class(coloring, i, per_class, seed + i):
-            samples.append((p, i))
-    index = sphere_index([p for p, _ in samples], n,
-                         lambda subset: great_flat_through(subset, n).key())
-    max_colors = 0
-    violations = []
+    config = ColoredConfig.sample(FlagEuclidean(n), per_class, seed)
+    colors = [c for _, c in config.items]
+    index = _great_index(config.points(), n)
+    max_colors, violations = 0, []
     for subset, on in index.values():
-        colors = {samples[i][1] for i in on}
-        max_colors = max(max_colors, len(colors))
-        if len(colors) >= n + 1:
-            violations.append({"subset": subset, "colors": sorted(colors)})
-    return {
-        "n": n,
-        "samples": len(samples),
-        "circles_checked": len(index),
-        "max_colors": max_colors,
-        "violations": violations,
-    }
+        found = {colors[i] for i in on}
+        max_colors = max(max_colors, len(found))
+        if len(found) >= n + 1:
+            violations.append({"subset": subset, "colors": sorted(found)})
+    return {"n": n, "samples": len(colors), "circles_checked": len(index),
+            "max_colors": max_colors, "violations": violations}

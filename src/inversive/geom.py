@@ -499,18 +499,26 @@ def _orthogonal_residual(v: Sequence[Scalar], basis: Sequence[Sequence[Scalar]])
 
 @dataclass(frozen=True)
 class SubSphere:
-    """A d-sphere presented as carrier flat (dimension d+1) cut by an ambient
-    hypersphere whose center lies in the carrier; surface None means the whole
-    extended space. Its spheres, the surface and the extended hyperplanes
-    through the carrier, are built once: incidence and the key read their rows."""
+    """A d-sphere presented as carrier flat (dimension d+1 >= 1) cut by an
+    ambient hypersphere whose center lies in the carrier; surface None, with
+    the whole space as carrier, means the whole extended space. Its spheres,
+    the surface and the extended hyperplanes through the carrier, are built
+    once: incidence and the key read their rows."""
 
     carrier: Flat
     surface: Optional[Hypersphere]
 
     def __post_init__(self):
-        if self.surface is not None and self.surface.dim != self.ambient:
+        if self.surface is None:
+            if self.carrier.dim != self.ambient:
+                raise GeometryError("surface None needs the whole space as carrier, "
+                                    "not a %d-flat in dimension %d"
+                                    % (self.carrier.dim, self.ambient))
+        elif self.surface.dim != self.ambient:
             raise GeometryError("surface in dimension %d cannot cut a carrier in dimension %d"
                                 % (self.surface.dim, self.ambient))
+        elif self.carrier.dim < 1:
+            raise GeometryError("a surface cannot cut a carrier of dimension 0")
 
     @property
     def dim(self) -> int:

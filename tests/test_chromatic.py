@@ -137,6 +137,15 @@ def reference_max_polychromatic(config, d):
     return PolychromaticWitness(s, on, frozenset(c for _, c in on))
 
 
+def span_key_stream(pts, size):
+    """(subset, span_key) for each size-subset that span_key keys, in
+    lexicographic order: the per-subset oracle of `span_walk`."""
+    for subset in combinations(range(len(pts)), size):
+        key = span_key([pts[i] for i in subset])
+        if key is not None:
+            yield subset, key
+
+
 RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
@@ -218,7 +227,7 @@ class TestAgainstPerSubsetScan:
         config, d = case
         n, pts = config.n, config.points()
         size = n + 1 if d == n - 1 else d + 2
-        index = sphere_index(pts, size, span_key)
+        index = sphere_index(span_key_stream(pts, size))
         span = _span_of_dim(n, d)
         for subset, incident in index.values():
             s = span([pts[i] for i in subset])
@@ -257,8 +266,8 @@ class TestSpanWalk:
             assert [s for s, _ in walked] == [s for s, k in keys.items() if k is not None]
             # and its keys are span_key's
             assert all(key == keys[s] for s, key in walked)
-            assert (list(sphere_index(pts, size).values())
-                    == list(sphere_index(pts, size, span_key).values()))
+            assert (list(sphere_index(span_walk(pts, size)).values())
+                    == list(sphere_index(span_key_stream(pts, size)).values()))
 
     def test_one_leaf_vector_is_primitive_with_positive_lead(self):
         # x^2 + y^2 - 1 through (1, 0), (0, 1), (-1, 0)
@@ -281,7 +290,7 @@ class TestSpanWalk:
 
 class TestSphereIndex:
     def test_unit_circle_config_count(self):
-        index = sphere_index(UNIT_CIRCLE_CONFIG.points(), 3, span_key)
+        index = sphere_index(span_key_stream(UNIT_CIRCLE_CONFIG.points(), 3))
         # four concyclic points collapse to one circle, plus 6 through (5,5)
         assert len(index) == 7
         key, (subset, incident) = next(iter(index.items()))
@@ -289,18 +298,12 @@ class TestSphereIndex:
         assert subset == (0, 1, 2)
         assert incident == {0, 1, 2, 3}
 
-    def test_unspanning_subsets_skipped(self):
-        pts = UNIT_CIRCLE_CONFIG.points()
-
-        def key_of(subset):
-            if pts[4] in subset:
-                return None
-            if pts[3] in subset:
-                raise GeometryError("not spanning")
-            return span_key(subset)
-
-        index = sphere_index(pts, 3, key_of)
-        assert list(index.values()) == [((0, 1, 2), {0, 1, 2})]
+    def test_groups_a_keyed_stream(self):
+        keyed = [((0, 1), "a"), ((0, 2), "b"), ((1, 2), "a"), ((1, 3), "c"), ((2, 3), "b")]
+        index = sphere_index(iter(keyed))
+        assert list(index.items()) == [("a", ((0, 1), {0, 1, 2})), ("b", ((0, 2), {0, 2, 3})),
+                                       ("c", ((1, 3), {1, 3}))]
+        assert sphere_index([]) == {}
 
 
 class TestFindPolychromatic:

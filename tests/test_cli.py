@@ -256,6 +256,15 @@ class TestEuclid:
         assert rep["verdict"] == "verified"
         assert rep["statistics"]["max_colors"] <= 2
 
+    def test_verify_default_samples(self, capsys):
+        # both commands run the same scan with the same default sample count
+        _, out, _ = run_cli(["euclid", "verify"], capsys)
+        _, other, _ = run_cli(["verify-construction", "--kind", "flag-euclidean"], capsys)
+        rep, rep2 = json.loads(out), json.loads(other)
+        assert rep["parameters"]["samples"] == rep2["parameters"]["samples"] == 16
+        assert rep["statistics"] == rep2["statistics"]
+        assert rep["verdict"] == rep2["verdict"] == "verified"
+
     def test_bad_pair_file(self, tmp_path, capsys):
         path = write_json(tmp_path / "bad.json", {"sphere": {"basis": []}})
         code, _, err = run_cli(["euclid", "intersect", "--input", path], capsys)
@@ -415,6 +424,26 @@ class TestValidate:
         rep = json.loads(out)
         assert code == 1 and rep["verdict"] == "invalid-witness"
         assert rep["reason"] == "surface in dimension 2 cannot cut a carrier in dimension 3"
+
+    @pytest.mark.parametrize("sphere, points, reason", [
+        # the x-axis with surface null claimed the whole plane
+        ({"carrier": {"basepoint": ["0", "0"], "basis": [["1", "0"]]}, "surface": None},
+         [["0", "5"], ["3", "7"], ["-2", "1"]],
+         "surface None needs the whole space as carrier, not a 1-flat in dimension 2"),
+        # a surface on a point carrier, a "(-1)-sphere"
+        ({"carrier": {"basepoint": ["1", "0"], "basis": []},
+          "surface": {"c": "1", "b": ["0", "0"], "a": "-1"}},
+         [["1", "0"]], "a surface cannot cut a carrier of dimension 0"),
+    ])
+    def test_malformed_subsphere_is_invalid(self, tmp_path, capsys, sphere, points, reason):
+        colors = list(range(1, len(points) + 1))
+        doc = {"sphere": sphere, "colors": colors,
+               "points": [{"point": {"coords": p}, "color": c} for p, c in zip(points, colors)]}
+        code, out, _ = run_cli(["validate", "--input",
+                                write_json(tmp_path / "w.json", doc)], capsys)
+        rep = json.loads(out)
+        assert code == 1 and rep["verdict"] == "invalid-witness"
+        assert rep["reason"] == reason
 
     def test_not_a_witness(self, tmp_path, capsys):
         report = write_json(tmp_path / "odd.json", {"hello": 1})

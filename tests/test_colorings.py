@@ -203,12 +203,6 @@ class TestGenericPosition:
             for quad in combinations(pts, 4):
                 assert not concyclic(*quad)
 
-    def test_euclidean_independence(self):
-        pts = generic_position_points(2, 5, seed=3, euclidean=True)
-        assert all(sum(x * x for x in p.coords) == 1 for p in pts)
-        for triple in combinations(pts, 3):
-            assert rank([list(p.coords) for p in triple], 3) == 3
-
     def test_three_dim(self):
         pts = generic_position_points(3, 7, seed=8)
         from inversive.geom import lift_row

@@ -7,18 +7,20 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from inversive import _linalg
+from inversive import _linalg, euclid
 from inversive.chromatic import PolychromaticWitness
 from inversive.colorings import ColoredConfig, FlagEuclidean, rational_sphere_points, sample_class
 from inversive.euclid import (
     GreatFlat,
+    _great_index,
+    _padding,
     great_flat_through,
     great_intersection,
     max_colors_great,
     verify_flag_euclidean,
 )
 from inversive.exactnum import BackendMismatch, Quartic2, THETA
-from inversive.geom import GeometryError, Point, span_key, vec_dot
+from inversive.geom import GeometryError, Point, span_key, vec_dot, vec_scale
 
 F = Fraction
 
@@ -237,6 +239,12 @@ class TestMaxColorsGreat:
         w = max_colors_great(config)
         assert w.color_set == {2}
 
+    def test_points_of_the_line_are_refused(self):
+        # the unit sphere of R^1 is the pair +-1, S^0, which has no great spheres
+        config = ColoredConfig(1, 2, ((sp(1), 1), (sp(-1), 2)))
+        with pytest.raises(GeometryError, match=r"points of R\^1 lie on S\^0"):
+            max_colors_great(config)
+
     def test_agrees_with_direct_scan(self):
         for config in GREAT_CONFIGS:
             assert max_colors_great(config) == reference_max_colors_great(config)
@@ -285,7 +293,125 @@ class TestVerifyFlagEuclidean:
         assert report["max_colors"] == 2
         assert report["circles_checked"] > 50
 
+    def test_scans_the_class_samples(self, monkeypatch):
+        # the report barely depends on which generic points are drawn
+        scanned, great_index = [], euclid._great_index
+        monkeypatch.setattr(euclid, "_great_index",
+                            lambda pts, n: scanned.append(pts) or great_index(pts, n))
+        verify_flag_euclidean(2, per_class=4, seed=5)
+        assert scanned == [[p for i in range(1, 4)
+                            for p in sample_class(FlagEuclidean(2), i, 4, 5 + i)]]
+
     @pytest.mark.parametrize("n, per_class, seed", [(2, 5, 3), (2, 8, 109), (3, 3, 7)])
     def test_matches_per_subset_loop(self, n, per_class, seed):
         assert (verify_flag_euclidean(n, per_class=per_class, seed=seed)
                 == reference_verify_flag_euclidean(n, per_class, seed))
+
+
+def reference_padding(rows, d):
+    """The greedy padding great_flat_through had before it cut normals: append
+    e_i, i = 0, 1, ..., when it raises the rank, until the rank is d."""
+    ambient, pads = len(rows[0]), []
+    for i in range(ambient):
+        if _linalg.rank(rows + pads, ambient) >= d:
+            break
+        e = [int(j == i) for j in range(ambient)]
+        if _linalg.rank(rows + pads + [e], ambient) > _linalg.rank(rows + pads, ambient):
+            pads.append(e)
+    return pads
+
+
+def reference_great_index(pts, n):
+    """Subsets grouped by the per-subset key `great_flat_through(...).key()`."""
+    index = {}
+    for subset in combinations(range(len(pts)), min(n, len(pts))):
+        key = great_flat_through([pts[i] for i in subset], n).key()
+        index.setdefault(key, (subset, set()))[1].update(subset)
+    return list(index.values())
+
+
+def _stereo(t):
+    tt = sum(x * x for x in t)
+    return sp(*[2 * x / (tt + 1) for x in t], (tt - 1) / (tt + 1))
+
+
+def sphere_points(ambient):
+    """Exact points of the unit sphere of R^ambient: signed axis points,
+    rational points, and the Q(2^(1/4)) point (t^2/2, t^2/2, 0, ...)."""
+    h = THETA ** 2 / 2
+    axis = st.builds(lambda i, s: sp(*[s if j == i else 0 for j in range(ambient)]),
+                     st.integers(0, ambient - 1), st.sampled_from([1, -1]))
+    rational = st.lists(small, min_size=ambient - 1, max_size=ambient - 1).map(_stereo)
+    quartic = st.sampled_from([1, -1]).map(
+        lambda s: Point.finite((s * h, h) + (0 * h,) * (ambient - 2)))
+    return st.one_of(axis, rational, quartic)
+
+
+@st.composite
+def great_configs(draw):
+    """A colored configuration of S^1, S^2 or S^3, some points drawn with
+    their antipodes."""
+    ambient = draw(st.integers(2, 4))
+    pts = []
+    for p, antipodal in draw(st.lists(st.tuples(sphere_points(ambient), st.booleans()),
+                                      min_size=1, max_size=5)):
+        pts += [p, Point.finite(vec_scale(-1, p.coords))] if antipodal else [p]
+    pts = list(dict.fromkeys(pts))[:7]
+    colors = draw(st.lists(st.integers(1, 4), min_size=len(pts), max_size=len(pts)))
+    return ColoredConfig(ambient, 4, tuple(zip(pts, colors)))
+
+
+class TestGreatIndex:
+    """The index over cut normals against the per-subset great flats."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(great_configs())
+    def test_matches_per_subset_great_flats(self, config):
+        pts, n = config.points(), config.n - 1
+        index = _great_index(pts, n)
+        assert list(index.values()) == reference_great_index(pts, n)
+        for subset, incident in index.values():
+            flat = great_flat_through([pts[i] for i in subset], n)
+            assert incident == {i for i, p in enumerate(pts) if flat.contains(p)}
+        assert max_colors_great(config) == reference_max_colors_great(config)
+
+    @settings(max_examples=60, deadline=None)
+    @given(great_configs(), st.data())
+    def test_padding_is_the_rank_greedy_padding(self, config, data):
+        pts = config.points()
+        ambient = config.n
+        subset = data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=ambient,
+                                    unique=True))
+        rows = [p.coords for p in subset]
+        r = _linalg.rank(rows, ambient)
+        for d in range(r, ambient + 1):
+            pads, normals = _padding(rows, d)
+            assert pads == reference_padding(rows, d)
+            assert len(normals) == ambient - d
+            assert all(vec_dot(u, v) == 0 for u in normals for v in rows + pads)
+        if r > 1:
+            with pytest.raises(GeometryError, match="more than the target dimension"):
+                _padding(rows, r - 1)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(1, 5 if n < 3 else 3), st.integers(0, 500))))
+    def test_verify_matches_per_subset_loop(self, case):
+        n, per_class, seed = case
+        assert (verify_flag_euclidean(n, per_class=per_class, seed=seed)
+                == reference_verify_flag_euclidean(n, per_class, seed))
+
+    def test_one_nullspace_per_subset(self, monkeypatch):
+        pts = ColoredConfig.sample(FlagEuclidean(2), 5, 3).points()
+        expected = reference_great_index(pts, 2)
+        nullspaces, checked = [], []
+        nullspace, unit_sphere_rows = _linalg.nullspace, euclid._unit_sphere_rows
+        monkeypatch.setattr(_linalg, "nullspace", lambda *a: nullspaces.append(1) or nullspace(*a))
+        monkeypatch.setattr(euclid, "_unit_sphere_rows",
+                            lambda ps: checked.append(ps) or unit_sphere_rows(ps))
+        for name in ("echelon", "rank"):
+            monkeypatch.setattr(_linalg, name, lambda *a: pytest.fail("eliminated again"))
+        monkeypatch.setattr(euclid, "great_flat_through", lambda *a: pytest.fail("flat per subset"))
+        assert list(_great_index(pts, 2).values()) == expected
+        assert len(nullspaces) == len(list(combinations(pts, 2)))
+        assert checked == [pts]  # each point is checked once per call

@@ -707,6 +707,19 @@ class TestSmallestSphere:
         with pytest.raises(GeometryError, match="surface in dimension 3 cannot cut"):
             SubSphere(Flat.through([P([0, 0]), P([1, 0])]), Hypersphere.make(1, (0, 0, 0), -1))
 
+    def test_carrier_must_fit_the_surface(self):
+        # surface None is the whole space, so its carrier must be all of it
+        with pytest.raises(GeometryError, match="surface None needs the whole space as "
+                                                "carrier, not a 1-flat in dimension 2"):
+            SubSphere(Flat((0, 0), ((1, 0),)), None)
+        # a surface cuts a carrier of dimension 0 in no sphere, exact or float
+        with pytest.raises(GeometryError, match="a surface cannot cut a carrier of dimension 0"):
+            SubSphere(Flat((Fraction(1), Fraction(0)), ()), UNIT_CIRCLE)
+        with pytest.raises(GeometryError, match="a surface cannot cut a carrier of dimension 0"):
+            SubSphere(Flat((0.5, 1.0), ()), Hypersphere.make(1.0, (0.0, 0.0), -1.25))
+        whole = SubSphere(Flat((0, 0), ((1, 0), (0, 1))), None)
+        assert whole.dim == 2 and whole.contains(P([0, 5]))
+
     def test_points_of_another_dimension_are_refused(self):
         whole = smallest_sphere([P([0, 0]), P([1, 0]), P([0, 1]), P([2, 2])])
         assert whole.surface is None and whole.contains(P([5, 7])) and whole.contains(INF2)

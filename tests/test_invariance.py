@@ -1,20 +1,23 @@
-"""Moebius invariance of the sphere layer.
+"""Moebius invariance of the sphere layer and the search stack.
 
 A Moebius word maps lifted rows linearly, up to a nonzero factor per point,
 so it keeps every incidence and the rank of every family of lifted rows. The
 images come from `moebius` (reflections of lifted rows in mirror rows); the
 answers come from `geom` on the images' own rows, so neither side checks
 itself. Samples are flag configurations with the origin and infinity in
-them, and the words are rational, so each word moves points to and from
-infinity.
+them, and extended two-line configurations with Q(2^(1/4)) points; the words
+are rational, so each word moves points to and from infinity.
 """
 
 from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from inversive.colorings import ColoredConfig, FlagInversive
-from inversive.geom import smallest_sphere, span_key, span_walk
+import pytest
+
+from inversive.chromatic import max_polychromatic, most_colored, sphere_index
+from inversive.colorings import ColoredConfig, FlagInversive, TwoLine
+from inversive.geom import DegenerateConfigError, smallest_sphere, span_key, span_walk
 from inversive.moebius import HyperplaneReflection, MoebiusMap, SphereInversion
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -72,3 +75,52 @@ class TestSphereLayerInvariance:
     @given(samples(3))
     def test_space(self, sample):
         self.check(*sample)
+
+
+def mapped_configs(coloring, per_class):
+    """A sampled configuration of a coloring and its image under a word, with
+    each point keeping its color."""
+    def draw(seed, m):
+        config = ColoredConfig.sample(coloring, per_class, seed)
+        return config, ColoredConfig(config.n, config.k,
+                                     tuple((m.apply(p), c) for p, c in config.items))
+    return st.builds(draw, st.integers(0, 200), words(coloring.n))
+
+
+class TestSearchInvariance:
+    """`sphere_index` and `max_polychromatic` answer the same, by index, on a
+    configuration and on its image."""
+
+    def check(self, config, image):
+        pts, images = config.points(), image.points()
+        for d in range(config.n):
+            size = config.n + 1 if d == config.n - 1 else d + 2
+            index = sphere_index(span_walk(pts, size))
+            assert list(sphere_index(span_walk(images, size)).values()) == list(index.values())
+            if not index:
+                for c in (config, image):
+                    with pytest.raises(DegenerateConfigError):
+                        max_polychromatic(c, d)
+                continue
+            assert (most_colored(image, sphere_index(span_walk(images, size)))[0]
+                    == most_colored(config, index)[0])
+            w, v = max_polychromatic(config, d), max_polychromatic(image, d)
+            assert ([images.index(p) for p, _ in v.on_points]
+                    == [pts.index(p) for p, _ in w.on_points])
+            assert [c for _, c in v.on_points] == [c for _, c in w.on_points]
+            assert v.color_set == w.color_set
+
+    @settings(max_examples=25, deadline=None)
+    @given(mapped_configs(FlagInversive(2), 2))
+    def test_plane(self, case):
+        self.check(*case)
+
+    @settings(max_examples=10, deadline=None)
+    @given(mapped_configs(FlagInversive(3), 2))
+    def test_space(self, case):
+        self.check(*case)
+
+    @settings(max_examples=5, deadline=None)
+    @given(mapped_configs(TwoLine(extended=True), 1))
+    def test_two_line_quartic(self, case):
+        self.check(*case)
