@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
                     Tuple, Union)
 
@@ -31,23 +31,18 @@ from .geom import (
     Hypersphere,
     Point,
     Scalar,
-    SideLabel,
     SubSphere,
     concyclic,
     on_common_sphere,
     on_sphere,
-    second_intersection,
     separated,
-    side,
     smallest_sphere,
     span_walk,
     sphere_through,
-    vec_add,
     vec_dot,
     vec_scale,
     vec_sub,
 )
-from .moebius import normalize
 
 def _exact_div(a: Scalar, b: Scalar) -> Scalar:
     if isinstance(a, int) and isinstance(b, int):
@@ -242,29 +237,15 @@ def find_polychromatic(coloring: ProceduralColoring, target: int,
     return None
 
 
-def _strictly_between(a: Point, b: Point, c: Point) -> bool:
-    """Whether finite collinear a lies strictly inside the segment [b, c]."""
-    d = vec_sub(c.coords, b.coords)
-    t_num = vec_dot(vec_sub(a.coords, b.coords), d)
-    dd = vec_dot(d, d)
-    return sign_of(t_num) > 0 and sign_of(dd - t_num) > 0
-
-
-def _line_role_anchor(triple: Sequence[Point]) -> Optional[Point]:
-    """For a role triple on a common extended line, the point to send to
-    infinity so the first entry lands strictly between the other two; None
-    when the natural betweenness fails."""
-    xa, xb, xc = triple
-    if xa.is_infinity:
-        mid = Point.finite(vec_scale(Fraction(1, 2), vec_add(xb.coords, xc.coords)))
-        return mid
-    if xb.is_infinity:
-        return Point.finite(vec_sub(vec_scale(2, xc.coords), xa.coords))
-    if xc.is_infinity:
-        return Point.finite(vec_sub(vec_scale(2, xb.coords), xa.coords))
-    if _strictly_between(xa, xb, xc):
-        return Point.infinity(xa.dim)
-    return None
+def _between_on_line(triple: Sequence[Point]) -> bool:
+    """For a role triple on one extended line, whether its first point lies
+    strictly between the other two; every triple through infinity counts."""
+    if any(p.is_infinity for p in triple):
+        return True
+    a, b, c = (p.coords for p in triple)
+    d = vec_sub(c, b)
+    t = vec_dot(vec_sub(a, b), d)
+    return sign_of(t) > 0 and sign_of(vec_dot(d, d) - t) > 0
 
 
 def _role_assignments(k: int):
@@ -278,15 +259,15 @@ def separating_circle_5pts(pairs: Sequence[ColoredPoint]) -> SeparationWitness:
     """The planar separating-circle procedure for five distinct-colored
     points, no four concyclic.
 
-    Mirrors the constructive argument: pick three points for the line role,
-    apply a Moebius map making them collinear with the first strictly
-    between the others, then either the resulting extended line already
-    separates the remaining two points, or the side of one remaining point
-    against the circle through the other and the pair decides which circle
-    separates it from the first role point. Role triples already in the
-    collinear-with-betweenness position are preferred (in lexicographic
-    order); otherwise the first genuinely circular triple is straightened
-    by sending an auxiliary circle point to infinity."""
+    Follows the constructive argument without building its Moebius map. The
+    role triple (a, b, c) is the first, in lexicographic order, whose circle
+    is an extended line with a between b and c, and otherwise the first on a
+    genuine circle. Some Moebius map sends it onto a line with a strictly
+    between b and c, where a is inside every circle through b and c. Since
+    separation is Moebius invariant, both tests run on the points themselves:
+    either the role circle separates the other two points d and e, or the
+    circle through e, b, c separates a from d, or else the circle through d,
+    b, c separates a from e."""
     if len(pairs) != 5:
         raise GeometryError("need exactly five colored points")
     pts = [p for p, _ in pairs]
@@ -299,51 +280,23 @@ def separating_circle_5pts(pairs: Sequence[ColoredPoint]) -> SeparationWitness:
         if concyclic(*quad):
             raise DegenerateConfigError("four of the points are concyclic")
 
-    chosen = None
+    chosen = fallback = None
     for a, b, c in _role_assignments(5):
         triple = [pts[a], pts[b], pts[c]]
         circle = sphere_through(triple)
-        if not circle.is_flat:
-            continue
-        anchor = _line_role_anchor(triple)
-        if anchor is not None:
-            chosen = (a, b, c, circle, anchor)
+        if circle.is_flat and _between_on_line(triple):
+            chosen = (a, b, c, circle)
             break
-    if chosen is None:
-        for a, b, c in _role_assignments(5):
-            triple = [pts[a], pts[b], pts[c]]
-            circle = sphere_through(triple)
-            if circle.is_flat:
-                continue
-            mid = vec_scale(Fraction(1, 2), vec_add(pts[b].coords, pts[c].coords))
-            toward = vec_sub(mid, pts[a].coords)
-            anchor = second_intersection(circle, pts[a], toward)
-            chosen = (a, b, c, circle, anchor)
-            break
-    if chosen is None:
-        raise DegenerateConfigError("no usable role assignment")
-    a, b, c, role_circle, anchor = chosen
-
-    t = normalize(pts[a], anchor)
-    imgs = [t.apply(p) for p in pts]
-    if imgs[b].is_infinity or imgs[c].is_infinity:
-        raise DegenerateConfigError("role straightening degenerated")
-    if sign_of(vec_dot(imgs[b].coords, imgs[c].coords)) >= 0:
-        raise DegenerateConfigError("betweenness postcondition failed")
+        if fallback is None and not circle.is_flat:
+            fallback = (a, b, c, circle)
+    a, b, c, role_circle = chosen or fallback
 
     d, e = [i for i in range(5) if i not in (a, b, c)]
-    image_line = t.image_sphere(role_circle)
-    sd, se = side(imgs[d], image_line), side(imgs[e], image_line)
-    if SideLabel.ON in (sd, se):
-        raise DegenerateConfigError("four of the points are concyclic")
-    if sd != se:
+    if separated(pts[d], pts[e], role_circle):
         return SeparationWitness(role_circle,
                                  (pairs[a], pairs[b], pairs[c]),
                                  (pairs[d], pairs[e]))
-    verdict = side(imgs[d], sphere_through([imgs[e], imgs[b], imgs[c]]))
-    if verdict is SideLabel.ON:
-        raise DegenerateConfigError("four of the points are concyclic")
-    if verdict is SideLabel.OUTSIDE:
+    if separated(pts[d], pts[a], sphere_through([pts[e], pts[b], pts[c]])):
         keep, out = e, d
     else:
         keep, out = d, e
@@ -550,18 +503,10 @@ def verify_flag(n: int, per_class: int = 30, seed: int = 0) -> Dict:
         classes.append(sample_class(flag, i, count, seed + i))
     tuples_checked = 0
     violations: List[Tuple[Point, ...]] = []
-
-    def scan(prefix: List[Point], rest: List[List[Point]]):
-        nonlocal tuples_checked
-        if not rest:
-            tuples_checked += 1
-            if on_common_sphere(prefix):
-                violations.append(tuple(prefix))
-            return
-        for p in rest[0]:
-            scan(prefix + [p], rest[1:])
-
-    scan([], classes)
+    for tup in product(*classes):
+        tuples_checked += 1
+        if on_common_sphere(tup):
+            violations.append(tup)
     return {
         "n": n,
         "sample_sizes": [len(c) for c in classes],

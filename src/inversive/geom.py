@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -384,27 +384,19 @@ def _cdiv(x, y):
 def cross_ratio(z1: Point, z2: Point, z3: Point, z4: Point):
     """Cross ratio (z1-z3)(z2-z4) / ((z2-z3)(z1-z4)) in the plane.
 
-    One input may be infinity; the two factors containing it cancel. Returns
-    a (re, im) scalar pair, or CR_INFINITY if the denominator vanishes. The
-    imaginary part is zero exactly when the four points are concyclic.
+    One input may be infinity; the two factors containing it are dropped.
+    Returns a (re, im) scalar pair, or CR_INFINITY if the denominator
+    vanishes. The imaginary part is zero exactly when the four points are
+    concyclic.
     """
     points, _ = _uniform([z1, z2, z3, z4])
     if points[0].dim != 2:
         raise GeometryError("cross_ratio is a planar operation")
     _check_distinct(points, "cross_ratio")
     z = [p.coords for p in points]
-    inf_at = next((i for i, p in enumerate(points) if p.is_infinity), None)
-    if inf_at is None:
-        num = _cmul(vec_sub(z[0], z[2]), vec_sub(z[1], z[3]))
-        den = _cmul(vec_sub(z[1], z[2]), vec_sub(z[0], z[3]))
-    elif inf_at == 0:
-        num, den = vec_sub(z[1], z[3]), vec_sub(z[1], z[2])
-    elif inf_at == 1:
-        num, den = vec_sub(z[0], z[2]), vec_sub(z[0], z[3])
-    elif inf_at == 2:
-        num, den = vec_sub(z[1], z[3]), vec_sub(z[0], z[3])
-    else:
-        num, den = vec_sub(z[0], z[2]), vec_sub(z[1], z[2])
+    num, den = (reduce(_cmul, [vec_sub(z[i], z[j]) for i, j in factors
+                               if None not in (z[i], z[j])])
+                for factors in (((0, 2), (1, 3)), ((1, 2), (0, 3))))
     if vec_is_zero(den):
         return CR_INFINITY
     return _cdiv(num, den)

@@ -2,8 +2,8 @@
 
 Scalars travel as exact text: a rational is the string "p/q" (or "p"), an
 element of the quartic field is an array of four rational strings listing
-the coefficients of 1, theta, theta^2, theta^3, and a float is a plain JSON
-number.  A bare JSON integer decodes as an exact rational rather than a
+the coefficients of 1, theta, theta^2, theta^3, and a float is a plain finite
+JSON number.  A bare JSON integer decodes as an exact rational rather than a
 float, so hand-written coordinate files stay in the exact backends.
 
 Structures mirror the in-memory types field by field; every decoder
@@ -12,6 +12,7 @@ fails to load instead of producing a bogus verdict.
 """
 
 import json
+import math
 from fractions import Fraction
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -105,6 +106,8 @@ def decode_scalar(v: Any) -> Scalar:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise FormatError("floats must be finite, not %r" % v)
         return v
     raise FormatError("cannot decode scalar from %r" % (v,))
 
@@ -332,7 +335,10 @@ def decode_coloring(obj: Any) -> ProceduralColoring:
     if kind == "flag-euclidean":
         return FlagEuclidean(_require_int(obj, "n"))
     if kind == "two-line":
-        return TwoLine(bool(obj.get("extended", False)))
+        extended = obj.get("extended", False)
+        if not isinstance(extended, bool):
+            raise FormatError("descriptor needs boolean \"extended\"")
+        return TwoLine(extended)
     if kind == "two-line-extended":
         return TwoLine(True)
     if kind == "generic":
@@ -340,7 +346,7 @@ def decode_coloring(obj: Any) -> ProceduralColoring:
         if "points" in obj:
             pts = tuple(decode_point(e, n) for e in _array(obj["points"], "points"))
             return GenericPoints(n, k, pts)
-        return GenericPoints.random(n, k, obj.get("seed", 0))
+        return GenericPoints.random(n, k, _require_int(obj, "seed") if "seed" in obj else 0)
     if kind == "point-list":
         n = _require_int(obj, "n")
         pts, cols = [], []

@@ -35,17 +35,27 @@ from inversive.colorings import (
     TwoLine,
     generic_position_points,
 )
-from inversive.exactnum import SQRT2, THETA, BackendMismatch, norm_class_of
+from inversive.exactnum import SQRT2, THETA, BackendMismatch, norm_class_of, sign_of
 from inversive.geom import (
     DegenerateConfigError,
     GeometryError,
     Hypersphere,
     Point,
+    SideLabel,
+    concyclic,
+    second_intersection,
+    side,
     smallest_sphere,
     span_key,
     span_walk,
     sphere_through,
+    vec_add,
+    vec_dot,
+    vec_scale,
+    vec_sub,
 )
+from inversive.jsonio import encode_separation_witness
+from inversive.moebius import normalize
 
 F = Fraction
 
@@ -350,6 +360,122 @@ FIVE_POINT_EXAMPLE = (
 )
 
 
+def _reference_line_role_anchor(triple):
+    """For a role triple on a common extended line, the point to send to
+    infinity so the first entry lands strictly between the other two; None
+    when the natural betweenness fails."""
+    xa, xb, xc = triple
+    if xa.is_infinity:
+        return Point.finite(vec_scale(F(1, 2), vec_add(xb.coords, xc.coords)))
+    if xb.is_infinity:
+        return Point.finite(vec_sub(vec_scale(2, xc.coords), xa.coords))
+    if xc.is_infinity:
+        return Point.finite(vec_sub(vec_scale(2, xb.coords), xa.coords))
+    d = vec_sub(xc.coords, xb.coords)
+    t = vec_dot(vec_sub(xa.coords, xb.coords), d)
+    if sign_of(t) > 0 and sign_of(vec_dot(d, d) - t) > 0:
+        return Point.infinity(xa.dim)
+    return None
+
+
+def reference_separating_circle_5pts(pairs):
+    """The map-based procedure `separating_circle_5pts` replaced, kept as its
+    oracle: straighten the role triple with a Moebius `normalize` word sending
+    an anchor to infinity, then read both side tests on the images."""
+    if len(pairs) != 5:
+        raise GeometryError("need exactly five colored points")
+    pts = [p for p, _ in pairs]
+    colors = [c for _, c in pairs]
+    if len(set(pts)) != 5 or any(p.dim != 2 for p in pts):
+        raise GeometryError("need five distinct planar points")
+    if len(set(colors)) != 5:
+        raise DegenerateConfigError("need five distinct colors")
+    for quad in combinations(pts, 4):
+        if concyclic(*quad):
+            raise DegenerateConfigError("four of the points are concyclic")
+    roles = [(a, b, c) for a in range(5)
+             for b, c in combinations([i for i in range(5) if i != a], 2)]
+    chosen = None
+    for a, b, c in roles:
+        triple = [pts[a], pts[b], pts[c]]
+        circle = sphere_through(triple)
+        if not circle.is_flat:
+            continue
+        anchor = _reference_line_role_anchor(triple)
+        if anchor is not None:
+            chosen = (a, b, c, circle, anchor)
+            break
+    if chosen is None:
+        for a, b, c in roles:
+            circle = sphere_through([pts[a], pts[b], pts[c]])
+            if circle.is_flat:
+                continue
+            mid = vec_scale(F(1, 2), vec_add(pts[b].coords, pts[c].coords))
+            anchor = second_intersection(circle, pts[a], vec_sub(mid, pts[a].coords))
+            chosen = (a, b, c, circle, anchor)
+            break
+    if chosen is None:
+        raise DegenerateConfigError("no usable role assignment")
+    a, b, c, role_circle, anchor = chosen
+    t = normalize(pts[a], anchor)
+    imgs = [t.apply(p) for p in pts]
+    if imgs[b].is_infinity or imgs[c].is_infinity:
+        raise DegenerateConfigError("role straightening degenerated")
+    if sign_of(vec_dot(imgs[b].coords, imgs[c].coords)) >= 0:
+        raise DegenerateConfigError("betweenness postcondition failed")
+    d, e = [i for i in range(5) if i not in (a, b, c)]
+    image_line = t.image_sphere(role_circle)
+    sd, se = side(imgs[d], image_line), side(imgs[e], image_line)
+    if SideLabel.ON in (sd, se):
+        raise DegenerateConfigError("four of the points are concyclic")
+    if sd != se:
+        return SeparationWitness(role_circle, (pairs[a], pairs[b], pairs[c]),
+                                 (pairs[d], pairs[e]))
+    verdict = side(imgs[d], sphere_through([imgs[e], imgs[b], imgs[c]]))
+    if verdict is SideLabel.ON:
+        raise DegenerateConfigError("four of the points are concyclic")
+    keep, out = (e, d) if verdict is SideLabel.OUTSIDE else (d, e)
+    return SeparationWitness(sphere_through([pts[keep], pts[b], pts[c]]),
+                             (pairs[keep], pairs[b], pairs[c]), (pairs[a], pairs[out]))
+
+
+def outcome(procedure, pairs):
+    """A procedure's witness, or its error as (type, message)."""
+    try:
+        return procedure(pairs)
+    except GeometryError as e:
+        return type(e), str(e)
+
+
+grid = st.integers(-3, 3)
+
+
+@st.composite
+def five_point_configs(draw):
+    """Five colored planar points: exact or float, on a small grid so that
+    collinear and concyclic subsets are common, sometimes with many points on
+    one line and sometimes with infinity among them."""
+    kind = draw(st.sampled_from(["exact", "float", "line", "infinity"]))
+    if kind == "line":
+        # most points on one line through the origin, the rest anywhere
+        dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -2)]))
+        on = draw(st.integers(3, 5))
+        coords = [(t * dx, t * dy)
+                  for t in draw(st.lists(grid, min_size=on, max_size=on, unique=True))]
+        coords += draw(st.lists(st.tuples(grid, grid), min_size=5 - on, max_size=5 - on))
+    else:
+        coords = draw(st.lists(st.tuples(grid, grid), min_size=5, max_size=5, unique=True))
+    divisor = draw(st.sampled_from([1, 2, 3]))
+    if kind == "float":
+        pts = [Point.finite((x / divisor, y / divisor)) for x, y in coords]
+    else:
+        pts = [fp(F(x, divisor), F(y, divisor)) for x, y in coords]
+    if kind == "infinity" or (kind == "line" and draw(st.booleans())):
+        pts[draw(st.integers(0, 4))] = Point.infinity(2)
+    colors = draw(st.permutations([1, 2, 3, 4, 5]))
+    return tuple(zip(pts, colors))
+
+
 class TestSeparatingCircle:
     def test_pinned_example(self):
         w = separating_circle_5pts(FIVE_POINT_EXAMPLE)
@@ -397,6 +523,16 @@ class TestSeparatingCircle:
         assert isinstance(w, SeparationWitness)
         brute = separating_sphere_bruteforce(pairs)
         assert brute is not None
+
+
+    @settings(max_examples=400, deadline=None)
+    @given(five_point_configs())
+    def test_matches_map_based_reference(self, pairs):
+        new = outcome(separating_circle_5pts, pairs)
+        ref = outcome(reference_separating_circle_5pts, pairs)
+        assert repr(new) == repr(ref)
+        if isinstance(ref, SeparationWitness):
+            assert encode_separation_witness(new) == encode_separation_witness(ref)
 
 
 class TestSeparatingBruteforce:

@@ -34,6 +34,12 @@ UNIT_CIRCLE_DOC = {
     ],
 }
 
+# the worked example in floats, with one coordinate left as a raw JSON token
+FLOAT_FIVE_POINT_TEXT = (
+    '{"n": 2, "k": 5, "points": [{"coords": [%s, 0.0], "color": 1}, '
+    '{"coords": [0.0, 1.0], "color": 2}, {"coords": [0.0, 3.0], "color": 3}, '
+    '{"coords": [-2.0, 0.0], "color": 4}, {"coords": [2.0, 0.0], "color": 5}]}')
+
 SHARP_MAP_DOC = {
     "coloring": {"kind": "two-line", "extended": True},
     "image": [
@@ -517,6 +523,34 @@ class TestUsageErrors:
         assert code == 2
         assert json.loads(out)["error"] == 'configuration needs integer "%s"' % field
         assert field in err
+
+    @pytest.mark.parametrize("command, svg_flag", [("separate", "--plot"), ("plot", "--out")])
+    @pytest.mark.parametrize("number", ["NaN", "-Infinity", "1e400"])
+    def test_non_finite_number_refused(self, tmp_path, capsys, command, svg_flag, number):
+        # a NaN row once made separate report four concyclic points, and plot
+        # draw it as cx="nan" with exit 0
+        path = tmp_path / "cfg.json"
+        path.write_text(FLOAT_FIVE_POINT_TEXT % number)
+        svg = tmp_path / "fig.svg"
+        code, out, _ = run_cli([command, "--input", str(path), svg_flag, str(svg)], capsys)
+        assert code == 2
+        assert json.loads(out)["error"].startswith("floats must be finite, not ")
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("descriptor, field", [
+        ({"kind": "generic", "n": 2, "k": 5, "seed": [1]}, "integer \"seed\""),
+        ({"kind": "generic", "n": 2, "k": 5, "seed": "abc"}, "integer \"seed\""),
+        ({"kind": "generic", "n": 2, "k": 5, "seed": True}, "integer \"seed\""),
+        ({"kind": "two-line", "extended": "false"}, "boolean \"extended\""),
+    ])
+    def test_loose_coloring_descriptor_refused(self, tmp_path, capsys, descriptor, field):
+        # a list seed once crashed search-procedural with a traceback, and the
+        # other values were used as given
+        path = write_json(tmp_path / "desc.json", descriptor)
+        code, out, _ = run_cli(["search-procedural", "--coloring", path,
+                                "--target", "3", "--budget", "10"], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == "descriptor needs %s" % field
 
     def test_internal_key_error_is_not_bad_input(self, tmp_path, capsys, monkeypatch):
         # an internal bug must surface as a traceback, never as exit 2

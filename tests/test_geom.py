@@ -595,6 +595,18 @@ class TestCrossRatio:
         # (z1 - z3)/(z2 - z3) = (-i)/(1 - i) = (1 - i)/2
         assert cr == (Fraction(1, 2), Fraction(-1, 2))
 
+    @pytest.mark.parametrize("at, expected", [
+        # (z2 - z4) / (z2 - z3) = (3 + 3i/2) / (-2 + 3i)
+        (0, (Fraction(-3, 26), Fraction(-12, 13))),
+        (1, (Fraction(-2, 15), Fraction(16, 15))),
+        (2, (Fraction(17, 15), Fraction(-16, 15))),
+        (3, (Fraction(51, 109), Fraction(48, 109))),
+    ])
+    def test_infinity_in_each_position(self, at, expected):
+        pts = [P([1, 2]), P([3, -1]), P([-2, Fraction(1, 2)])]
+        pts.insert(at, INF2)
+        assert cross_ratio(*pts) == expected
+
     def test_real_iff_concyclic_with_infinity(self):
         cr = cross_ratio(P([0, 0]), P([1, 0]), P([5, 0]), INF2)
         assert cr[1] == 0

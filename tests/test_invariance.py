@@ -17,7 +17,8 @@ import pytest
 
 from inversive.chromatic import max_polychromatic, most_colored, sphere_index
 from inversive.colorings import ColoredConfig, FlagInversive, TwoLine
-from inversive.geom import DegenerateConfigError, smallest_sphere, span_key, span_walk
+from inversive.geom import (DegenerateConfigError, GeometryError, Point, concyclic, separated,
+                            smallest_sphere, span_key, span_walk, sphere_through)
 from inversive.moebius import HyperplaneReflection, MoebiusMap, SphereInversion
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -124,3 +125,58 @@ class TestSearchInvariance:
     @given(mapped_configs(TwoLine(extended=True), 1))
     def test_two_line_quartic(self, case):
         self.check(*case)
+
+
+@st.composite
+def grid_points(draw, n, count):
+    """`count` distinct points of R^n_inf: some on the unit circle or on the
+    extended first axis, the rest on a small integer grid or at infinity, in
+    any order, so that concyclic quadruples and points on a sphere are
+    common."""
+    pad = (F(0),) * (n - 2)
+    circle = small.map(lambda t: Point.finite(((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+                                              + pad))
+    axis = st.one_of(st.just(Point.infinity(n)), small.map(lambda t: Point.finite((t, F(0)) + pad)))
+    grid = st.tuples(*[st.integers(-2, 2)] * n).map(lambda c: Point.finite(tuple(map(F, c))))
+    on = draw(st.integers(0, count))
+    pts = draw(st.lists(draw(st.sampled_from([circle, axis])), min_size=on, max_size=on,
+                        unique=True))
+    pts += draw(st.lists(st.one_of(st.just(Point.infinity(n)), grid), min_size=count - on,
+                         max_size=count - on, unique=True).filter(lambda ps: not set(ps) & set(pts)))
+    return draw(st.permutations(pts))
+
+
+def verdict(predicate, *args):
+    """A predicate's answer, or the type of the error it raises."""
+    try:
+        return predicate(*args)
+    except GeometryError as e:
+        return type(e)
+
+
+class TestPredicateInvariance:
+    """`separated` and `concyclic` give the same verdict on points, spheres
+    and their images; a point on the sphere stays on it, so the refusal to
+    separate it is kept too."""
+
+    def check(self, pts, m):
+        n = pts[0].dim
+        images = [m.apply(p) for p in pts]
+        assert verdict(concyclic, *images[:4]) == verdict(concyclic, *pts[:4])
+        try:
+            s = sphere_through(pts[:n + 1])
+        except GeometryError:
+            return
+        x, y = pts[n + 1:n + 3]
+        assert (verdict(separated, images[n + 1], images[n + 2], m.image_sphere(s))
+                == verdict(separated, x, y, s))
+
+    @settings(max_examples=80, deadline=None)
+    @given(grid_points(2, 5), words(2))
+    def test_plane(self, pts, m):
+        self.check(pts, m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid_points(3, 6), words(3))
+    def test_space(self, pts, m):
+        self.check(pts, m)

@@ -82,6 +82,13 @@ class TestScalars:
         assert decode_scalar(3) == Fraction(3)
         assert isinstance(decode_scalar(3), Fraction)
 
+    @pytest.mark.parametrize("text, shown", [
+        ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf")])
+    def test_non_finite_floats_rejected(self, text, shown):
+        # json reads each of these as a float; 1e400 overflows to inf
+        with pytest.raises(FormatError, match="^floats must be finite, not %s$" % shown):
+            decode_scalar(json.loads(text))
+
     def test_rejections(self):
         with pytest.raises(FormatError):
             decode_scalar("not-a-number")
@@ -236,6 +243,20 @@ class TestColorings:
     def test_generic_by_seed(self):
         a = decode_coloring({"kind": "generic", "n": 2, "k": 4, "seed": 3})
         assert a == GenericPoints.random(2, 4, seed=3)
+
+    def test_generic_seed_defaults_to_zero(self):
+        assert (decode_coloring({"kind": "generic", "n": 2, "k": 4})
+                == GenericPoints.random(2, 4, seed=0))
+
+    @pytest.mark.parametrize("seed", [[1], "abc", True, 1.5, None])
+    def test_generic_seed_must_be_an_integer(self, seed):
+        with pytest.raises(FormatError, match='^descriptor needs integer "seed"$'):
+            decode_coloring({"kind": "generic", "n": 2, "k": 5, "seed": seed})
+
+    @pytest.mark.parametrize("extended", ["false", "true", 0, 1, None, [True]])
+    def test_two_line_extended_must_be_a_boolean(self, extended):
+        with pytest.raises(FormatError, match='^descriptor needs boolean "extended"$'):
+            decode_coloring({"kind": "two-line", "extended": extended})
 
     def test_unknown_kind(self):
         with pytest.raises(FormatError):
