@@ -19,10 +19,10 @@ from .colorings import (
     ColoredConfig,
     ColoringError,
     FlagInversive,
+    GenericPoints,
     ProceduralColoring,
     TwoLine,
     num_colors,
-    sample_class,
 )
 from .exactnum import THETA, NormClass, is_zero, norm_class_of, sign_of
 from .geom import (
@@ -180,14 +180,15 @@ def find_polychromatic(coloring: ProceduralColoring, target: int,
                        budget: int = 2000, seed: int = 0,
                        samples_per_class: Optional[int] = None
                        ) -> Optional[PolychromaticWitness]:
-    """Search sampled points of a procedural coloring for a circle carrying
-    at least `target` distinct colors.
+    """Search sampled points of a planar procedural coloring for a circle
+    carrying at least `target` distinct colors.
 
-    Deterministic given (seed, budget): classes are sampled with seed+i,
-    candidate circles through distinct-colored triples are enumerated in
-    lexicographic order, and at most `budget` candidates are examined. The
-    extended two-line coloring short-circuits through its documented
-    four-color circle. Returns None when the budget is exhausted."""
+    Deterministic given (seed, budget): `ColoredConfig.sample` draws the
+    sample with `seed`, candidate circles through distinct-colored triples
+    are enumerated in lexicographic order, and at most `budget` candidates
+    are examined. The extended two-line coloring short-circuits through its
+    documented four-color circle. Returns None when the budget is exhausted;
+    a sample outside the plane is refused."""
     k = num_colors(coloring)
     if target > k:
         raise ColoringError("target %d exceeds the coloring's %d colors" % (target, k))
@@ -202,15 +203,11 @@ def find_polychromatic(coloring: ProceduralColoring, target: int,
         witness = _two_line_targeted(coloring, target)
         if witness is not None:
             return witness
-    by_class: List[List[Point]] = []
-    for i in range(1, k + 1):
-        try:
-            by_class.append(sample_class(coloring, i, m, seed + i))
-        except ColoringError:
-            by_class.append([])
-    pool: List[ColoredPoint] = []
-    for i, pts in enumerate(by_class, start=1):
-        pool += [(p, i) for p in pts]
+    config = ColoredConfig.sample(coloring, m, seed)
+    if config.n != 2:
+        raise ColoringError("the procedural search looks for circles in the plane, "
+                            "not in R^%d" % config.n)
+    pool = config.items
     examined = 0
     for (ia, ib, ic) in combinations(range(len(pool)), 3):
         (pa, ca), (pb, cb), (pc, cc) = pool[ia], pool[ib], pool[ic]
@@ -496,11 +493,8 @@ def verify_flag(n: int, per_class: int = 30, seed: int = 0) -> Dict:
     point per color class (the origin and infinity classes are singletons),
     no distinct-colored (n+2)-tuple may be cospherical; equivalently no
     enumerated (n-1)-sphere attains n+2 colors on the sample."""
-    flag = FlagInversive(n)
-    classes: List[List[Point]] = []
-    for i in range(1, flag.k + 1):
-        count = 1 if i <= 2 else per_class
-        classes.append(sample_class(flag, i, count, seed + i))
+    config = ColoredConfig.sample(FlagInversive(n), per_class, seed)
+    classes = [config.points_of_color(i) for i in range(1, config.k + 1)]
     tuples_checked = 0
     violations: List[Tuple[Point, ...]] = []
     for tup in product(*classes):
@@ -519,8 +513,6 @@ def verify_generic(n: int, k: int, seed: int = 0) -> Dict:
     """Sharpness scan for the generic-points coloring: no n+2 of the marked
     points lie on a common (n-1)-sphere, so no sphere can pick up more than
     n+1 marked colors plus the background."""
-    from .colorings import GenericPoints
-
     coloring = GenericPoints.random(n, k, seed)
     violations = []
     checked = 0
@@ -529,26 +521,6 @@ def verify_generic(n: int, k: int, seed: int = 0) -> Dict:
         if on_common_sphere(subset):
             violations.append(subset)
     return {"n": n, "k": k, "subsets_checked": checked, "violations": violations}
-
-
-def _axis_samples(per_class: int, seed: int) -> List[Tuple[str, Scalar, int]]:
-    """Two-line samples as (axis, signed norm, color) triples; the origin
-    and infinity are handled separately by the caller."""
-    tl = TwoLine()
-    out: List[Tuple[str, Scalar, int]] = []
-    for color in range(1, 6):
-        pts = sample_class(tl, color, per_class + 2, seed + color)
-        for p in pts:
-            if p.is_infinity:
-                continue
-            x, y = p.coords
-            if is_zero(x) and is_zero(y):
-                continue
-            if is_zero(x):
-                out.append(("C2", y, color))
-            else:
-                out.append(("C1", x, color))
-    return out
 
 
 def verify_two_line(per_class: int = 40, seed: int = 0) -> Dict:
@@ -566,9 +538,16 @@ def verify_two_line(per_class: int = 40, seed: int = 0) -> Dict:
     not enumerated."""
     if per_class < 1:
         raise ColoringError("need a positive sample count")
-    samples = _axis_samples(per_class, seed)
-    c1 = [(v, c) for axis, v, c in samples if axis == "C1"]
-    c2 = [(v, c) for axis, v, c in samples if axis == "C2"]
+    c1: List[Tuple[Scalar, int]] = []
+    c2: List[Tuple[Scalar, int]] = []
+    for p, color in ColoredConfig.sample(TwoLine(), per_class + 2, seed).items:
+        if p.is_infinity:
+            continue
+        x, y = p.coords
+        if not is_zero(x):
+            c1.append((x, color))
+        elif not is_zero(y):
+            c2.append((y, color))
 
     def pair_products(pool: List[Tuple[Scalar, int]]) -> Dict:
         table: Dict = {}
@@ -601,7 +580,7 @@ def verify_two_line(per_class: int = 40, seed: int = 0) -> Dict:
         if len(cols) > 3:
             violations.append({"line": axis, "colors": cols})
     return {
-        "samples": len(samples),
+        "samples": len(c1) + len(c2),
         "products_on_C1": len(prod1),
         "products_on_C2": len(prod2),
         "pairs_compared": pairs_compared,

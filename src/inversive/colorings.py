@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ._linalg import cut, nullspace
@@ -40,6 +41,14 @@ def _rational_stream(rng: random.Random) -> Iterator[Fraction]:
         den = rng.randint(1, 12)
         if num != 0:
             yield Fraction(num, den)
+
+
+def _random_points(n: int, seed: int) -> Iterator[Point]:
+    """The seeded stream of random finite rational points of R^n that every
+    coloring draws from."""
+    rats = _rational_stream(random.Random(seed))
+    while True:
+        yield Point.finite(tuple(next(rats) for _ in range(n)))
 
 
 def _distinct(stream: Iterator, count: int, seen: Optional[Set] = None) -> List:
@@ -94,18 +103,9 @@ class FlagInversive:
             return [Point.finite((Fraction(0),) * self.n)]
         if i == 2:
             return [Point.infinity(self.n)]
-        rng = random.Random(seed)
-        d = i - 2
-        rats = _rational_stream(rng)
-
-        def gen():
-            while True:
-                head = [next(rats) for _ in range(d)]
-                if head[-1] == 0:
-                    continue
-                yield Point.finite(tuple(head) + (Fraction(0),) * (self.n - d))
-
-        return _distinct(gen(), count)
+        pad = (Fraction(0),) * (self.n - i + 2)
+        return _distinct((Point.finite(p.coords + pad) for p in _random_points(i - 2, seed)),
+                         count)
 
 
 @dataclass(frozen=True)
@@ -146,15 +146,7 @@ class GenericPoints:
         _check_class(i, self.k, count)
         if i < self.k:
             return [self.points[i - 1]]
-        rng = random.Random(seed)
-        rats = _rational_stream(rng)
-        taken = set(self.points)
-
-        def gen():
-            while True:
-                yield Point.finite(tuple(next(rats) for _ in range(self.n)))
-
-        return _distinct(gen(), count, seen=taken)
+        return _distinct(_random_points(self.n, seed), count, seen=set(self.points))
 
 
 # The two registered lines: C1 is the extended x-axis, C2 the extended y-axis.
@@ -312,17 +304,8 @@ class PointListBackground:
             if not listed:
                 raise ColoringError("color class %d is empty" % i)
             return listed[:count]
-        rng = random.Random(seed)
-        rats = _rational_stream(rng)
-        taken = set(self.points)
-
-        def gen():
-            for p in listed:
-                yield p
-            while True:
-                yield Point.finite(tuple(next(rats) for _ in range(self.n)))
-
-        return _distinct(gen(), count, seen=taken - set(listed))
+        return _distinct(chain(listed, _random_points(self.n, seed)), count,
+                         seen=set(self.points) - set(listed))
 
 
 ProceduralColoring = Union[
@@ -361,17 +344,8 @@ def rational_sphere_points(n: int, count: int, seed: int = 0) -> List[Point]:
     """Seeded exact rational points of the unit n-sphere in R^(n+1)."""
     if count < 1:
         raise ColoringError("need a positive sample count")
-    rng = random.Random(seed)
-    rats = _rational_stream(rng)
-    seen: Set[Tuple] = set()
-    out: List[Point] = []
-    while len(out) < count:
-        t = tuple(next(rats) for _ in range(n))
-        if t in seen:
-            continue
-        seen.add(t)
-        out.append(Point.finite(_stereographic(t)))
-    return out
+    return [Point.finite(_stereographic(p.coords))
+            for p in _distinct(_random_points(n, seed), count)]
 
 
 def generic_position_points(n: int, count: int, seed: int = 0) -> List[Point]:
@@ -379,8 +353,7 @@ def generic_position_points(n: int, count: int, seed: int = 0) -> List[Point]:
     of them on a common (n-1)-sphere."""
     if count < 1:
         raise ColoringError("need a positive sample count")
-    rng = random.Random(seed)
-    rats = _rational_stream(rng)
+    stream = _random_points(n, seed)
     chosen: List[Point] = []
     # nullspace bases of the lifted subsets of at most n chosen points and the
     # normals of the (n+1)-subsets, None when dependent
@@ -392,7 +365,7 @@ def generic_position_points(n: int, count: int, seed: int = 0) -> List[Point]:
         attempts += 1
         if attempts > limit:
             raise ColoringError("generic-position sampling did not converge")
-        cand = Point.finite(tuple(next(rats) for _ in range(n)))
+        cand = next(stream)
         if cand in chosen:
             continue
         row = lift_row(cand)
@@ -429,6 +402,7 @@ class ColoredConfig:
     @classmethod
     def sample(cls, coloring: ProceduralColoring, per_class: int,
                seed: int = 0) -> "ColoredConfig":
+        """The sample every scan draws: class i of the coloring from seed + i."""
         items: List[Tuple[Point, int]] = []
         k = num_colors(coloring)
         for i in range(1, k + 1):

@@ -151,7 +151,12 @@ def encode_point(p: Point) -> Dict[str, Any]:
 def decode_point(obj: Any, n: Optional[int] = None) -> Point:
     if not isinstance(obj, dict):
         raise FormatError("point must be an object")
-    if obj.get("infinity"):
+    infinity = obj.get("infinity", False)
+    if not isinstance(infinity, bool):
+        raise FormatError("point needs boolean \"infinity\", not %r" % (infinity,))
+    if infinity:
+        if "coords" in obj:
+            raise FormatError("the point at infinity has no \"coords\"")
         if n is None:
             raise FormatError("point at infinity needs an ambient dimension")
         return Point.infinity(n)

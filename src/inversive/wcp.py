@@ -105,14 +105,6 @@ def _aux_candidates(dim: int):
                 yield Point.finite(tuple(coords))
 
 
-def _dedup(points: Sequence[Point]) -> List[Point]:
-    out: List[Point] = []
-    for p in points:
-        if p not in out:
-            out.append(p)
-    return out
-
-
 def circular_general_position(points: Sequence[Point]) -> CgpReport:
     """Whether every circle's complement keeps at least two of the points.
 
@@ -120,7 +112,7 @@ def circular_general_position(points: Sequence[Point]) -> CgpReport:
     by three of the points contains all but at most one of them; fewer than
     five points always fail. The violating circle reported for tiny inputs
     is completed with deterministic auxiliary points."""
-    pts = _dedup(points)
+    pts = list(dict.fromkeys(points))
     _image_points_valid(pts)
     m = len(pts)
     if m <= 4:
@@ -182,7 +174,7 @@ def wcp_check(t: FiniteImageMap,
             if not on_sphere(p, circle):
                 raise GeometryError("sample %d point %r is off its circle" % (idx, p))
         images = [t.apply(p) for p in dom_pts]
-        distinct = _dedup(images)
+        distinct = list(dict.fromkeys(images))
         if len(distinct) <= 3:
             continue
         off = next((x for x in distinct[3:] if not concyclic(*distinct[:3], x)), None)

@@ -31,6 +31,7 @@ from inversive.chromatic import (
 from inversive.colorings import (
     ColoredConfig,
     ColoringError,
+    FlagEuclidean,
     FlagInversive,
     TwoLine,
     generic_position_points,
@@ -346,6 +347,13 @@ class TestFindPolychromatic:
             find_polychromatic(FlagInversive(2), 5)
         with pytest.raises(ColoringError):
             find_polychromatic(FlagInversive(2), 0)
+
+    @pytest.mark.parametrize("coloring,target", [(FlagInversive(3), 4),
+                                                 (FlagInversive(1), 3),
+                                                 (FlagEuclidean(2), 3)])
+    def test_non_planar_sample_refused(self, coloring, target):
+        with pytest.raises(ColoringError, match="in the plane"):
+            find_polychromatic(coloring, target, budget=50)
 
     def test_deterministic(self):
         a = find_polychromatic(FlagInversive(2), 3, budget=100, seed=7,

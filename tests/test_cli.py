@@ -165,6 +165,17 @@ class TestSearch:
         assert json.loads(out)["verdict"] == "error"
         assert "error" in err
 
+    def test_non_boolean_infinity_refused(self, tmp_path, capsys):
+        # a truthy string once decoded as the point at infinity
+        doc = json.loads(json.dumps(FIVE_POINT_DOC))
+        doc["points"][1]["infinity"] = "false"
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        code, out, err = run_cli(["search", "--input", cfg, "--dim", "1",
+                                  "--target", "3"], capsys)
+        assert code == 2
+        assert json.loads(out)["verdict"] == "error"
+        assert 'boolean "infinity"' in err
+
 
 class TestSearchProcedural:
     def test_extended_two_line_witness(self, capsys):
@@ -203,6 +214,16 @@ class TestSearchProcedural:
                                 "--target", "2"], capsys)
         assert code == 2
         assert "unknown coloring" in err
+
+    @pytest.mark.parametrize("coloring,target", [("flag-3", "4"), ("flag-euclidean-2", "3")])
+    def test_non_planar_coloring_refused(self, capsys, coloring, target):
+        # circles through three points are planar; in R^3 the search would
+        # build none and report an empty search as no witness
+        code, out, err = run_cli(["search-procedural", "--coloring", coloring,
+                                  "--target", target, "--budget", "50"], capsys)
+        assert code == 2
+        assert json.loads(out)["verdict"] == "error"
+        assert "in the plane" in err
 
 
 class TestSeparate:

@@ -1,12 +1,14 @@
-"""Moebius invariance of the sphere layer and the search stack.
+"""Moebius invariance of the sphere layer, the search stack and the
+circle-preservation checks.
 
 A Moebius word maps lifted rows linearly, up to a nonzero factor per point,
 so it keeps every incidence and the rank of every family of lifted rows. The
 images come from `moebius` (reflections of lifted rows in mirror rows); the
 answers come from `geom` on the images' own rows, so neither side checks
 itself. Samples are flag configurations with the origin and infinity in
-them, and extended two-line configurations with Q(2^(1/4)) points; the words
-are rational, so each word moves points to and from infinity.
+them, extended two-line configurations with Q(2^(1/4)) points, and grid and
+unit-circle points of the plane with infinity among them; the words are
+rational, so each word moves points to and from infinity.
 """
 
 from fractions import Fraction as F
@@ -16,10 +18,11 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from inversive.chromatic import max_polychromatic, most_colored, sphere_index
-from inversive.colorings import ColoredConfig, FlagInversive, TwoLine
+from inversive.colorings import ColoredConfig, FlagInversive, PointListBackground, TwoLine
 from inversive.geom import (DegenerateConfigError, GeometryError, Point, concyclic, separated,
                             smallest_sphere, span_key, span_walk, sphere_through)
 from inversive.moebius import HyperplaneReflection, MoebiusMap, SphereInversion
+from inversive.wcp import FiniteImageMap, circular_general_position, sample_circles, wcp_check
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 radius_sq = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)
@@ -180,3 +183,44 @@ class TestPredicateInvariance:
     @given(grid_points(3, 6), words(3))
     def test_space(self, pts, m):
         self.check(pts, m)
+
+
+def on_indices(points, report):
+    return None if report.circle is None else [points.index(p) for p in report.on_circle]
+
+
+# five points on the unit circle: four listed colors and one background point
+UNIT_CIRCLE = (Point.finite((1, 0)), Point.finite((0, 1)), Point.finite((-1, 0)),
+               Point.finite((0, -1)), Point.finite((F(3, 5), F(4, 5))))
+LISTED_ON_CIRCLE = PointListBackground(2, UNIT_CIRCLE[:4], (2, 3, 4, 5), background=1)
+
+
+class TestWcpInvariance:
+    """`circular_general_position` and `wcp_check` answer the same on image
+    points and on their images under a word: both rest on concyclicity
+    only."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 7).flatmap(lambda m: grid_points(2, m)), words(2))
+    def test_circular_general_position(self, pts, m):
+        images = [m.apply(p) for p in pts]
+        r, s = circular_general_position(pts), circular_general_position(images)
+        assert s.verdict == r.verdict
+        assert on_indices(images, s) == on_indices(pts, r)
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid_points(2, 5), words(2),
+           st.lists(st.integers(0, 4), min_size=5, max_size=5), st.integers(0, 3),
+           st.integers(0, 50))
+    def test_wcp_check(self, image, m, table, at, seed):
+        # random circles carry background points only; the unit circle carries
+        # four listed colors, so its images decide the verdict
+        samples = sample_circles(3, seed)
+        samples.insert(at, (sphere_through(UNIT_CIRCLE[:3]), UNIT_CIRCLE))
+        t = FiniteImageMap(LISTED_ON_CIRCLE, tuple(image), dict(enumerate(table, start=1)))
+        mt = FiniteImageMap(LISTED_ON_CIRCLE, tuple(m.apply(p) for p in image), t.table)
+        v, w = wcp_check(t, samples), wcp_check(mt, samples)
+        assert (w is None) == (v is None)
+        if v is not None:
+            assert w.sample_index == v.sample_index == at
+            assert w.domain_points == v.domain_points

@@ -127,6 +127,20 @@ class TestPoints:
         with pytest.raises(FormatError):
             decode_point([1, 2])
 
+    @pytest.mark.parametrize("obj,reason", [
+        ({"infinity": "false", "coords": ["1", "2"]}, 'boolean "infinity"'),
+        ({"infinity": [0]}, 'boolean "infinity"'),
+        ({"infinity": 1}, 'boolean "infinity"'),
+        ({"infinity": None, "coords": ["1", "2"]}, 'boolean "infinity"'),
+        ({"infinity": True, "coords": ["1", "2"]}, 'no "coords"'),
+    ])
+    def test_infinity_must_be_a_lone_boolean(self, obj, reason):
+        with pytest.raises(FormatError, match=reason):
+            decode_point(obj, 2)
+
+    def test_infinity_false_is_finite(self):
+        assert decode_point({"infinity": False, "coords": ["1", "2"]}) == fp(1, 2)
+
 
 class TestSpheres:
     def test_hypersphere_round_trip(self):
