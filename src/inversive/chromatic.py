@@ -19,9 +19,9 @@ from .colorings import (
     ColoredConfig,
     ColoringError,
     FlagInversive,
-    GenericPoints,
     ProceduralColoring,
     TwoLine,
+    generic_position_points,
     num_colors,
 )
 from .exactnum import THETA, NormClass, is_zero, norm_class_of, sign_of
@@ -513,10 +513,9 @@ def verify_generic(n: int, k: int, seed: int = 0) -> Dict:
     """Sharpness scan for the generic-points coloring: no n+2 of the marked
     points lie on a common (n-1)-sphere, so no sphere can pick up more than
     n+1 marked colors plus the background."""
-    coloring = GenericPoints.random(n, k, seed)
     violations = []
     checked = 0
-    for subset in combinations(coloring.points, n + 2):
+    for subset in combinations(generic_position_points(n, k - 1, seed), n + 2):
         checked += 1
         if on_common_sphere(subset):
             violations.append(subset)

@@ -34,9 +34,9 @@ from .chromatic import (
     verify_two_line,
 )
 from .colorings import ColoredConfig
-from .euclid import GreatFlat, great_intersection, verify_flag_euclidean
+from .euclid import great_intersection, verify_flag_euclidean
 from .exactnum import BackendMismatch, Quartic2
-from .geom import GeometryError, Hypersphere, Point, SubSphere
+from .geom import GeometryError, Point
 from .jsonio import (
     FormatError,
     canonical_json,
@@ -47,7 +47,6 @@ from .jsonio import (
     decode_point_list,
     decode_polychromatic_witness,
     decode_separation_witness,
-    encode_great_flat,
     encode_great_intersection,
     encode_map,
     encode_point,
@@ -55,7 +54,6 @@ from .jsonio import (
     encode_refutation,
     encode_scalar,
     encode_separation_witness,
-    encode_sphere,
     encode_violation,
 )
 from .svg import emit_svg
@@ -92,10 +90,6 @@ def _jsonify(x: Any) -> Any:
         return encode_scalar(x)
     if isinstance(x, Point):
         return encode_point(x)
-    if isinstance(x, (Hypersphere, SubSphere)):
-        return encode_sphere(x)
-    if isinstance(x, GreatFlat):
-        return encode_great_flat(x)
     if isinstance(x, (list, tuple)):
         return [_jsonify(v) for v in x]
     if isinstance(x, dict):
@@ -157,6 +151,11 @@ _VERIFY_DEFAULT_SAMPLES = {"flag": 30, "generic": 30, "two-line": 40,
 
 
 def cmd_verify_construction(args) -> Tuple[str, Dict, Dict, Dict]:
+    # generic scans its k - 1 marked points and samples nothing; the other
+    # kinds have a fixed color count
+    ignored = "--samples" if args.kind == "generic" else "--k"
+    if getattr(args, ignored[2:]) is not None:
+        raise FormatError("--kind %s takes no %s" % (args.kind, ignored))
     samples = args.samples
     if samples is None:
         samples = _VERIFY_DEFAULT_SAMPLES[args.kind]
@@ -352,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None,
                    help="color count for --kind generic (default n+3)")
     p.add_argument("--samples", type=int, default=None,
-                   help="points per color class")
+                   help="points per color class (not for --kind generic)")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("search",

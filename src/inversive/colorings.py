@@ -1,8 +1,8 @@
 """Procedural full colorings of the inversive plane and of unit spheres.
 
 Each coloring is an immutable rule object: color_of evaluates the rule at a
-point, sample_class produces seeded points of one color class. Finite classes
-clamp sample requests to the class size; empty classes raise.
+point, sample_class produces seeded points of one color class. Every class
+of 1..k is nonempty; finite classes clamp sample requests to their size.
 """
 
 from __future__ import annotations
@@ -106,47 +106,6 @@ class FlagInversive:
         pad = (Fraction(0),) * (self.n - i + 2)
         return _distinct((Point.finite(p.coords + pad) for p in _random_points(i - 2, seed)),
                          count)
-
-
-@dataclass(frozen=True)
-class GenericPoints:
-    """k-coloring with k-1 marked points in singleton classes and everything
-    else in class k. The marked points are meant to be spherically generic:
-    no n+2 of them on a common (n-1)-sphere."""
-
-    n: int
-    k: int
-    points: Tuple[Point, ...]
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ColoringError("need at least two colors")
-        if len(self.points) != self.k - 1:
-            raise ColoringError("expected exactly k-1 marked points")
-        if len(set(self.points)) != len(self.points):
-            raise ColoringError("marked points must be distinct")
-        for p in self.points:
-            if p.dim != self.n:
-                raise ColoringError("marked point has the wrong dimension")
-
-    @classmethod
-    def random(cls, n: int, k: int, seed: int = 0) -> "GenericPoints":
-        pts = generic_position_points(n, k - 1, seed)
-        return cls(n, k, tuple(pts))
-
-    def color_of(self, p: Point) -> int:
-        if p.dim != self.n:
-            raise ColoringError("point has the wrong ambient dimension")
-        for j, x in enumerate(self.points, start=1):
-            if p == x:
-                return j
-        return self.k
-
-    def sample_class(self, i: int, count: int, seed: int = 0) -> List[Point]:
-        _check_class(i, self.k, count)
-        if i < self.k:
-            return [self.points[i - 1]]
-        return _distinct(_random_points(self.n, seed), count, seen=set(self.points))
 
 
 # The two registered lines: C1 is the extended x-axis, C2 the extended y-axis.
@@ -266,7 +225,9 @@ class FlagEuclidean:
 
 @dataclass(frozen=True)
 class PointListBackground:
-    """Explicit colored points over a constant background color."""
+    """Explicit colored points over a constant background color. The
+    generic-points coloring is one: k-1 marked points in spherically generic
+    position colored 1..k-1, over background k."""
 
     n: int
     points: Tuple[Point, ...]
@@ -301,16 +262,12 @@ class PointListBackground:
         _check_class(i, self.k, count)
         listed = [p for p, c in zip(self.points, self.colors) if c == i]
         if i != self.background:
-            if not listed:
-                raise ColoringError("color class %d is empty" % i)
             return listed[:count]
         return _distinct(chain(listed, _random_points(self.n, seed)), count,
                          seen=set(self.points) - set(listed))
 
 
-ProceduralColoring = Union[
-    FlagInversive, GenericPoints, TwoLine, FlagEuclidean, PointListBackground
-]
+ProceduralColoring = Union[FlagInversive, TwoLine, FlagEuclidean, PointListBackground]
 
 
 def color_of(coloring: ProceduralColoring, p: Point) -> int:

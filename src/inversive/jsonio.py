@@ -20,10 +20,10 @@ from .colorings import (
     ColoredConfig,
     FlagEuclidean,
     FlagInversive,
-    GenericPoints,
     PointListBackground,
     ProceduralColoring,
     TwoLine,
+    generic_position_points,
 )
 from .chromatic import PolychromaticWitness, SeparationWitness
 from .euclid import GreatFlat, GreatIntersection
@@ -270,9 +270,11 @@ def decode_moebius(obj: Any) -> MoebiusMap:
                 decode_scalar(_require(body, "offset", "reflection"))))
         else:
             raise FormatError("unknown factor kind %r" % list(entry))
-    dim = obj.get("dim", factors[0].dim if factors else None)
-    if dim is None:
+    if not factors and "dim" not in obj:
         raise FormatError("an empty map needs an explicit \"dim\"")
+    dim = _require_int(obj, "dim", "map") if "dim" in obj else factors[0].dim
+    if dim < 1:
+        raise FormatError("map needs \"dim\" of at least 1")
     return MoebiusMap(tuple(factors), dim)
 
 
@@ -280,22 +282,29 @@ def decode_moebius(obj: Any) -> MoebiusMap:
 # colored configurations and point lists
 
 
+def _encode_colored(items) -> List[Dict[str, Any]]:
+    """(point, color) pairs as points that carry a "color" key."""
+    return [dict(encode_point(p), color=c) for p, c in items]
+
+
+def _decode_colored(entries: Any, n: int, what: str) -> List[Tuple[Point, int]]:
+    """The (point, color) pairs of a "points" array of colored points."""
+    items = []
+    for entry in _array(entries, "points"):
+        if not isinstance(entry, dict) or "color" not in entry:
+            raise FormatError("each %s needs a \"color\"" % what)
+        items.append((decode_point(entry, n), _color(entry["color"])))
+    return items
+
+
 def encode_config(cfg: ColoredConfig) -> Dict[str, Any]:
-    pts = []
-    for p, c in cfg.items:
-        entry = encode_point(p)
-        entry["color"] = c
-        pts.append(entry)
-    return {"n": cfg.n, "k": cfg.k, "points": pts}
+    return {"n": cfg.n, "k": cfg.k, "points": _encode_colored(cfg.items)}
 
 
 def decode_config(obj: Any) -> ColoredConfig:
     n, k = _require_int(obj, "n", "configuration"), _require_int(obj, "k", "configuration")
-    items = []
-    for entry in _array(_require(obj, "points", "configuration"), "points"):
-        if not isinstance(entry, dict) or "color" not in entry:
-            raise FormatError("each configuration point needs a \"color\"")
-        items.append((decode_point(entry, n), _color(entry["color"])))
+    items = _decode_colored(_require(obj, "points", "configuration"), n,
+                            "configuration point")
     return ColoredConfig(n, k, tuple(items))
 
 
@@ -317,17 +326,9 @@ def encode_coloring(col: ProceduralColoring) -> Dict[str, Any]:
         return {"kind": "flag-euclidean", "n": col.n}
     if isinstance(col, TwoLine):
         return {"kind": "two-line", "extended": col.extended}
-    if isinstance(col, GenericPoints):
-        return {"kind": "generic", "n": col.n, "k": col.k,
-                "points": [encode_point(p) for p in col.points]}
     if isinstance(col, PointListBackground):
-        pts = []
-        for p, c in zip(col.points, col.colors):
-            entry = encode_point(p)
-            entry["color"] = c
-            pts.append(entry)
-        return {"kind": "point-list", "n": col.n,
-                "background": col.background, "points": pts}
+        return {"kind": "point-list", "n": col.n, "background": col.background,
+                "points": _encode_colored(zip(col.points, col.colors))}
     raise FormatError("cannot encode coloring of type %s" % type(col).__name__)
 
 
@@ -347,20 +348,23 @@ def decode_coloring(obj: Any) -> ProceduralColoring:
     if kind == "two-line-extended":
         return TwoLine(True)
     if kind == "generic":
+        # shorthand for the point-list coloring of k - 1 marked points
         n, k = _require_int(obj, "n"), _require_int(obj, "k")
+        if k < 2:
+            raise FormatError("a generic descriptor needs k at least 2")
         if "points" in obj:
             pts = tuple(decode_point(e, n) for e in _array(obj["points"], "points"))
-            return GenericPoints(n, k, pts)
-        return GenericPoints.random(n, k, _require_int(obj, "seed") if "seed" in obj else 0)
+        else:
+            seed = _require_int(obj, "seed") if "seed" in obj else 0
+            pts = tuple(generic_position_points(n, k - 1, seed))
+        if len(pts) != k - 1:
+            raise FormatError("a generic descriptor marks exactly k - 1 points")
+        return PointListBackground(n, pts, tuple(range(1, k)), k)
     if kind == "point-list":
         n = _require_int(obj, "n")
-        pts, cols = [], []
-        for entry in _array(obj.get("points", []), "points"):
-            if not isinstance(entry, dict) or "color" not in entry:
-                raise FormatError("each listed point needs a \"color\"")
-            pts.append(decode_point(entry, n))
-            cols.append(_color(entry["color"]))
-        return PointListBackground(n, tuple(pts), tuple(cols),
+        items = _decode_colored(obj.get("points", []), n, "listed point")
+        return PointListBackground(n, tuple(p for p, _ in items),
+                                   tuple(c for _, c in items),
                                    _require_int(obj, "background"))
     raise FormatError("unknown coloring kind %r" % kind)
 

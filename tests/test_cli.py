@@ -6,11 +6,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from inversive import cli
 from inversive.cli import main
+from inversive.exactnum import THETA
+from inversive.geom import Point
+from inversive.jsonio import canonical_json
 
 FIVE_POINT_DOC = {
     "n": 2, "k": 5,
@@ -97,11 +101,63 @@ class TestVerifyConstruction:
         assert rep["verdict"] == "verified"
         assert rep["parameters"]["k"] == 5
 
+    def test_generic_default_parameters(self, capsys):
+        # the report pins the default sample count even though generic
+        # samples nothing
+        code, out, _ = run_cli(["verify-construction", "--kind", "generic", "--n", "2"],
+                               capsys)
+        assert code == 0
+        assert json.loads(out)["parameters"] == {"k": 5, "kind": "generic", "n": 2,
+                                                 "samples": 30, "seed": 0}
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["--kind", "generic", "--n", "2", "--samples", "3"],
+         "--kind generic takes no --samples"),
+        (["--kind", "generic", "--k", "5", "--samples", "30"],
+         "--kind generic takes no --samples"),
+        (["--kind", "flag", "--k", "9"], "--kind flag takes no --k"),
+        (["--kind", "two-line", "--k", "9", "--samples", "4"], "--kind two-line takes no --k"),
+        (["--kind", "flag-euclidean", "--k", "3"], "--kind flag-euclidean takes no --k"),
+    ])
+    def test_options_of_another_kind_refused(self, capsys, argv, reason):
+        code, out, err = run_cli(["verify-construction"] + argv, capsys)
+        assert code == 2
+        rep = json.loads(out)
+        assert (rep["verdict"], rep["error"]) == ("error", reason)
+        assert reason in err
+
     def test_two_line_rejects_other_dimensions(self, capsys):
         code, _, err = run_cli(["verify-construction", "--kind", "two-line",
                                 "--n", "3"], capsys)
         assert code == 2
         assert "error" in err
+
+
+class TestScanReport:
+    """_scan_report encodes every violation shape the scans return: point
+    tuples (flag, generic), scalar dicts (two-line), index dicts
+    (flag-euclidean), and bare points."""
+
+    @pytest.mark.parametrize("violation, encoded", [
+        (Point.finite((Fraction(1, 2), Fraction(0))), {"coords": ["1/2", "0"]}),
+        ((Point.finite((Fraction(0), Fraction(3))), Point.infinity(2)),
+         [{"coords": ["0", "3"]}, {"infinity": True}]),
+        ({"C1": (4, 5, THETA ** 2, Fraction(-2)), "C2": (2, 3, THETA, Fraction(1, 3))},
+         {"C1": [4, 5, ["0", "0", "1", "0"], "-2"], "C2": [2, 3, ["0", "1", "0", "0"], "1/3"]}),
+        ({"line": "C1", "colors": [1, 2, 4, 5]}, {"line": "C1", "colors": [1, 2, 4, 5]}),
+        ({"subset": (0, 3, 7), "colors": [1, 2, 3]}, {"subset": [0, 3, 7], "colors": [1, 2, 3]}),
+    ])
+    def test_violation_shapes(self, violation, encoded):
+        verdict, payload, stats = cli._scan_report(
+            {"n": 2, "ratio": Fraction(3, 4), "violations": [violation, violation]})
+        assert verdict == "violation-found"
+        assert payload == {"violations": [encoded, encoded]}
+        assert stats == {"n": 2, "ratio": "3/4"}
+        assert json.loads(canonical_json(payload)) == payload
+
+    def test_other_objects_are_refused(self):
+        with pytest.raises(TypeError, match="no JSON encoding for object"):
+            cli._scan_report({"violations": [object()]})
 
 
 class TestSearch:

@@ -1,22 +1,27 @@
 """Tests for the procedural colorings and generic-position sampling."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import combinations
+from typing import Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inversive._linalg import rank
+from inversive.chromatic import verify_generic
 from inversive.colorings import (
     ColoredConfig,
     ColoringError,
     FlagEuclidean,
     FlagInversive,
-    GenericPoints,
     PointListBackground,
     TwoLine,
+    _check_class,
+    _distinct,
+    _random_points,
     _rational_stream,
     _stereographic,
     color_of,
@@ -27,6 +32,7 @@ from inversive.colorings import (
 )
 from inversive.exactnum import BackendMismatch, THETA
 from inversive.geom import Point, concyclic, on_common_sphere
+from inversive.jsonio import FormatError, decode_coloring, encode_point
 
 nonzero_rationals = st.fractions(min_value=-30, max_value=30, max_denominator=9).filter(
     lambda q: q != 0
@@ -147,30 +153,133 @@ class TestFlagEuclidean:
             assert all(fe.color_of(p) == i for p in pts)
 
 
+def generic(n, k, seed=0):
+    """The generic-points coloring, as its seeded descriptor decodes it."""
+    return decode_coloring({"kind": "generic", "n": n, "k": k, "seed": seed})
+
+
 class TestGenericPoints:
     def test_marked_singletons(self):
-        g = GenericPoints.random(2, 5, seed=2)
+        g = generic(2, 5, seed=2)
         assert [g.color_of(p) for p in g.points] == [1, 2, 3, 4]
         assert g.color_of(Point.finite((99, 99))) == 5
         assert g.color_of(Point.infinity(2)) == 5
 
     def test_marked_points_generic(self):
-        g = GenericPoints.random(2, 6, seed=4)
+        g = generic(2, 6, seed=4)
         for quad in combinations(g.points, 4):
             assert not concyclic(*quad)
 
     def test_background_sampling_avoids_marks(self):
-        g = GenericPoints.random(2, 4, seed=1)
+        g = generic(2, 4, seed=1)
         pts = g.sample_class(4, 6, seed=9)
         assert len(pts) == 6
         assert all(g.color_of(p) == 4 for p in pts)
 
     def test_validation(self):
-        p = Point.finite((1, 2))
-        with pytest.raises(ColoringError):
-            GenericPoints(2, 3, (p, p))
-        with pytest.raises(ColoringError):
-            GenericPoints(2, 3, (p,))
+        p = {"coords": ["1", "2"]}
+        with pytest.raises(ColoringError, match="listed points must be distinct"):
+            decode_coloring({"kind": "generic", "n": 2, "k": 3, "points": [p, p]})
+        with pytest.raises(FormatError, match="marks exactly k - 1 points"):
+            decode_coloring({"kind": "generic", "n": 2, "k": 3, "points": [p]})
+        for k in (1, 0, -2):
+            with pytest.raises(FormatError, match="needs k at least 2"):
+                decode_coloring({"kind": "generic", "n": 2, "k": k, "seed": 1})
+            with pytest.raises(FormatError, match="needs k at least 2"):
+                decode_coloring({"kind": "generic", "n": 2, "k": k, "points": []})
+
+
+@dataclass(frozen=True)
+class ReferenceGenericPoints:
+    """The generic-points coloring as its own class, kept as the oracle of
+    the `generic` descriptor: k-1 marked points in singleton classes and
+    everything else in class k."""
+
+    n: int
+    k: int
+    points: Tuple[Point, ...]
+
+    def __post_init__(self):
+        if self.k < 2:
+            raise ColoringError("need at least two colors")
+        if len(self.points) != self.k - 1:
+            raise ColoringError("expected exactly k-1 marked points")
+        if len(set(self.points)) != len(self.points):
+            raise ColoringError("marked points must be distinct")
+        for p in self.points:
+            if p.dim != self.n:
+                raise ColoringError("marked point has the wrong dimension")
+
+    @classmethod
+    def random(cls, n, k, seed=0):
+        return cls(n, k, tuple(generic_position_points(n, k - 1, seed)))
+
+    def color_of(self, p):
+        if p.dim != self.n:
+            raise ColoringError("point has the wrong ambient dimension")
+        for j, x in enumerate(self.points, start=1):
+            if p == x:
+                return j
+        return self.k
+
+    def sample_class(self, i, count, seed=0):
+        _check_class(i, self.k, count)
+        if i < self.k:
+            return [self.points[i - 1]]
+        return _distinct(_random_points(self.n, seed), count, seen=set(self.points))
+
+
+def reference_verify_generic(n, k, seed):
+    subsets = list(combinations(ReferenceGenericPoints.random(n, k, seed).points, n + 2))
+    return {"n": n, "k": k, "subsets_checked": len(subsets),
+            "violations": [s for s in subsets if on_common_sphere(s)]}
+
+
+class TestGenericDescriptorAgainstReference:
+    """Both forms of the `generic` descriptor, seeded and with its points
+    listed, decode to the point-list coloring that the reference class
+    describes."""
+
+    SEEDS = range(6)
+
+    @staticmethod
+    def forms(ref, seed):
+        seeded = {"kind": "generic", "n": ref.n, "k": ref.k, "seed": seed}
+        listed = {"kind": "generic", "n": ref.n, "k": ref.k,
+                  "points": [encode_point(p) for p in ref.points]}
+        return decode_coloring(seeded), decode_coloring(listed)
+
+    @pytest.mark.parametrize("n,k", [(2, 2), (2, 5), (3, 4), (3, 6)])
+    def test_colors(self, n, k):
+        for seed in self.SEEDS:
+            ref = ReferenceGenericPoints.random(n, k, seed)
+            fresh = _distinct(_random_points(n, seed + 100), 8)
+            probes = list(ref.points) + fresh + [Point.infinity(n)]
+            for col in self.forms(ref, seed):
+                assert isinstance(col, PointListBackground)
+                assert (col.n, col.k, col.background) == (n, k, k)
+                assert [col.color_of(p) for p in probes] == [ref.color_of(p) for p in probes]
+                with pytest.raises(ColoringError):
+                    col.color_of(Point.infinity(n + 1))
+
+    @pytest.mark.parametrize("n,k", [(2, 2), (2, 5), (3, 4), (3, 6)])
+    def test_sample_every_class(self, n, k):
+        for seed in self.SEEDS:
+            ref = ReferenceGenericPoints.random(n, k, seed)
+            for col in self.forms(ref, seed):
+                for i in range(1, k + 1):
+                    # drawing with the descriptor's own seed replays the
+                    # stream the marked points came from
+                    for count, s in ((1, seed), (3, seed), (7, seed), (5, seed + i)):
+                        assert col.sample_class(i, count, s) == ref.sample_class(i, count, s)
+                for bad in (0, k + 1):
+                    with pytest.raises(ColoringError):
+                        col.sample_class(bad, 1)
+
+    @pytest.mark.parametrize("n,k", [(2, 5), (2, 8), (3, 6), (3, 7)])
+    def test_verify_generic(self, n, k):
+        for seed in self.SEEDS:
+            assert verify_generic(n, k, seed) == reference_verify_generic(n, k, seed)
 
 
 class TestPointListBackground:

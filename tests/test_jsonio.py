@@ -18,9 +18,9 @@ from inversive.colorings import (
     ColoredConfig,
     FlagEuclidean,
     FlagInversive,
-    GenericPoints,
     PointListBackground,
     TwoLine,
+    generic_position_points,
 )
 from inversive.euclid import GreatFlat, great_intersection
 from inversive.exactnum import THETA, Quartic2
@@ -166,6 +166,9 @@ class TestSpheres:
             decode_sphere({"c": "1"})
 
 
+INVERSION_DOC = {"inversion": {"center": ["0", "0"], "r2": "4"}}
+
+
 class TestMoebius:
     def test_round_trip_applies_identically(self):
         m = MoebiusMap((
@@ -191,6 +194,28 @@ class TestMoebius:
     def test_unknown_factor(self):
         with pytest.raises(FormatError):
             decode_moebius({"factors": [{"twist": {}}]})
+
+    @pytest.mark.parametrize("dim, factors, reason", [
+        ("x", [], 'map needs integer "dim"'),
+        (True, [], 'map needs integer "dim"'),
+        (False, [], 'map needs integer "dim"'),
+        (None, [], 'map needs integer "dim"'),
+        (2.0, [], 'map needs integer "dim"'),
+        (2.0, [INVERSION_DOC], 'map needs integer "dim"'),
+        (True, [INVERSION_DOC], 'map needs integer "dim"'),
+        (-3, [], 'map needs "dim" of at least 1'),
+        (0, [], 'map needs "dim" of at least 1'),
+    ])
+    def test_dim_must_be_a_positive_integer(self, dim, factors, reason):
+        with pytest.raises(FormatError, match="^%s$" % reason):
+            decode_moebius({"dim": dim, "factors": factors})
+
+    def test_dim_is_read_from_the_factors_when_absent(self):
+        m = decode_moebius({"factors": [INVERSION_DOC]})
+        assert m.dim == 2
+        assert encode_moebius(m)["dim"] == 2
+        with pytest.raises(GeometryError, match="factor dimension mismatch"):
+            decode_moebius({"dim": 3, "factors": [INVERSION_DOC]})
 
     @pytest.mark.parametrize("entry, key", [
         ({"inversion": {"center": ["0", "0"]}}, "r2"),
@@ -244,7 +269,7 @@ class TestColorings:
         FlagEuclidean(2),
         TwoLine(),
         TwoLine(extended=True),
-        GenericPoints.random(2, 4, seed=3),
+        decode_coloring({"kind": "generic", "n": 2, "k": 4, "seed": 3}),
         PointListBackground(2, (fp(0, 0), fp(1, 1)), (1, 2), 3),
     ])
     def test_round_trip(self, col):
@@ -256,11 +281,23 @@ class TestColorings:
 
     def test_generic_by_seed(self):
         a = decode_coloring({"kind": "generic", "n": 2, "k": 4, "seed": 3})
-        assert a == GenericPoints.random(2, 4, seed=3)
+        assert a == PointListBackground(2, tuple(generic_position_points(2, 3, 3)),
+                                        (1, 2, 3), 4)
 
     def test_generic_seed_defaults_to_zero(self):
         assert (decode_coloring({"kind": "generic", "n": 2, "k": 4})
-                == GenericPoints.random(2, 4, seed=0))
+                == decode_coloring({"kind": "generic", "n": 2, "k": 4, "seed": 0}))
+
+    def test_generic_is_written_back_as_its_point_list(self):
+        pts = generic_position_points(3, 5, 7)
+        col = decode_coloring({"kind": "generic", "n": 3, "k": 6, "seed": 7})
+        doc = encode_coloring(col)
+        assert doc == {"kind": "point-list", "n": 3, "background": 6,
+                       "points": [dict(encode_point(p), color=c)
+                                  for p, c in zip(pts, range(1, 6))]}
+        assert decode_coloring(doc) == col
+        listed = {"kind": "generic", "n": 3, "k": 6, "points": [encode_point(p) for p in pts]}
+        assert decode_coloring(listed) == col
 
     @pytest.mark.parametrize("seed", [[1], "abc", True, 1.5, None])
     def test_generic_seed_must_be_an_integer(self, seed):
@@ -421,6 +458,63 @@ class TestArrayFields:
     def test_listed_point_must_be_an_object(self):
         with pytest.raises(FormatError, match='needs a "color"'):
             decode_coloring({"kind": "point-list", "n": 2, "background": 1, "points": [5]})
+
+
+def reference_encode_colored(items):
+    """The loop that encode_config and the point-list descriptor each used
+    to write for themselves."""
+    pts = []
+    for p, c in items:
+        entry = encode_point(p)
+        entry["color"] = c
+        pts.append(entry)
+    return pts
+
+
+COLORED_ITEMS = (
+    (fp(0, 0), 1), (Point.infinity(2), 2), (fp(Fraction(-3, 7), 5), 3),
+    (Point.finite((THETA, Fraction(0))), 4), (Point.finite((0.5, -1.25)), 2),
+)
+
+
+class TestColoredPointCodec:
+    """Configurations and point-list colorings write their colored points
+    through one codec, byte for byte as the hand-written loops did."""
+
+    @pytest.mark.parametrize("cfg", [
+        UNIT_CIRCLE_CONFIG,
+        ColoredConfig(2, 5, FIVE_POINT_PAIRS),
+        ColoredConfig(2, 4, COLORED_ITEMS),
+        ColoredConfig(3, 2, ()),
+        ColoredConfig.sample(FlagInversive(3), 3, 5),
+    ])
+    def test_config_bytes(self, cfg):
+        old = {"n": cfg.n, "k": cfg.k, "points": reference_encode_colored(cfg.items)}
+        assert canonical_json(encode_config(cfg)) == canonical_json(old)
+        assert decode_config(json.loads(canonical_json(old))) == cfg
+
+    @pytest.mark.parametrize("col", [
+        PointListBackground(2, tuple(p for p, _ in COLORED_ITEMS),
+                            tuple(c for _, c in COLORED_ITEMS), 1),
+        PointListBackground(2, (), (), 1),
+        decode_coloring({"kind": "generic", "n": 2, "k": 7, "seed": 4}),
+    ])
+    def test_point_list_bytes(self, col):
+        old = {"kind": "point-list", "n": col.n, "background": col.background,
+               "points": reference_encode_colored(zip(col.points, col.colors))}
+        assert canonical_json(encode_coloring(col)) == canonical_json(old)
+        assert decode_coloring(json.loads(canonical_json(old))) == col
+
+    @pytest.mark.parametrize("decode, doc, what", [
+        (decode_config, {"n": 2, "k": 2, "points": [{"coords": ["0", "0"]}]},
+         "configuration point"),
+        (decode_config, {"n": 2, "k": 2, "points": [["0", "0"]]}, "configuration point"),
+        (decode_coloring, {"kind": "point-list", "n": 2, "background": 1,
+                           "points": [{"infinity": True}]}, "listed point"),
+    ])
+    def test_a_point_without_color_is_named(self, decode, doc, what):
+        with pytest.raises(FormatError, match='^each %s needs a "color"$' % what):
+            decode(doc)
 
 
 class TestCanonicalJson:

@@ -16,11 +16,12 @@ import pytest
 
 from inversive.chromatic import (PolychromaticWitness, find_polychromatic, verify_flag,
                                  verify_two_line)
-from inversive.colorings import (ColoredConfig, ColoringError, FlagInversive, GenericPoints,
+from inversive.colorings import (ColoredConfig, ColoringError, FlagInversive,
                                  PointListBackground, TwoLine, _rational_stream,
                                  _stereographic, rational_sphere_points)
 from inversive.exactnum import is_zero
 from inversive.geom import GeometryError, Point, on_common_sphere, on_sphere, sphere_through
+from inversive.jsonio import decode_coloring
 
 
 def reference_points(n, seed):
@@ -54,11 +55,10 @@ def reference_flag_class(n, i, count, seed):
 
 
 def reference_background(coloring, count, seed):
-    """The background class of `GenericPoints` or `PointListBackground`:
-    its listed points first, then fresh random points."""
-    background = getattr(coloring, "background", coloring.k)
-    listed = [p for p, c in zip(coloring.points, getattr(coloring, "colors", ()))
-              if c == background]
+    """The background class of a `PointListBackground`: its listed points
+    first, then fresh random points."""
+    listed = [p for p, c in zip(coloring.points, coloring.colors)
+              if c == coloring.background]
 
     def gen():
         yield from listed
@@ -164,6 +164,11 @@ def reference_verify_two_line(per_class, seed):
             "line_colors": line_colors, "violations": violations}
 
 
+def generic(n, k, seed):
+    """The generic-points coloring: k - 1 marked points over background k."""
+    return decode_coloring({"kind": "generic", "n": n, "k": k, "seed": seed})
+
+
 # the listed background point lies on the line through (1, 0), (0, 1) and
 # infinity, so that line carries all four colors
 LISTED = PointListBackground(
@@ -185,7 +190,7 @@ class TestColoringStreams:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_generic_background(self, n):
         for seed in SEEDS:
-            g = GenericPoints.random(n, n + 3, seed)
+            g = generic(n, n + 3, seed)
             assert g.sample_class(g.k, 9, seed) == reference_background(g, 9, seed)
 
     def test_listed_background(self):
@@ -208,8 +213,8 @@ class TestScanSamples:
         (FlagInversive(2), 4, 40, 3),
         (TwoLine(), 3, 200, 3),
         (TwoLine(), 4, 40, 3),
-        (GenericPoints.random(2, 5, 3), 3, 60, 3),
-        (GenericPoints.random(2, 5, 3), 4, 60, 4),
+        (generic(2, 5, 3), 3, 60, 3),
+        (generic(2, 5, 3), 4, 60, 4),
         (LISTED, 3, 60, 3),
         (LISTED, 4, 80, 4),
     ])
