@@ -85,6 +85,9 @@ class SeparationWitness:
     separated_pair: Tuple[ColoredPoint, ColoredPoint]
 
     def __post_init__(self):
+        n = self.sphere.dim + 1
+        if len(self.defining) != n or len({p for p, _ in self.defining}) != n:
+            raise GeometryError("a separation witness needs %d distinct defining points" % n)
         colors = [c for _, c in self.defining] + [c for _, c in self.separated_pair]
         if len(set(colors)) != len(colors):
             raise GeometryError("separation witness colors must be distinct")

@@ -473,10 +473,11 @@ def decode_map(obj: Any) -> FiniteImageMap:
     for key, val in obj["table"].items():
         if isinstance(val, bool) or not isinstance(val, int):
             raise FormatError("table values must be integer image indices")
-        try:
-            table[int(key)] = val
-        except ValueError as e:
-            raise FormatError("table keys must be integer colors") from e
+        digits = key[1:] if key.startswith("-") else key
+        if not digits.isdecimal() or str(int(key)) != key:
+            raise FormatError("table key %s is not a color in canonical integer form"
+                              % json.dumps(key))
+        table[int(key)] = val
     return FiniteImageMap(coloring, image, table)
 
 

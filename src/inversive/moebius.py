@@ -29,8 +29,6 @@ from .geom import (
     Hypersphere,
     Point,
     Scalar,
-    _cdiv,
-    _cmul,
     _uniform,
     lift_row,
     vec_dot,
@@ -187,11 +185,6 @@ def compose(f: MoebiusMap, g: MoebiusMap) -> MoebiusMap:
     return MoebiusMap(g.factors + f.factors, f.dim)
 
 
-def _zero_vec(n: int, k: str) -> Tuple:
-    z = promote(0, k) if k != "rational" else Fraction(0)
-    return tuple(z for _ in range(n))
-
-
 def translation_factors(v: Sequence[Scalar]) -> List[PrimitiveMap]:
     """Translation by v as two parallel reflections (empty list for v = 0)."""
     v = tuple(v)
@@ -211,51 +204,8 @@ def scaling_factors(s: Scalar, n: int) -> List[PrimitiveMap]:
     if is_zero(s - 1):
         return []
     k = common_kind([s])
-    origin = _zero_vec(n, k)
+    origin = (promote(0, k),) * n
     return [SphereInversion(origin, promote(1, k)), SphereInversion(origin, s)]
-
-
-def _reciprocal_factors(k: str) -> List[PrimitiveMap]:
-    # z -> 1/z: unit inversion (z -> 1/conj(z)) then conjugation
-    origin = _zero_vec(2, k)
-    one = promote(1, k)
-    zero = one - one
-    return [
-        SphereInversion(origin, one),
-        HyperplaneReflection((zero, one), zero),
-    ]
-
-
-def rotation_factors(unit: Tuple[Scalar, Scalar]) -> List[PrimitiveMap]:
-    """Planar rotation by the angle of a unit complex number, as two line
-    reflections through the origin (the second mirror at half angle)."""
-    u, v = unit
-    if not is_zero(u * u + v * v - 1):
-        raise GeometryError("rotation needs a unit complex number")
-    if is_zero(v) and sign_of(u) > 0:
-        return []
-    k = common_kind([u, v])
-    one = promote(1, k)
-    zero = one - one
-    x_axis = HyperplaneReflection((zero, one), zero)
-    if is_zero(v) and sign_of(u) < 0:
-        # rotation by pi
-        return [x_axis, HyperplaneReflection((one, zero), zero)]
-    # mirror along the half-angle direction (1+u, v); its normal is (-v, 1+u)
-    return [x_axis, HyperplaneReflection((-v, one + u), zero)]
-
-
-def complex_scaling_factors(nu: Tuple[Scalar, Scalar]) -> List[PrimitiveMap]:
-    """Multiplication by the complex number nu, when |nu| lies in the field."""
-    s2 = nu[0] * nu[0] + nu[1] * nu[1]
-    if is_zero(s2):
-        raise GeometryError("cannot scale by zero")
-    s = sqrt_in_field(s2)
-    if s is None:
-        raise NormalizationError("similarity ratio |%r| is outside the scalar field" % (nu,))
-    factors = scaling_factors(s, 2)
-    factors += rotation_factors((nu[0] / s, nu[1] / s))
-    return factors
 
 
 def _send_zero_infinity(p: Point, q: Point) -> List[PrimitiveMap]:
@@ -277,11 +227,14 @@ def normalize(p: Point, q: Point, r: Optional[Point] = None) -> MoebiusMap:
     """The Moebius map sending p to the origin and q to infinity; with r it
     also sends r to (1, 0, ..., 0).
 
-    In the plane the three-point form is the complex map
-    z -> ((z - p)(r - q)) / ((z - q)(r - p)) expressed in primitives; in
-    higher dimensions the residual similarity is a Householder reflection and
-    a scaling, which must stay inside the scalar field or the call raises
-    NormalizationError.
+    One construction in every dimension (Beardon, The Geometry of Discrete
+    Groups, ch. 3): an inversion about q and a translation send p to the
+    origin and q to infinity; a Householder mirror turns the image r'' of r
+    onto the first axis, and a scaling by 1/|r''| ends it at e1. |r''| must
+    lie in the scalar field, or the call raises NormalizationError. In the
+    plane a word with an odd number of factors ends with the mirror of the
+    x-axis, which fixes 0, infinity and e1; the word then preserves
+    orientation and is the complex map z -> ((z - p)(r - q)) / ((z - q)(r - p)).
     """
     pts = [p, q] + ([r] if r is not None else [])
     pts, _ = _uniform(pts)
@@ -290,60 +243,27 @@ def normalize(p: Point, q: Point, r: Optional[Point] = None) -> MoebiusMap:
     else:
         p, q = pts
     n = p.dim
-    if len({pt for pt in pts}) != len(pts):
+    if len(set(pts)) != len(pts):
         raise GeometryError("normalize needs distinct points")
-    if r is None:
-        factors = _send_zero_infinity(p, q)
-        result = MoebiusMap(tuple(factors), n)
-    elif n == 2:
-        result = MoebiusMap(tuple(_three_point_plane_factors(p, q, r)), 2)
-    else:
-        factors = _send_zero_infinity(p, q)
-        partial = MoebiusMap(tuple(factors), n)
-        r_img = partial.apply(r)
+    factors = _send_zero_infinity(p, q)
+    if r is not None:
+        r_img = MoebiusMap(tuple(factors), n).apply(r)
         if r_img.is_infinity:
             raise GeometryError("normalize needs distinct points")
-        ll = vec_dot(r_img.coords, r_img.coords)
-        length = sqrt_in_field(ll)
+        length = sqrt_in_field(vec_dot(r_img.coords, r_img.coords))
         if length is None:
             raise NormalizationError("length of the image of r is outside the scalar field")
         k = common_kind([length, *r_img.coords])
-        e1 = (promote(length, k),) + _zero_vec(n - 1, k)
-        householder = vec_sub(r_img.coords, e1)
+        zero = promote(0, k)
+        householder = vec_sub(r_img.coords, (promote(length, k),) + (zero,) * (n - 1))
         if not all(is_zero(x) for x in householder):
-            factors.append(HyperplaneReflection(householder, promote(0, k)))
+            factors.append(HyperplaneReflection(householder, zero))
         factors += scaling_factors(1 / length, n)
-        result = MoebiusMap(tuple(factors), n)
+        if n == 2 and len(factors) % 2 == 1:
+            factors.append(HyperplaneReflection((zero, promote(1, k)), zero))
+    result = MoebiusMap(tuple(factors), n)
     _assert_normalized(result, p, q, r)
     return result
-
-
-def _three_point_plane_factors(p: Point, q: Point, r: Point) -> List[PrimitiveMap]:
-    k = common_kind([x for pt in (p, q, r) for x in pt.coords or ()])
-    one = promote(1, k)
-    factors: List[PrimitiveMap] = []
-    if q.is_infinity:
-        # z -> (z - p) / (r - p)
-        factors += translation_factors(vec_scale(-1, p.coords))
-        nu = _cdiv((one, one - one), vec_sub(r.coords, p.coords))
-        factors += complex_scaling_factors(nu)
-        return factors
-    factors += translation_factors(vec_scale(-1, q.coords))
-    factors += _reciprocal_factors(k)
-    if p.is_infinity:
-        # z -> (r - q) / (z - q)
-        factors += complex_scaling_factors(vec_sub(r.coords, q.coords))
-        return factors
-    if r.is_infinity:
-        # z -> 1 + (q - p) / (z - q)
-        factors += complex_scaling_factors(vec_sub(q.coords, p.coords))
-        factors += translation_factors((one, one - one))
-        return factors
-    mu = _cdiv(vec_sub(r.coords, q.coords), vec_sub(r.coords, p.coords))
-    nu = _cmul(mu, vec_sub(q.coords, p.coords))
-    factors += complex_scaling_factors(nu)
-    factors += translation_factors(mu)
-    return factors
 
 
 def _assert_normalized(m: MoebiusMap, p: Point, q: Point, r: Optional[Point]) -> None:

@@ -496,6 +496,22 @@ class TestValidate:
         assert code == 1
         assert json.loads(out)["verdict"] == "invalid-witness"
 
+    @pytest.mark.parametrize("tamper", [
+        lambda d: d[:1],
+        lambda d: [],
+        lambda d: [d[0], dict(d[0], color=9), d[2]],
+    ], ids=["one-point", "no-point", "repeated-point"])
+    def test_separation_witness_needs_three_distinct_points(self, tmp_path, capsys, tamper):
+        cfg = write_json(tmp_path / "five.json", FIVE_POINT_DOC)
+        _, out, _ = run_cli(["separate", "--input", cfg], capsys)
+        rep = json.loads(out)
+        rep["witness"]["defining"] = tamper(rep["witness"]["defining"])
+        code, out, _ = run_cli(["validate", "--input",
+                                write_json(tmp_path / "bad.json", rep)], capsys)
+        rep = json.loads(out)
+        assert code == 1 and rep["verdict"] == "invalid-witness"
+        assert rep["reason"] == "a separation witness needs 3 distinct defining points"
+
     def test_surface_of_another_dimension_is_invalid(self, tmp_path, capsys):
         # a circle of the plane cannot cut a carrier plane of R^3
         doc = {"sphere": {"carrier": {"basepoint": ["0", "0", "0"],

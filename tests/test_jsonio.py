@@ -6,6 +6,7 @@ to load rather than producing unvalidated witnesses.
 """
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -406,6 +407,15 @@ class TestMaps:
         obj = encode_map(t)
         obj["table"] = {"one": 0, "2": 1, "3": 2, "4": 3}
         with pytest.raises(FormatError):
+            decode_map(obj)
+
+    @pytest.mark.parametrize("key", ["01", "+1", " 1", "1_0", "-0"])
+    def test_table_keys_must_be_canonical(self, key):
+        # "01" beside "1" silently overrode it, and "1_0" read as color 10
+        t = build_sharp_map([fp(0, 0), fp(1, 0), Point.infinity(2), fp(0, 1)])
+        obj = encode_map(t)
+        obj["table"][key] = 3
+        with pytest.raises(FormatError, match="table key %s is not" % re.escape(json.dumps(key))):
             decode_map(obj)
 
 

@@ -14,12 +14,18 @@ from inversive.exactnum import (
     Quartic2,
     common_kind,
     is_zero,
+    promote,
+    sign_of,
+    sqrt_in_field,
 )
 from inversive.geom import (
     CR_INFINITY,
     GeometryError,
     Hypersphere,
     Point,
+    _cdiv,
+    _cmul,
+    _uniform,
     cross_ratio,
     on_sphere,
     sphere_through,
@@ -35,7 +41,6 @@ from inversive.moebius import (
     SphereInversion,
     compose,
     normalize,
-    rotation_factors,
     scaling_factors,
     translation_factors,
 )
@@ -212,7 +217,7 @@ class TestBuildingBlocks:
             scaling_factors(F(-2), 2)
 
     def test_rotation(self):
-        # rotation by the angle of (3/5, 4/5)
+        # the planar oracle's rotation, by the angle of (3/5, 4/5)
         m = MoebiusMap(tuple(rotation_factors((F(3, 5), F(4, 5)))), 2)
         assert m.apply(Point.finite((1, 0))) == Point.finite((F(3, 5), F(4, 5)))
         assert m.apply(Point.finite((0, 1))) == Point.finite((F(-4, 5), F(3, 5)))
@@ -647,3 +652,167 @@ class TestAgainstPerFactorReference:
         if len(through) == 3:
             s = sphere_through(list(through))
             assert_sphere_matches(m.image_sphere(s), m.factors, s)
+
+
+# ---------------------------------------------------------------------------
+# the planar normalize that built z -> ((z - p)(r - q)) / ((z - q)(r - p))
+# from complex arithmetic before the plane took the general path, kept
+# verbatim as its oracle
+
+
+def _zero_vec(n, k):
+    z = promote(0, k) if k != "rational" else F(0)
+    return tuple(z for _ in range(n))
+
+
+def _reciprocal_factors(k):
+    # z -> 1/z: unit inversion (z -> 1/conj(z)) then conjugation
+    origin = _zero_vec(2, k)
+    one = promote(1, k)
+    zero = one - one
+    return [
+        SphereInversion(origin, one),
+        HyperplaneReflection((zero, one), zero),
+    ]
+
+
+def rotation_factors(unit):
+    """Planar rotation by the angle of a unit complex number, as two line
+    reflections through the origin (the second mirror at half angle)."""
+    u, v = unit
+    if not is_zero(u * u + v * v - 1):
+        raise GeometryError("rotation needs a unit complex number")
+    if is_zero(v) and sign_of(u) > 0:
+        return []
+    k = common_kind([u, v])
+    one = promote(1, k)
+    zero = one - one
+    x_axis = HyperplaneReflection((zero, one), zero)
+    if is_zero(v) and sign_of(u) < 0:
+        # rotation by pi
+        return [x_axis, HyperplaneReflection((one, zero), zero)]
+    # mirror along the half-angle direction (1+u, v); its normal is (-v, 1+u)
+    return [x_axis, HyperplaneReflection((-v, one + u), zero)]
+
+
+def complex_scaling_factors(nu):
+    """Multiplication by the complex number nu, when |nu| lies in the field."""
+    s2 = nu[0] * nu[0] + nu[1] * nu[1]
+    if is_zero(s2):
+        raise GeometryError("cannot scale by zero")
+    s = sqrt_in_field(s2)
+    if s is None:
+        raise NormalizationError("similarity ratio |%r| is outside the scalar field" % (nu,))
+    factors = scaling_factors(s, 2)
+    factors += rotation_factors((nu[0] / s, nu[1] / s))
+    return factors
+
+
+def _three_point_plane_factors(p, q, r):
+    k = common_kind([x for pt in (p, q, r) for x in pt.coords or ()])
+    one = promote(1, k)
+    factors = []
+    if q.is_infinity:
+        # z -> (z - p) / (r - p)
+        factors += translation_factors(vec_scale(-1, p.coords))
+        nu = _cdiv((one, one - one), vec_sub(r.coords, p.coords))
+        factors += complex_scaling_factors(nu)
+        return factors
+    factors += translation_factors(vec_scale(-1, q.coords))
+    factors += _reciprocal_factors(k)
+    if p.is_infinity:
+        # z -> (r - q) / (z - q)
+        factors += complex_scaling_factors(vec_sub(r.coords, q.coords))
+        return factors
+    if r.is_infinity:
+        # z -> 1 + (q - p) / (z - q)
+        factors += complex_scaling_factors(vec_sub(q.coords, p.coords))
+        factors += translation_factors((one, one - one))
+        return factors
+    mu = _cdiv(vec_sub(r.coords, q.coords), vec_sub(r.coords, p.coords))
+    nu = _cmul(mu, vec_sub(q.coords, p.coords))
+    factors += complex_scaling_factors(nu)
+    factors += translation_factors(mu)
+    return factors
+
+
+def reference_normalize_plane(p, q, r):
+    (p, q, r), _ = _uniform([p, q, r])
+    return MoebiusMap(tuple(_three_point_plane_factors(p, q, r)), 2)
+
+
+def _normalize_probes(rng, p, q, r):
+    """The triple, infinity and five random rational points."""
+    return [p, q, r, Point.infinity(2)] + [rand_point(rng) for _ in range(5)]
+
+
+def assert_same_normalize(rng, p, q, r):
+    """Both raise NormalizationError, or both maps agree exactly on the
+    probes; returns whether a map was built."""
+    try:
+        want = reference_normalize_plane(p, q, r)
+    except NormalizationError:
+        with pytest.raises(NormalizationError):
+            normalize(p, q, r)
+        return False
+    got = normalize(p, q, r)
+    for x in _normalize_probes(rng, p, q, r):
+        assert got.apply(x) == want.apply(x), (p, q, r, x)
+    return True
+
+
+class TestAgainstPlanarReference:
+    def test_images_of_zero_infinity_e1_under_words(self):
+        rng = random.Random(1717)
+        anchors = [Point.finite((0, 0)), Point.infinity(2), Point.finite((1, 0))]
+        built = refused = 0
+        for _ in range(150):
+            word = seeded_word(rng, 2, max_factors=5, quartic_share=0.3)
+            triple = [word.apply(x) for x in anchors]
+            if rng.random() < 0.2:
+                rng.shuffle(triple)
+            if assert_same_normalize(rng, *triple):
+                built += 1
+            else:
+                refused += 1
+        assert built > 50 and refused > 0
+
+    def test_infinity_in_each_place(self):
+        rng = random.Random(29)
+        built = [0, 0, 0]
+        for _ in range(60):
+            for place in range(3):
+                triple = [Point.finite((rng.randint(-6, 6), rng.randint(-6, 6)))
+                          for _ in range(2)]
+                if triple[0] == triple[1]:
+                    continue
+                triple.insert(place, Point.infinity(2))
+                built[place] += assert_same_normalize(rng, *triple)
+        assert min(built) > 5
+
+    def test_random_rational_triples(self):
+        # a small grid at one random scale, so that some lengths are rational
+        rng = random.Random(31)
+        built = refused = 0
+        for _ in range(300):
+            d = rng.randint(1, 4)
+            triple = [Point.finite((F(rng.randint(-3, 3), d), F(rng.randint(-3, 3), d)))
+                      for _ in range(3)]
+            if len(set(triple)) == 3:
+                ok = assert_same_normalize(rng, *triple)
+                built, refused = built + ok, refused + (not ok)
+        assert built > 10 and refused > 0
+
+    def test_float_triples(self):
+        rng = random.Random(37)
+        for _ in range(100):
+            triple = [Point.finite((rng.uniform(-4, 4), rng.uniform(-4, 4)))
+                      for _ in range(3)]
+            if rng.random() < 0.3:
+                triple[rng.randrange(3)] = Point.infinity(2)
+            got, want = normalize(*triple), reference_normalize_plane(*triple)
+            for x in _normalize_probes(rng, *triple):
+                a, b = got.apply(x), want.apply(x)
+                assert a.is_infinity == b.is_infinity
+                for u, v in zip(a.coords or (), b.coords or ()):
+                    assert abs(u - v) <= EPSILON * max(1.0, abs(v))
