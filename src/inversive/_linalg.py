@@ -8,8 +8,8 @@ t**4 = 2, for any other (a Quartic2 entry), where an entry is the int
 4-tuple of its coefficients and the division goes through the pivot's
 cofactor and integer norm. `rref` is Gauss-Jordan over the field for
 float matrices: partial pivoting, entries within EPSILON treated as zero.
-`cut` adds a row to a nullspace basis; `zt_row` and `zt_twisted` give the
-Z[t] rows of one exact dot product.
+`cut` adds a row to a nullspace basis, `zt_cut` to a Z[t] one; `zt_row`,
+`zt_lift` and `zt_twisted` give the Z[t] rows of one exact dot product.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from .exactnum import (EPSILON, Quartic2, is_zero, promote, zt_cofactor, zt_element,
-                       zt_mul)
+from .exactnum import EPSILON, is_zero, promote, zt_cofactor, zt_element, zt_mul, zt_pair
 
 _ZT0 = (0, 0, 0, 0)
 
@@ -41,19 +40,14 @@ def _eliminate(rows: Sequence[Sequence], ncols: int,
     """The elimination of a matrix: `bareiss` over Z for a rational one (an
     all-int one as it is, else each row scaled by its least common
     denominator), `rref` for a float one, else `bareiss` over Z[t] with each
-    row scaled by a positive integer (`zt_row`)."""
+    row scaled by a positive integer (`zt_row`), a Z[t] one as it is."""
     if all(type(x) is int for r in rows for x in r):
         return bareiss(rows, ncols, reduced)
     if all(type(x) is int or type(x) is Fraction for r in rows for x in r):
         return bareiss([scaled_to_integers(r)[1] for r in rows], ncols, reduced)
     if _is_float_matrix(rows):
         return rref(rows, ncols)
-    return bareiss([zt_row(r) for r in rows], ncols, reduced)
-
-
-def _scalar(x):
-    """An entry of an elimination as a scalar: a Z[t] 4-tuple as a Quartic2."""
-    return zt_element(x) if type(x) is tuple else x
+    return bareiss(rows if type(rows[0][0]) is tuple else list(map(zt_row, rows)), ncols, reduced)
 
 
 def scaled_to_integers(xs: Sequence) -> Tuple[int, List[int]]:
@@ -141,19 +135,30 @@ def bareiss(rows: Sequence[Sequence], ncols: int,
 def zt_row(row: Sequence) -> List[Tuple[int, int, int, int]]:
     """An exact row scaled by a positive integer, its entries' least common
     denominator, into Z[t]: each entry as the int 4-tuple of its coefficients."""
-    parts = [(x._n, x._d) if type(x) is Quartic2
-             else ((x.numerator, 0, 0, 0), x.denominator) for x in row]
+    parts = [zt_pair(x) for x in row]
     d = lcm(*[q for _, q in parts])
     return [n if q == d else tuple(c * (d // q) for c in n) for n, q in parts]
+
+
+def zt_lift(xs: Sequence) -> List[int]:
+    """The lifted row (<x,x>, x, 1) of a finite exact point x times D**2, D its
+    coordinates' least common denominator, into Z[t], flattened: equal points, equal rows."""
+    d, xs = lcm(*[zt_pair(x)[1] for x in xs]), zt_row(xs)
+    return [*map(sum, zip(*[zt_mul(x, x) for x in xs])), *[c * d for x in xs for c in x],
+            d * d, 0, 0, 0]
 
 
 def zt_twisted(row: Sequence[Sequence[int]]) -> Tuple[List[int], ...]:
     """The four flat int rows w_0..w_3 with <row, v> = sum_k (w_k . v) t**k for
     every Z[t] row v flattened to four ints per entry: w_k holds at 4i + j
     the coefficient of t**k in row[i] * t**j, folded through t**4 = 2."""
-    return tuple([c for n in row for c in
-                  [n[k - j] if j <= k else 2 * n[k - j + 4] for j in range(4)]]
-                 for k in range(4))
+    w0, w1, w2, w3 = [], [], [], []
+    for a, b, c, d in row:
+        w0 += (a, 2 * d, 2 * c, 2 * b)
+        w1 += (b, a, 2 * d, 2 * c)
+        w2 += (c, b, a, 2 * d)
+        w3 += (d, c, b, a)
+    return w0, w1, w2, w3
 
 
 def zt_dot(twisted: Sequence[Sequence[int]], v: Sequence[int]) -> Tuple[int, int, int, int]:
@@ -200,25 +205,41 @@ def cut(basis: Sequence[Sequence], row: Sequence) -> Optional[List[List]]:
             for j, (b, f) in enumerate(zip(basis, dots)) if j != i]
 
 
+def zt_cut(basis: Sequence[Sequence], twisted: Sequence[Sequence[int]]) -> Optional[List[List]]:
+    """`cut` of a basis of Z[t] rows by the row whose `zt_twisted` rows are
+    given, each new w_j in its `zt_normal` form."""
+    dots = [zt_dot(twisted, [c for x in b for c in x]) for b in basis]
+    i = next((i for i, f in enumerate(dots) if f != _ZT0), -1)
+    if i < 0:
+        return None
+    p, top, unit = dots[i], basis[i], ((1, 0, 0, 0), None, 1)  # `_zt_step` divides by 1
+    return [zt_normal([_zt_step(p, x, f, y, unit) for x, y in zip(b, top)])[0]
+            if f != _ZT0 else b for j, (b, f) in enumerate(zip(basis, dots)) if j != i]
+
+
+def zt_normal(v: Sequence[Sequence[int]]) -> Tuple[List[Tuple[int, int, int, int]], int]:
+    """(w, q) for a nonzero Z[t] row v: w a multiple of v with coprime ints
+    and an int lead q > 0 (a lead times its cofactor is its int norm)."""
+    i = next(i for i, x in enumerate(v) if x != _ZT0)
+    if v[i][1] or v[i][2] or v[i][3]:
+        c = zt_cofactor(v[i])[0]
+        v = [x if x == _ZT0 else zt_mul(x, c) for x in v]
+    g = gcd(*[c for x in v for c in x])
+    g = g if v[i][0] > 0 else -g
+    return [(a // g, b // g, c // g, d // g) for a, b, c, d in v], v[i][0] // g
+
+
 def canonical(v: Sequence) -> List:
     """The normal form of a nonzero exact row up to a nonzero factor, whatever
     backend computed it: a row that is rational after division by its lead as
     primitive ints with a positive lead, any other Q(2^(1/4)) row with lead 1."""
     try:
         g = gcd(*v)
-    except TypeError:  # Fraction or Q(2^(1/4)) entries
-        if any(type(x) is Quartic2 for x in v):
-            # the product with the cofactor c of its Z[t] lead q has lead q * c,
-            # the int norm of q
-            zs = zt_row(v)
-            c, norm = zt_cofactor(next(x for x in zs if x != _ZT0))
-            zs = [zt_mul(x, c) for x in zs]
-            if any(x[1] or x[2] or x[3] for x in zs):
-                return [zt_element(x, norm) for x in zs]
-            v = [x[0] for x in zs]
-        else:
-            v = scaled_to_integers(v)[1]
-        g = gcd(*v)
+    except TypeError:  # Fraction, Q(2^(1/4)) or Z[t] entries: their Z[t] normal form
+        w, q = zt_normal(v if type(v[0]) is tuple else zt_row(v))
+        if any(x[1] or x[2] or x[3] for x in w):
+            return [zt_element(x, q) for x in w]
+        return [x[0] for x in w]
     g = g if next(x for x in v if x) > 0 else -g
     return [x // g for x in v]
 
@@ -239,25 +260,29 @@ def echelon(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List], List[int]
     """The nonzero rows of the reduced row echelon form of an exact matrix,
     each `canonical`, and the pivot columns, from the reduced Bareiss rows."""
     m, pivots = _eliminate(rows, ncols)
-    return [canonical([_scalar(x) for x in r] if type(r[0]) is tuple else r)
-            for r in m[: len(pivots)]], pivots
+    return [canonical(r) for r in m[: len(pivots)]], pivots
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> List[List]:
     """Basis of the right nullspace, one vector per free column: integer
-    vectors for a rational matrix, Quartic2 ones for another exact matrix."""
+    vectors for a rational matrix, Z[t] ones (int 4-tuples) for a Z[t]
+    matrix, Quartic2 ones for another exact matrix."""
     m, pivots = _eliminate(rows, ncols)
     # the first pivot is the matrix's own one (d for bareiss), so a float
     # matrix gets float entries at the free columns
-    scale = _scalar(m[0][pivots[0]]) if pivots else 1
+    scale = m[0][pivots[0]] if pivots else 1
+    zt = type(scale) is tuple
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [0 * scale] * ncols
+        vec = [_ZT0 if zt else 0 * scale] * ncols
         vec[free] = scale
         for row_idx, pcol in enumerate(pivots):
-            vec[pcol] = -_scalar(m[row_idx][free])
+            x = m[row_idx][free]
+            vec[pcol] = (-x[0], -x[1], -x[2], -x[3]) if zt else -x
         basis.append(vec)
+    if zt and type(rows[0][0]) is not tuple:
+        return [[zt_element(x) for x in v] for v in basis]
     return basis

@@ -24,7 +24,7 @@ from .colorings import (
     generic_position_points,
     num_colors,
 )
-from .exactnum import THETA, NormClass, is_zero, norm_class_of, sign_of
+from .exactnum import THETA, NormClass, is_zero, norm_class_of, sign_of, zt_pair
 from .geom import (
     DegenerateConfigError,
     GeometryError,
@@ -552,11 +552,12 @@ def verify_two_line(per_class: int = 40, seed: int = 0) -> Dict:
             c2.append((y, color))
 
     def pair_products(pool: List[Tuple[Scalar, int]]) -> Dict:
+        # keyed on each product's canonical (numerators, denominator) ints
         table: Dict = {}
         for (v1, col1), (v2, col2) in combinations(pool, 2):
             if col1 == col2:
                 continue
-            table.setdefault(v1 * v2, []).append((col1, col2, v1, v2))
+            table.setdefault(zt_pair(v1 * v2), []).append((col1, col2, v1, v2))
         return table
 
     prod1 = pair_products(c1)

@@ -115,6 +115,8 @@ _TWO_LINE_AXIS_CLASSES = {
     # on C1 (x-axis)
     "C1": {NormClass.ROOT2_Q_STAR: 4, NormClass.Q_STAR: 5},
 }
+# the norm each class 2..5 samples scales its rationals by, built once
+_TWO_LINE_SCALES = {2: THETA, 3: THETA ** 3, 4: THETA ** 2, 5: Fraction(1)}
 
 
 @dataclass(frozen=True)
@@ -169,7 +171,7 @@ class TwoLine:
                     yield Point.finite((zero, next(rats)))          # Q* norm on C2
                     yield Point.finite((next(rats) * THETA, zero))  # theta norm on C1
             return _distinct(gen(), count)
-        scale = {2: THETA, 3: THETA ** 3, 4: THETA ** 2, 5: Fraction(1)}[i]
+        scale = _TWO_LINE_SCALES[i]
         axis_is_c2 = i in (2, 3)
 
         def gen():

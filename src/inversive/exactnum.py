@@ -51,6 +51,7 @@ def _new(n: Tuple[int, int, int, int], d: int) -> "Quartic2":
     x = object.__new__(Quartic2)
     x._n = n
     x._d = d
+    x._hash = None
     return x
 
 
@@ -60,6 +61,12 @@ def zt_element(n: Sequence[int], d: int = 1) -> "Quartic2":
         return _new(tuple(n), 1)
     n0, n1, n2, n3 = n
     return _make(n0, n1, n2, n3, d) if d > 0 else _make(-n0, -n1, -n2, -n3, -d)
+
+
+def zt_pair(x) -> Tuple[Tuple[int, int, int, int], int]:
+    """(n, d) with x = zt_element(n, d) in lowest terms, for an exact scalar x:
+    equal values give equal pairs, which hash as plain ints."""
+    return (x._n, x._d) if type(x) is Quartic2 else ((x.numerator, 0, 0, 0), x.denominator)
 
 
 def zt_mul(a: Sequence[int], b: Sequence[int]) -> Tuple[int, int, int, int]:
@@ -99,13 +106,14 @@ class Quartic2:
     """Element c0 + c1*t + c2*t**2 + c3*t**3 of Q(2**(1/4)), t**4 = 2, held as
     (n0, n1, n2, n3) / d with d > 0 and gcd(n0, n1, n2, n3, d) == 1."""
 
-    __slots__ = ("_n", "_d")
+    __slots__ = ("_n", "_d", "_hash")
 
     def __init__(self, c0: RatLike = 0, c1: RatLike = 0, c2: RatLike = 0, c3: RatLike = 0):
         cs = [_rational(c) for c in (c0, c1, c2, c3)]
         # over the lcm of reduced denominators the numerators are in lowest terms
         self._d = d = math.lcm(*(c.denominator for c in cs))
         self._n = tuple(c.numerator * (d // c.denominator) for c in cs)
+        self._hash = None
 
     @classmethod
     def from_rational(cls, q: RatLike) -> "Quartic2":
@@ -236,25 +244,18 @@ class Quartic2:
         return quartic_sign(self - o) < 0
 
     def __hash__(self):
-        # hash(self.coeffs[0]) for rational elements, else hash(self.coeffs):
+        # computed once: hash(c0) for rational elements, else hash(self.coeffs);
         # as in Fraction.__hash__, c/d hashes like the int sign(c)*(|c|/d mod P)
-        n0, n1, n2, n3 = self._n
-        d = self._d
-        if d != 1:
-            P = _HASH_MODULUS
+        if self._hash is None:
+            n, P = self._n, _HASH_MODULUS
             try:
-                dinv = pow(d, -1, P)
+                dinv = pow(self._d, -1, P)
             except ValueError:  # P divides d
-                return hash(self.coeffs[0] if self.is_rational else self.coeffs)
-            n0 = n0 * dinv % P if n0 >= 0 else -(-n0 * dinv % P)
-            if not (n1 or n2 or n3):
-                return hash(n0)
-            n1 = n1 * dinv % P if n1 >= 0 else -(-n1 * dinv % P)
-            n2 = n2 * dinv % P if n2 >= 0 else -(-n2 * dinv % P)
-            n3 = n3 * dinv % P if n3 >= 0 else -(-n3 * dinv % P)
-        elif not (n1 or n2 or n3):
-            return hash(n0)
-        return hash((n0, n1, n2, n3))
+                n = self.coeffs
+            else:
+                n = [c * dinv % P if c >= 0 else -(-c * dinv % P) for c in n]
+            self._hash = hash(n[0] if self.is_rational else tuple(n))
+        return self._hash
 
     def __abs__(self):
         return -self if quartic_sign(self) < 0 else self
@@ -386,9 +387,11 @@ def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
 def sqrt_in_field(x):
     """Exact square root within the scalar's own field, or None.
 
-    Rationals: perfect squares, and 2*m**2 maps into the quartic field as
-    m*t**2. Quartic monomials q*t**2 with square or twice-square q have roots
-    m*t and m*t**3. Anything else returns None.
+    A rational (int or Fraction) gets a rational root only, so a perfect
+    square's: sqrt_in_field(Fraction(2)) is None, while the same value as a
+    Quartic2 has the root t**2. On Quartic2, a rational q has the root m when
+    q = m**2 and m*t**2 when q = 2*m**2; a monomial q*t**2 has m*t and m*t**3
+    likewise. Anything else returns None.
     """
     if isinstance(x, float):
         return math.sqrt(x) if x >= 0 else None

@@ -32,6 +32,7 @@ from .exactnum import (
     promote,
     sign_of,
     zt_element,
+    zt_mul,
 )
 
 Scalar = Union[int, Fraction, Quartic2, float]
@@ -115,8 +116,9 @@ class Point:
 
     @cached_property
     def _zt(self) -> List[int]:
-        """Its lifted row scaled by a positive integer into Z[t], flattened."""
-        return [c for n in _linalg.zt_row(self._row) for c in n]
+        """Its lifted row in Z[t], flattened (`_linalg.zt_lift`): equal points, equal rows."""
+        return ([c for x in self._row for c in (x, 0, 0, 0)] if self._kind == "rational"
+                else _linalg.zt_lift(self.coords))
 
     def _row_in(self, k: str) -> Tuple[Scalar, ...]:
         """Its lifted row on backend k, cached: `_row` on its own backend, else
@@ -187,6 +189,8 @@ class Hypersphere:
         lead = next((x for x in entries if not is_zero(x)), None)
         if lead is None:
             raise DegenerateSphereError("zero coefficient vector")
+        if k == "quartic":
+            return cls._from_zt(_linalg.zt_row(entries))
         if k == "float":
             norm = sum(x * x for x in entries) ** 0.5
             scale = (1.0 / norm) if lead > 0 else (-1.0 / norm)
@@ -194,8 +198,6 @@ class Hypersphere:
         else:
             row = _linalg.canonical(entries)
             coeffs = _linalg.lead_one(row, k)
-            if k == "quartic":
-                row = [promote(x, k) for x in row]
         rc, *rb, ra = row
         bb = vec_dot(rb, rb)
         disc = bb - 4 * rc * ra
@@ -208,6 +210,21 @@ class Hypersphere:
             raise DegenerateSphereError("discriminant <b,b> - 4ca is not positive")
         s = cls(coeffs[0], tuple(coeffs[1:-1]), coeffs[-1])
         object.__setattr__(s, "row", tuple(row))
+        return s
+
+    @classmethod
+    def _from_zt(cls, v: Sequence[Tuple[int, int, int, int]]) -> "Hypersphere":
+        """`make` of a nonzero Z[t] row (c, b, a), on the Q(2^(1/4)) backend:
+        the sign, coefficients and `_zt` all come from its `zt_normal` form."""
+        w, q = _linalg.zt_normal(v)
+        terms = [zt_mul(x, x) for x in w[1:-1]] + [tuple(-4 * y for y in zt_mul(w[0], w[-1]))]
+        if sign_of(zt_element([sum(z) for z in zip(*terms)])) <= 0:
+            raise DegenerateSphereError("discriminant <b,b> - 4ca is not positive")
+        coeffs = [zt_element(x, q) for x in w]
+        row = coeffs if any(x[1] or x[2] or x[3] for x in w) else [zt_element(x) for x in w]
+        s = cls(coeffs[0], tuple(coeffs[1:-1]), coeffs[-1])
+        object.__setattr__(s, "row", tuple(row))
+        object.__setattr__(s, "_zt", _linalg.zt_twisted(w))
         return s
 
     @property
@@ -292,12 +309,15 @@ def lift_row(p: Point, backend: str = "rational") -> List[Scalar]:
     return list(p._row_in(backend))
 
 
-def _lifted(points: Sequence[Point]) -> Tuple[List[Sequence[Scalar]], int]:
+def _lifted(points: Sequence[Point]) -> Tuple[List[Sequence], int]:
     """(rows, n): the lifted rows of points of R^n_inf, each read from the
-    point's cache for the family's backend."""
+    point's cache for the family's backend; a family with a Q(2^(1/4)) point
+    gets its cached Z[t] rows `_zt` as int 4-tuples."""
     if not points:
         raise GeometryError("need at least one point")
     k = _family_kind(points)
+    if k == "quartic":
+        return [list(zip(*[iter(p._zt)] * 4)) for p in points], points[0].dim
     return [p._row if p._kind == k else p._row_in(k) for p in points], points[0].dim
 
 
@@ -321,7 +341,14 @@ def sphere_through(points: Sequence[Point]) -> Hypersphere:
     ns = _linalg.nullspace(rows, n + 2)
     if len(ns) != 1:
         raise DegenerateSphereError("points do not determine a unique sphere")
-    vec = ns[0]
+    return _sphere_of(ns[0])
+
+
+def _sphere_of(vec: Sequence) -> Hypersphere:
+    """The sphere of a nullspace vector (c, b, a) of lifted rows: Z[t] int
+    4-tuples on the Q(2^(1/4)) backend, scalars on the others."""
+    if type(vec[0]) is tuple:
+        return Hypersphere._from_zt(vec)
     return Hypersphere.make(vec[0], vec[1:-1], vec[-1])
 
 
@@ -577,11 +604,11 @@ def smallest_sphere(points: Sequence[Point]) -> SubSphere:
     _check_distinct(rows, "smallest_sphere")
     hull = Flat.through([p for p in points if not p.is_infinity])
     for _, *v, a in hull._rows:
-        rows.append([-2 * a, *v, 0])
+        row = [-2 * a, *v, 0]
+        rows.append(_linalg.zt_row(row) if type(rows[0][0]) is tuple else row)
     ns = _linalg.nullspace(rows, n + 2)
     if ns:
-        vec = ns[0]
-        return SubSphere(hull, Hypersphere.make(vec[0], vec[1:-1], vec[-1]))
+        return SubSphere(hull, _sphere_of(ns[0]))
     if hull.dim == n:
         return SubSphere(hull, None)
     return _extended_flat_subsphere(hull, n)
@@ -617,21 +644,26 @@ def span_walk(points: Sequence[Point], size: int) -> Iterator[Tuple[tuple, tuple
     """(subset, key) for each `size`-subset that `span_key` keys, in order,
     with the key `span_key` gives it. Each point is lifted once; a depth-first
     walk cuts the prefix's nullspace basis (its pencil of spheres) by one row
-    per point."""
+    per point, in Z[t] for a family with a Q(2^(1/4)) point."""
     rows, n = _lifted(points)
     _refuse_float(rows[0][0])
     ncols = n + 2
+    basis, cut, zt = _linalg.nullspace([], ncols), _linalg.cut, type(rows[0][0]) is tuple
+    if zt:
+        rows = [_linalg.zt_twisted(r) for r in rows]
+        basis, cut = [_linalg.zt_row(v) for v in basis], _linalg.zt_cut
 
     def walk(start: int, prefix: Tuple[int, ...], basis: List[List]) -> Iterator:
         for i in range(start, len(rows) - size + len(prefix) + 1):
-            cut = _linalg.cut(basis, rows[i])
-            if cut is None:
+            narrowed = cut(basis, rows[i])
+            if narrowed is None:
                 continue
             subset = prefix + (i,)
             if len(subset) < size:
-                yield from walk(i + 1, subset, cut)
+                yield from walk(i + 1, subset, narrowed)
+            elif len(narrowed) != 1:
+                yield subset, _echelon_key(narrowed, ncols)
             else:
-                yield subset, ((tuple(cut[0]),) if len(cut) == 1
-                               else _echelon_key(cut, ncols))
+                yield subset, (tuple(_linalg.canonical(narrowed[0]) if zt else narrowed[0]),)
 
-    yield from walk(0, (), _linalg.nullspace([], ncols))
+    yield from walk(0, (), basis)

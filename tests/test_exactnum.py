@@ -22,6 +22,8 @@ from inversive.exactnum import (
     quartic_sign,
     sign_of,
     sqrt_in_field,
+    zt_element,
+    zt_pair,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -353,6 +355,35 @@ class TestHash:
         assert hash(Quartic2(c0)) == hash(c0)
         x = Quartic2(c0, Fraction(1, 5))
         assert hash(x) == hash(x.coeffs)
+        # the cached value is returned again, and results of arithmetic
+        # reach the same fallback
+        assert hash(x) == hash(x.coeffs)
+        assert len({Quartic2(c0), c0, Quartic2(c0) * 1}) == 1
+        for r in (x * THETA, THETA * c0, x + c0, Quartic2(c0) * SQRT2 - x):
+            assert hash(r) == hash(r) == hash(r.coeffs if not r.is_rational else r.to_fraction())
+
+    @given(st.one_of(quartics, near_zero_quartics), st.one_of(quartics, near_zero_quartics),
+           st.integers(min_value=-5, max_value=5))
+    @settings(deadline=None)
+    def test_results_hash_like_fresh_values(self, x, y, k):
+        # x and y are hashed first, so no result can reuse a cached hash
+        hash(x), hash(y)
+        results = [x + y, x - y, x * y, -x, x + k, x * k, k * x, x - k, k - x]
+        if y:
+            results += [y.inverse(), x / y]
+        for r in results:
+            fresh = Quartic2(*r.coeffs)
+            expected = hash(r.to_fraction()) if r.is_rational else hash(r.coeffs)
+            assert hash(r) == hash(fresh) == expected
+            assert hash(r) == expected  # the cached value
+
+    @given(st.one_of(quartics, rationals, st.integers(min_value=-9, max_value=9)))
+    @settings(deadline=None)
+    def test_zt_pair_is_the_canonical_form(self, x):
+        n, d = zt_pair(x)
+        assert zt_element(n, d) == x and d > 0
+        assert zt_pair(Quartic2.from_rational(x) if not isinstance(x, Quartic2) else
+                       Quartic2(*x.coeffs)) == (n, d)
 
 
 class TestPurity:
