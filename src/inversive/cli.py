@@ -11,6 +11,8 @@ searches need exact coordinates.
 
 `main(argv)` may be called repeatedly in one process: the parser is built on
 the first call and reused, and each call looks its handler up by name.
+Each handler imports what it runs, so a process that separates or validates
+never loads the Moebius, Euclidean, WCP or SVG modules.
 """
 
 import argparse
@@ -33,8 +35,6 @@ from .chromatic import (
     verify_generic,
     verify_two_line,
 )
-from .colorings import ColoredConfig
-from .euclid import great_intersection, verify_flag_euclidean
 from .exactnum import BackendMismatch, Quartic2
 from .geom import GeometryError, Point
 from .jsonio import (
@@ -56,8 +56,6 @@ from .jsonio import (
     encode_separation_witness,
     encode_violation,
 )
-from .svg import emit_svg
-from .wcp import build_sharp_map, five_point_refute, sample_circles, wcp_check
 
 __all__ = ["main"]
 
@@ -168,6 +166,7 @@ def cmd_verify_construction(args) -> Tuple[str, Dict, Dict, Dict]:
             raise FormatError("the two-line construction lives in the plane")
         res = verify_two_line(per_class=samples, seed=args.seed)
     elif args.kind == "flag-euclidean":
+        from .euclid import verify_flag_euclidean
         res = verify_flag_euclidean(args.n, per_class=samples, seed=args.seed)
     else:
         k = args.k if args.k is not None else args.n + 3
@@ -200,6 +199,7 @@ def cmd_search(args) -> Tuple[str, Dict, Dict, Dict]:
     params = {"input": args.input, "dim": args.dim, "target": args.target}
     encoded = encode_polychromatic_witness(witness)
     if args.plot:
+        from .svg import emit_svg
         emit_svg(witness if found else cfg, args.plot,
                  config=cfg if found else None)
     if found:
@@ -234,12 +234,14 @@ def cmd_separate(args) -> Tuple[str, Dict, Dict, Dict]:
     if witness is None:
         return "no-witness", {}, stats, params
     if args.plot:
+        from .svg import emit_svg
         emit_svg(witness, args.plot, config=cfg)
     return ("witness-found",
             {"witness": encode_separation_witness(witness)}, stats, params)
 
 
 def cmd_euclid_intersect(args) -> Tuple[str, Dict, Dict, Dict]:
+    from .euclid import great_intersection
     obj = _load_json(args.input)
     if not isinstance(obj, dict) or not {"sphere", "circle"} <= set(obj):
         raise FormatError("expected {\"sphere\": {...}, \"circle\": {...}}")
@@ -252,6 +254,7 @@ def cmd_euclid_intersect(args) -> Tuple[str, Dict, Dict, Dict]:
 
 
 def cmd_euclid_verify(args) -> Tuple[str, Dict, Dict, Dict]:
+    from .euclid import verify_flag_euclidean
     samples = args.samples
     if samples is None:
         samples = _VERIFY_DEFAULT_SAMPLES["flag-euclidean"]
@@ -261,6 +264,7 @@ def cmd_euclid_verify(args) -> Tuple[str, Dict, Dict, Dict]:
 
 
 def cmd_wcp_check(args) -> Tuple[str, Dict, Dict, Dict]:
+    from .wcp import sample_circles, wcp_check
     t = decode_map(_load_json(args.map))
     circles = sample_circles(args.samples, seed=args.seed)
     params = {"map": args.map, "samples": args.samples, "seed": args.seed}
@@ -273,6 +277,7 @@ def cmd_wcp_check(args) -> Tuple[str, Dict, Dict, Dict]:
 
 
 def cmd_wcp_refute(args) -> Tuple[str, Dict, Dict, Dict]:
+    from .wcp import five_point_refute
     t = decode_map(_load_json(args.map))
     params = {"map": args.map, "budget": args.budget, "seed": args.seed}
     try:
@@ -285,6 +290,7 @@ def cmd_wcp_refute(args) -> Tuple[str, Dict, Dict, Dict]:
 
 
 def cmd_wcp_sharp(args) -> Tuple[str, Dict, Dict, Dict]:
+    from .wcp import build_sharp_map, sample_circles, wcp_check
     _, pts = decode_point_list(_load_json(args.input))
     t = build_sharp_map(pts)
     circles = sample_circles(args.check, seed=args.seed)
@@ -299,6 +305,7 @@ def cmd_wcp_sharp(args) -> Tuple[str, Dict, Dict, Dict]:
 
 
 def cmd_plot(args) -> Tuple[str, Dict, Dict, Dict]:
+    from .svg import emit_svg
     cfg = decode_config(_load_json(args.input))
     emit_svg(cfg, args.out)
     return ("written", {"out": args.out}, {"points": len(cfg.items)},

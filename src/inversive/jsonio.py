@@ -11,26 +11,33 @@ revalidates through the ordinary constructors, so a tampered witness file
 fails to load instead of producing a bogus verdict.
 """
 
+from __future__ import annotations
+
 import json
 import math
 from fractions import Fraction
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from .colorings import (
     ColoredConfig,
     FlagEuclidean,
     FlagInversive,
     PointListBackground,
-    ProceduralColoring,
     TwoLine,
     generic_position_points,
 )
 from .chromatic import PolychromaticWitness, SeparationWitness
-from .euclid import GreatFlat, GreatIntersection
 from .exactnum import Quartic2
-from .geom import Flat, Hypersphere, Point, Scalar, SubSphere
-from .moebius import HyperplaneReflection, MoebiusMap, SphereInversion
-from .wcp import FiniteImageMap, FivePointRefutation, WcpViolation
+from .geom import Flat, Hypersphere, Point, SubSphere
+
+if TYPE_CHECKING:
+    # annotation-only names; the Moebius, Euclidean and WCP codecs import
+    # their modules when called, so decoding a config loads none of them
+    from .colorings import ProceduralColoring
+    from .euclid import GreatFlat, GreatIntersection
+    from .geom import Scalar
+    from .moebius import MoebiusMap
+    from .wcp import FiniteImageMap, FivePointRefutation, WcpViolation
 
 __all__ = [
     "FormatError",
@@ -236,6 +243,7 @@ def _sphere_ambient(s: Union[Hypersphere, SubSphere]) -> int:
 
 
 def encode_moebius(m: MoebiusMap) -> Dict[str, Any]:
+    from .moebius import SphereInversion
     factors: List[Dict[str, Any]] = []
     for f in m.factors:
         if isinstance(f, SphereInversion):
@@ -252,6 +260,7 @@ def encode_moebius(m: MoebiusMap) -> Dict[str, Any]:
 
 
 def decode_moebius(obj: Any) -> MoebiusMap:
+    from .moebius import HyperplaneReflection, MoebiusMap, SphereInversion
     if not isinstance(obj, dict) or "factors" not in obj:
         raise FormatError("map needs a \"factors\" array")
     factors = []
@@ -435,6 +444,7 @@ def encode_great_flat(f: GreatFlat) -> Dict[str, Any]:
 
 
 def decode_great_flat(obj: Any) -> GreatFlat:
+    from .euclid import GreatFlat
     if not isinstance(obj, dict) or "basis" not in obj:
         raise FormatError("great flat needs a \"basis\"")
     rows = [_decode_vector(row, "basis vector") for row in _array(obj["basis"], "basis")]
@@ -460,6 +470,7 @@ def encode_map(t: FiniteImageMap) -> Dict[str, Any]:
 
 
 def decode_map(obj: Any) -> FiniteImageMap:
+    from .wcp import FiniteImageMap
     if not isinstance(obj, dict) or not {"coloring", "image", "table"} <= set(obj):
         raise FormatError("map needs \"coloring\", \"image\", \"table\"")
     coloring = decode_coloring(obj["coloring"])

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line: exit codes, report shape,
-byte-identical reruns, and the validate round trip."""
+byte-identical reruns, the validate round trip, and the modules each
+command loads."""
 
 import argparse
 import json
@@ -684,11 +685,58 @@ class TestRepeatedCalls:
         assert json.loads(out)["parameters"]["k"] == 5
 
     def test_import_builds_no_parser(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         probe = "import inversive.cli as c; print(c._build_parser.cache_info().currsize)"
-        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=src), check=True)
-        assert done.stdout == "0\n"
+        assert _fresh_stdout(probe) == "0\n"
+
+
+def _fresh_stdout(code):
+    """What `code` prints in a fresh interpreter importing this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    return done.stdout
+
+
+def _loaded_by(code):
+    """The inversive submodules a fresh interpreter holds after `code`."""
+    probe = code + ("\nimport json, sys\nprint(json.dumps(sorted("
+                    "m for m in sys.modules if m.startswith('inversive.'))))")
+    return set(json.loads(_fresh_stdout(probe).splitlines()[-1]))
+
+
+def _run_main(argv):
+    return "from inversive.cli import main\nmain(%r)" % (argv,)
+
+
+# the modules a command loads only when it runs them
+OPTIONAL = {"inversive.euclid", "inversive.moebius", "inversive.svg", "inversive.wcp"}
+
+
+class TestImports:
+    """Each process loads only the modules its command runs."""
+
+    def test_package_import_loads_no_submodule(self):
+        assert _loaded_by("import inversive") == set()
+
+    def test_cli_import_loads_no_optional_module(self):
+        assert _loaded_by("import inversive.cli") & OPTIONAL == set()
+
+    def test_separate_and_validate_load_no_optional_module(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "five.json", FIVE_POINT_DOC)
+        report = tmp_path / "report.json"
+        report.write_text(run_cli(["separate", "--input", cfg], capsys)[1])
+        for argv in (["separate", "--input", cfg], ["validate", "--input", str(report)]):
+            assert _loaded_by(_run_main(argv)) & OPTIONAL == set(), argv
+
+    def test_wcp_check_loads_wcp_alone(self, tmp_path):
+        map_path = write_json(tmp_path / "map.json", SHARP_MAP_DOC)
+        argv = ["wcp", "check", "--map", map_path, "--samples", "5"]
+        assert _loaded_by(_run_main(argv)) & OPTIONAL == {"inversive.wcp"}
+
+    def test_plot_loads_svg(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", UNIT_CIRCLE_DOC)
+        argv = ["plot", "--input", cfg, "--out", str(tmp_path / "fig.svg")]
+        assert _loaded_by(_run_main(argv)) & OPTIONAL == {"inversive.svg"}
 
 
 def _commands(parser, path=()):
