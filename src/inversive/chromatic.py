@@ -138,7 +138,7 @@ def max_polychromatic(config: ColoredConfig, d: int) -> PolychromaticWitness:
     n = config.n
     if d > n - 1 or d < 0:
         raise GeometryError("sphere dimension must lie in 0..%d" % (n - 1))
-    size = (n + 1) if d == n - 1 else (d + 2)
+    size = d + 2
     pts = config.points()
     if len(pts) < size:
         raise DegenerateConfigError("too few points to span any %d-sphere" % d)

@@ -190,7 +190,7 @@ def cmd_search(args) -> Tuple[str, Dict, Dict, Dict]:
     cfg = decode_config(_load_json(args.input))
     witness = max_polychromatic(cfg, args.dim)
     found = len(witness.color_set) >= args.target
-    size = (cfg.n + 1) if args.dim == cfg.n - 1 else (args.dim + 2)
+    size = args.dim + 2
     stats = {
         "points": len(cfg.items),
         "subsets_enumerated": math.comb(len(cfg.items), size),

@@ -17,7 +17,6 @@ from ._linalg import cut, nullspace
 from .exactnum import (
     BackendMismatch,
     NormClass,
-    Quartic2,
     THETA,
     is_zero,
     norm_class_of,
@@ -272,10 +271,6 @@ class PointListBackground:
 ProceduralColoring = Union[FlagInversive, TwoLine, FlagEuclidean, PointListBackground]
 
 
-def color_of(coloring: ProceduralColoring, p: Point) -> int:
-    return coloring.color_of(p)
-
-
 def sample_class(coloring: ProceduralColoring, i: int, count: int, seed: int = 0) -> List[Point]:
     return coloring.sample_class(i, count, seed)
 
@@ -372,9 +367,6 @@ class ColoredConfig:
 
     def points_of_color(self, i: int) -> List[Point]:
         return [p for p, c in self.items if c == i]
-
-    def colors_present(self) -> Set[int]:
-        return {c for _, c in self.items}
 
     def points(self) -> List[Point]:
         return [p for p, _ in self.items]

@@ -75,9 +75,10 @@ def vec_is_zero(u: Sequence) -> bool:
 
 @dataclass(frozen=True)
 class Point:
-    """A point of R^n or the single point at infinity. Its backend and its
-    lifted row (integer for a rational point) are computed once and cached on
-    the instance, outside the fields (so outside ==, hash and repr)."""
+    """A point of R^n or the single point at infinity. Its backend (decided
+    by `finite`) and its lifted row (integer for a rational point) are
+    computed once and cached on the instance, outside the fields (so outside
+    ==, hash and repr)."""
 
     coords: Optional[Tuple[Scalar, ...]]
     dim: int
@@ -88,7 +89,9 @@ class Point:
         if not coords:
             raise GeometryError("a point needs at least one coordinate")
         k = common_kind(coords)
-        return cls(tuple(promote(x, k) for x in coords), len(coords))
+        p = cls(tuple(promote(x, k) for x in coords), len(coords))
+        p.__dict__["_kind"] = k  # as the cached_property would store it
+        return p
 
     @classmethod
     def infinity(cls, dim: int) -> "Point":
@@ -120,16 +123,16 @@ class Point:
         return ([c for x in self._row for c in (x, 0, 0, 0)] if self._kind == "rational"
                 else _linalg.zt_lift(self.coords))
 
-    def _row_in(self, k: str) -> Tuple[Scalar, ...]:
-        """Its lifted row on backend k, cached: `_row` on its own backend, else
-        (<x,x>, x, 1) of its promoted coordinates (infinity's row promoted)."""
-        if k == self._kind:
+    @cached_property
+    def _float_row(self) -> Tuple[float, ...]:
+        """Its lifted row on the float backend: `_row` of a float point, else
+        (<x,x>, x, 1) of its coordinates as floats, (1, 0, .., 0) at infinity."""
+        if self._kind == "float":
             return self._row
-        rows = self.__dict__.setdefault("_rows", {})
-        if k not in rows:
-            xs = [promote(x, k) for x in (self._row if self.coords is None else self.coords)]
-            rows[k] = tuple(xs) if self.coords is None else (vec_dot(xs, xs), *xs, promote(1, k))
-        return rows[k]
+        if self.coords is None:
+            return (1.0,) + (0.0,) * (self.dim + 1)
+        xs = [promote(x, "float") for x in self.coords]
+        return (vec_dot(xs, xs), *xs, 1.0)
 
     def __repr__(self) -> str:
         if self.coords is None:
@@ -174,9 +177,10 @@ class Hypersphere:
     """Coefficients (c, b, a) of a nondegenerate generalized sphere, scaled so
     the first nonzero of (c, b_1..b_n, a) is 1; the float backend scales to
     unit coefficient norm with the same sign rule and takes a discriminant
-    within EPSILON * (<b,b> + |4ca|) of zero as zero. `make` also sets `row`,
-    (c, b, a) in `_linalg.canonical` form (as Q(2^(1/4)) scalars on that
-    backend, unit norm on floats), outside the fields as `Point._row` is."""
+    within EPSILON * (<b,b> + |4ca|) of zero as zero. Its `row` is (c, b, a)
+    in `_linalg.canonical` form (as Q(2^(1/4)) scalars on that backend, unit
+    norm on floats), cached outside the fields as `Point._row` is: `make` sets
+    it, and a directly built sphere takes the one `make` gives its fields."""
 
     c: Scalar
     b: Tuple[Scalar, ...]
@@ -227,6 +231,10 @@ class Hypersphere:
         object.__setattr__(s, "_zt", _linalg.zt_twisted(w))
         return s
 
+    @cached_property
+    def row(self) -> Tuple[Scalar, ...]:
+        return Hypersphere.make(self.c, self.b, self.a).row
+
     @property
     def dim(self) -> int:
         return len(self.b)
@@ -270,7 +278,7 @@ def _incidence(s: Hypersphere, p: Point, zero_test: bool = False) -> Scalar:
     if p._kind == "rational" and type(s.row[0]) is int:
         return sum(map(mul, s.row, p._row))
     if p._kind == "float" or type(s.c) is float:
-        return vec_dot((s.c, *s.b, s.a), p._row_in("float"))
+        return vec_dot((s.c, *s.b, s.a), p._float_row)
     if zero_test:
         return int(not _linalg.zt_vanishes(s._zt, p._zt))
     return zt_element(_linalg.zt_dot(s._zt, p._zt))
@@ -301,24 +309,24 @@ def separated(x: Point, y: Point, s: Hypersphere) -> bool:
     return lx != ly
 
 
-def lift_row(p: Point, backend: str = "rational") -> List[Scalar]:
-    """Row (<x,x>, x, 1) of the sphere-coefficient system; infinity lifts to
-    (1, 0, .., 0), the equation forcing c = 0. On the rational backend it is
-    the integer row (sum X_i^2, X_i * D, D^2), X = x * D for the common
-    denominator D of x. A wider backend gets the lift of the promoted point."""
-    return list(p._row_in(backend))
+def lift_row(p: Point) -> List[Scalar]:
+    """Row (<x,x>, x, 1) of the sphere-coefficient system on the point's own
+    backend; infinity lifts to (1, 0, .., 0), the equation forcing c = 0. A
+    rational point gets the integer row (sum X_i^2, X_i * D, D^2), X = x * D
+    for the common denominator D of x."""
+    return list(p._row)
 
 
 def _lifted(points: Sequence[Point]) -> Tuple[List[Sequence], int]:
     """(rows, n): the lifted rows of points of R^n_inf, each read from the
-    point's cache for the family's backend; a family with a Q(2^(1/4)) point
-    gets its cached Z[t] rows `_zt` as int 4-tuples."""
+    point's cache: `_float_row` in a float family, the Z[t] rows `_zt` as int
+    4-tuples in a family with a Q(2^(1/4)) point, `_row` in any other."""
     if not points:
         raise GeometryError("need at least one point")
     k = _family_kind(points)
     if k == "quartic":
         return [list(zip(*[iter(p._zt)] * 4)) for p in points], points[0].dim
-    return [p._row if p._kind == k else p._row_in(k) for p in points], points[0].dim
+    return [p._float_row if k == "float" else p._row for p in points], points[0].dim
 
 
 def _check_distinct(items: Sequence, where: str) -> None:
@@ -427,38 +435,6 @@ def cross_ratio(z1: Point, z2: Point, z3: Point, z4: Point):
     if vec_is_zero(den):
         return CR_INFINITY
     return _cdiv(num, den)
-
-
-def _direction_sign(d: Sequence[Scalar]) -> int:
-    """Orientation of a nonzero vector: the sign of its last nonzero
-    coordinate (in the plane: positive iff above the x-axis, or on its
-    nonnegative half)."""
-    for x in reversed(list(d)):
-        sg = sign_of(x)
-        if sg != 0:
-            return sg
-    raise GeometryError("zero vector has no direction")
-
-
-def signed_norm(p: Point, direction: Sequence[Scalar]) -> Scalar:
-    """Signed distance from the origin along a registered line.
-
-    The line is {t * direction} with an exactly-unit direction vector; the
-    positively oriented representative makes N(t * d) = t, so collinear
-    points multiply by plain scalar products.
-    """
-    if p.is_infinity:
-        raise GeometryError("infinity has no signed norm")
-    direction = tuple(direction)
-    if not is_zero(vec_dot(direction, direction) - 1):
-        raise GeometryError("direction must have exact unit norm")
-    if _direction_sign(direction) < 0:
-        direction = vec_scale(-1, direction)
-    idx = next(i for i, x in enumerate(direction) if not is_zero(x))
-    t = p.coords[idx] / direction[idx]
-    if not vec_is_zero(vec_sub(p.coords, vec_scale(t, direction))):
-        raise GeometryError("point is not on the registered line")
-    return t
 
 
 def power_condition(x: Scalar, xp: Scalar, y: Scalar, yp: Scalar) -> bool:

@@ -103,8 +103,8 @@ class MoebiusMap:
         k = p.backend()
         fl = self._float or k == "float"
         if k == "float":
-            p, k = Point.finite(_dyadic(p.coords)), "rational"
-        lifted = lift_row(p, k)
+            p = Point.finite(_dyadic(p.coords))
+        lifted = lift_row(p)
         xs = _reflect(self._mirrors, lifted)
         w = xs[-1]
         if is_zero(w) or fl and _stretched_past_floats(w, lifted[-1], self._mirrors):

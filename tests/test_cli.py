@@ -14,8 +14,8 @@ import pytest
 from inversive import cli
 from inversive.cli import main
 from inversive.exactnum import THETA
-from inversive.geom import Point
-from inversive.jsonio import canonical_json
+from inversive.geom import Hypersphere, Point, SubSphere, concyclic
+from inversive.jsonio import canonical_json, decode_point, decode_sphere, encode_point
 
 FIVE_POINT_DOC = {
     "n": 2, "k": 5,
@@ -55,6 +55,21 @@ SHARP_MAP_DOC = {
         {"coords": ["1", "2"]},
     ],
     "table": {"1": 0, "2": 1, "3": 2, "4": 3, "5": 4},
+}
+
+
+# the flag coloring's classes: the origin, infinity, the punctured x-axis and
+# the rest
+FLAG_DOC = {
+    "n": 2, "k": 4,
+    "points": [
+        {"coords": ["0", "0"], "color": 1},
+        {"infinity": True, "color": 2},
+        {"coords": ["1", "0"], "color": 3},
+        {"coords": ["-2", "0"], "color": 3},
+        {"coords": ["1", "2"], "color": 4},
+        {"coords": ["-1", "3"], "color": 4},
+    ],
 }
 
 
@@ -380,6 +395,33 @@ class TestWcp:
         assert rep["verdict"] == "no-violation"
         assert rep["statistics"]["circles_checked"] == 25
 
+    def test_check_finds_a_violation(self, tmp_path, capsys):
+        from inversive.wcp import sample_circles
+        _, domain = sample_circles(1, seed=0)[0]
+        image = [("0", "0"), ("1", "0"), ("0", "1"), ("3", "5"), ("7", "-2")]
+        map_path = write_json(tmp_path / "map.json", {
+            "coloring": {"kind": "point-list", "n": 2, "background": 5,
+                         "points": [dict(encode_point(p), color=c)
+                                    for c, p in enumerate(domain, 1)]},
+            "image": [{"coords": list(xy)} for xy in image],
+            "table": {str(c): c - 1 for c in range(1, 6)},
+        })
+        argv = ["wcp", "check", "--map", map_path, "--samples", "3", "--seed", "0"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["verdict"] == "violation-found"
+        v = rep["violation"]
+        assert v["sample_index"] == 0
+        circle = decode_sphere(v["circle"])
+        points = [decode_point(e, 2) for e in v["domain_points"]]
+        images = [decode_point(e, 2) for e in v["images"]]
+        assert all(circle.contains(p) for p in points)
+        table = dict(zip(domain, image))
+        assert [decode_point({"coords": list(table[p])}, 2) for p in points] == images
+        assert not concyclic(*images)
+        assert run_cli(argv, capsys)[:2] == (code, out)
+
     def test_refute_extended_two_line_map(self, tmp_path, capsys):
         map_path = write_json(tmp_path / "map.json", SHARP_MAP_DOC)
         code, out, _ = run_cli(["wcp", "refute", "--map", map_path], capsys)
@@ -436,6 +478,36 @@ class TestPlotAndDeterminism:
         code, _, _ = run_cli(["plot", "--input", cfg,
                               "--out", str(tmp_path / "f.svg")], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("dim, target, on", [(1, 3, 4), (0, 2, 2)])
+    def test_search_plots_a_witness_on_a_line(self, tmp_path, capsys, dim, target, on):
+        # the x-axis carries colors 1-3; the 0-sphere {0, infinity} is drawn
+        # by its surface, the line x = 0
+        cfg = write_json(tmp_path / "flag.json", FLAG_DOC)
+        drawn = []
+        for name in ("a.svg", "b.svg"):
+            code, out, _ = run_cli(["search", "--input", cfg, "--dim", str(dim),
+                                    "--target", str(target), "--plot", str(tmp_path / name)],
+                                   capsys)
+            assert code == 1
+            rep = json.loads(out)
+            assert rep["verdict"] == "witness-found"
+            drawn.append((tmp_path / name).read_bytes())
+        assert drawn[0] == drawn[1]
+        witness = rep["witness"]
+        sphere = decode_sphere(witness["sphere"])
+        assert isinstance(sphere, SubSphere if dim == 0 else Hypersphere)
+        assert len(witness["points"]) == on
+        lines = [t for t in drawn[0].decode().splitlines() if t.startswith("<line")]
+        assert len(lines) == 1 and 'stroke="#f2a900"' in lines[0]
+        x1, y1, x2, y2 = (float(t.split('"')[1]) for t in lines[0].split()[1:5])
+        if dim == 0:
+            assert sphere.surface == Hypersphere.make(0, (1, 0), 0)
+            assert [(decode_point(e["point"], 2), e["color"]) for e in witness["points"]] == [
+                (Point.finite((0, 0)), 1), (Point.infinity(2), 2)]
+            assert x1 == x2
+        else:
+            assert y1 == y2
 
     def test_svg_byte_identical(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", UNIT_CIRCLE_DOC)

@@ -24,7 +24,6 @@ from inversive.colorings import (
     _random_points,
     _rational_stream,
     _stereographic,
-    color_of,
     generic_position_points,
     num_colors,
     rational_sphere_points,
@@ -381,9 +380,9 @@ class TestRationalSpherePoints:
 class TestColoredConfig:
     def test_sampling_covers_all_colors(self):
         cfg = ColoredConfig.sample(TwoLine(extended=True), 2, seed=11)
-        assert cfg.colors_present() == {1, 2, 3, 4, 5}
+        assert {c for _, c in cfg.items} == {1, 2, 3, 4, 5}
         tl = TwoLine(extended=True)
-        assert all(color_of(tl, p) == c for p, c in cfg.items)
+        assert all(tl.color_of(p) == c for p, c in cfg.items)
 
     def test_validation(self):
         p = Point.finite((1, 1))

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from inversive import _linalg
+from inversive import _linalg, geom
+from inversive.chromatic import PolychromaticWitness
 from inversive.colorings import ColoredConfig, TwoLine
 from inversive.exactnum import (Quartic2, THETA, SQRT2, BackendMismatch, is_zero, promote,
                                sign_of, zt_element, zt_mul)
@@ -39,7 +40,6 @@ from inversive.geom import (
     power_condition,
     separated,
     side,
-    signed_norm,
     smallest_sphere,
     span_key,
     sphere_through,
@@ -56,6 +56,14 @@ small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 def rand_rat(rng, lo=-8, hi=8, den=6):
     return Fraction(rng.randint(lo, hi), rng.randint(1, den))
+
+
+def _answer(f, *args):
+    """f's answer, or the class and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e), str(e)
 
 
 class TestOnSphereAndSide:
@@ -113,6 +121,31 @@ class TestOnSphereAndSide:
                         (2.0, (-4.0, -8.0), 10.0), (1.0, (-2e-3, 0.0), 1e-6)):
             with pytest.raises(DegenerateSphereError):
                 Hypersphere.make(c, b, a)
+
+    def test_directly_built_sphere_answers_as_make(self):
+        for c, b, a in ((Fraction(1), (Fraction(0), Fraction(0)), Fraction(-1)),
+                        (Fraction(-2), (Fraction(0), Fraction(0)), Fraction(2)),
+                        (Fraction(0), (Fraction(0), Fraction(-3)), Fraction(0)),
+                        (Quartic2(1), (Quartic2(0), Quartic2(0)), -SQRT2),
+                        (1.0, (0.0, 0.0), -1.0)):
+            direct, made = Hypersphere(c, b, a), Hypersphere.make(c, b, a)
+            probes = [INF2, P([0, 0]), P([1, 0]), P([2, 3]), P([THETA, 0])]
+            # a float point is measured on the stored (c, b, a), so it agrees
+            # when those are make's
+            if (c, b, a) == (made.c, made.b, made.a):
+                probes.append(P([0.5, 1.0]))
+            for q in probes:
+                assert _answer(direct.contains, q) == _answer(made.contains, q)
+                assert _answer(side, q, direct) == _answer(side, q, made)
+            assert direct.row == made.row
+            if not isinstance(c, float):
+                assert direct.key() == made.key()
+        circle = Hypersphere(Fraction(1), (Fraction(0), Fraction(0)), Fraction(-1))
+        assert circle.contains(P([Fraction(1), Fraction(0)]))
+        on = ((P([1, 0]), 1), (P([0, 1]), 2), (P([-1, 0]), 3))
+        assert PolychromaticWitness(circle, on, frozenset({1, 2, 3})).sphere is circle
+        with pytest.raises(DegenerateSphereError):
+            Hypersphere(Fraction(1), (Fraction(0), Fraction(0)), Fraction(1)).contains(P([1, 0]))
 
     def test_center_and_radius(self):
         s = sphere_through([P([0, 0]), P([1, 0]), P([0, 1])])
@@ -658,38 +691,6 @@ class TestCrossRatio:
             cross_ratio(P([0, 0, 0]), P([1, 0, 0]), P([0, 1, 0]), P([0, 0, 1]))
 
 
-class TestSignedNorm:
-    def test_axis_examples(self):
-        assert signed_norm(P([-1, 0]), (1, 0)) == -1
-        assert signed_norm(P([0, -2]), (0, 1)) == -2
-        assert signed_norm(P([3, 4]), (Fraction(3, 5), Fraction(4, 5))) == 5
-
-    def test_orientation_rule_flips_negative_directions(self):
-        # (0,-1) is negatively oriented, so the canonical direction is (0,1)
-        assert signed_norm(P([0, 3]), (0, -1)) == 3
-
-    def test_quartic_coordinates(self):
-        assert signed_norm(P([Quartic2(0), THETA]), (0, 1)) == THETA
-        assert signed_norm(P([-(THETA ** 3), Quartic2(0)]), (1, 0)) == -(THETA ** 3)
-
-    def test_errors(self):
-        with pytest.raises(GeometryError):
-            signed_norm(P([1, 1]), (1, 1))  # not unit
-        with pytest.raises(GeometryError):
-            signed_norm(P([1, 1]), (1, 0))  # off the line
-        with pytest.raises(GeometryError):
-            signed_norm(INF2, (1, 0))
-
-    @given(coords, coords)
-    @settings(deadline=None)
-    def test_collinear_products(self, t1, t2):
-        # N multiplies like the parameter because sign(d) = +1
-        d = (Fraction(3, 5), Fraction(4, 5))
-        p1, p2 = P([t1 * d[0], t1 * d[1]]), P([t2 * d[0], t2 * d[1]])
-        assert signed_norm(p1, d) == t1
-        assert signed_norm(p2, d) == t2
-
-
 class TestPowerCondition:
     def test_examples(self):
         assert power_condition(2, 3, 1, 6)
@@ -1164,6 +1165,24 @@ class TestLiftedRows:
         with pytest.raises(BackendMismatch, match="sphere keys need exact coordinates"):
             span_key([f, f])
 
+    def test_each_point_decides_its_kind_once(self, monkeypatch):
+        unit, calls = Hypersphere.make(1.0, (0.0, 0.0), -1.0), []
+        common_kind = geom.common_kind
+        monkeypatch.setattr(geom, "common_kind", lambda xs: calls.append(xs) or common_kind(xs))
+        pts = [P([Fraction(1, 2), 3]), P([THETA, 1]), P([0.5, 1.0]), P([2, -1])]
+        assert len(calls) == 4
+        for q in pts:
+            lift_row(q)
+        assert [q.backend() for q in pts] == ["rational", "quartic", "float", "rational"]
+        _lifted(pts[:2])
+        _lifted([pts[0], pts[3], INF2])
+        _lifted([pts[2], INF2])
+        assert [unit.contains(q) for q in (pts[0], pts[2], pts[3])] == [False] * 3
+        assert len(calls) == 4
+        # a point built with the bare constructor decides its kind on first use
+        bare = Point((Fraction(1), Fraction(2)), 2)
+        assert lift_row(bare) == lift_row(P([1, 2])) and len(calls) == 6
+
     def test_empty_family_is_a_geometry_error(self):
         for f in (sphere_through, span_key, on_common_sphere):
             with pytest.raises(GeometryError):
@@ -1173,12 +1192,16 @@ class TestLiftedRows:
 
 
 def _promoted_rows(points):
-    """Reference rows of a mixed family: the family promoted point by point
-    with `_uniform`, then each finite point's own lift and infinity's row
-    promoted entry by entry."""
+    """Reference rows of a mixed family, promoted point by point with
+    `_uniform`: the integer formula row on the rationals, else (<x,x>, x, 1)
+    of each promoted point and (1, 0, .., 0) at infinity, on the family's
+    backend."""
     promoted, k = _uniform(points)
-    return [lift_row(q, k) if q.backend() == k else [promote(x, k) for x in lift_row(q)]
-            for q in promoted]
+    if k == "rational":
+        return [list(_formula_row(q)) for q in promoted]
+    one, zero = promote(1, k), promote(0, k)
+    return [[one] + [zero] * (q.dim + 1) if q.is_infinity
+            else [sum((x * x for x in q.coords), zero), *q.coords, one] for q in promoted]
 
 
 def _zt_rows(points):

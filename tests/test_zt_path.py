@@ -28,7 +28,6 @@ from inversive.geom import (
     Hypersphere,
     Point,
     _uniform,
-    lift_row,
     span_walk,
     sphere_through,
     vec_dot,
@@ -78,10 +77,12 @@ def reference_make(c, b, a):
 
 def reference_rows(points):
     """The lifted rows of a family on its backend: the family promoted with
-    `_uniform`, each finite point's own lift, infinity's row promoted."""
+    `_uniform`, (<x,x>, x, 1) of each promoted point, (1, 0, .., 0) at
+    infinity."""
     promoted, k = _uniform(points)
-    return [lift_row(q, k) if q.backend() == k else [promote(x, k) for x in lift_row(q)]
-            for q in promoted]
+    one, zero = promote(1, k), promote(0, k)
+    return [[one] + [zero] * (q.dim + 1) if q.is_infinity
+            else [sum((x * x for x in q.coords), zero), *q.coords, one] for q in promoted]
 
 
 def reference_rref(rows, ncols):
