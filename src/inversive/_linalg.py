@@ -6,15 +6,19 @@ each division by the previous pivot is exact. `rank`, `nullspace` and
 integer into Z for a rational one (int and Fraction entries), into Z[t],
 t**4 = 2, for any other (a Quartic2 entry), where an entry is the int
 4-tuple of its coefficients and the division goes through the pivot's
-cofactor and integer norm. `rref` is Gauss-Jordan over the field for
-float matrices: partial pivoting, entries within EPSILON treated as zero.
-`cut` adds a row to a nullspace basis, `zt_cut` to a Z[t] one; `zt_row`,
-`zt_lift` and `zt_twisted` give the Z[t] rows of one exact dot product.
+cofactor and integer norm. `null_vector` reads the nullspace vector of n+1
+such rows in n+2 columns off their signed maximal minors, dividing nothing.
+`rref` is Gauss-Jordan over the field for float matrices: partial pivoting,
+entries within EPSILON treated as zero. `cut` adds a row to a nullspace
+basis, `zt_cut` to a Z[t] one; `zt_row`, `zt_lift` and `zt_twisted` give
+the Z[t] rows of one exact dot product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -95,7 +99,7 @@ def bareiss(rows: Sequence[Sequence], ncols: int,
     (`_zt_step`), and the entries the elimination fixes are set, not
     computed. With full row rank and one free column f, the nullspace vector
     (d at f, -row[f] at each pivot) is, up to one common sign, the vector of
-    signed maximal minors.
+    signed maximal minors, which `null_vector` computes without dividing.
     """
     m = _copy(rows)
     zt = bool(m and m[0]) and type(m[0][0]) is tuple
@@ -130,6 +134,53 @@ def bareiss(rows: Sequence[Sequence], ncols: int,
             prev = (p, *zt_cofactor(p)) if p[1] or p[2] or p[3] else (p, None, p[0])
         r += 1
     return m, pivots
+
+
+def null_vector(rows: Sequence[Sequence], ncols: int) -> Optional[List]:
+    """The vector spanning the nullspace of ncols - 1 rows, None when the
+    nullspace is larger: from `rref` for float rows, else the signed maximal
+    minors ((-1)**j times the minor without column j) of the ints or Z[t] int
+    4-tuples, all zero exactly when the rank is short. The minors of the first
+    k rows expand along row k from those of the first k - 1 (`_laplace`),
+    shared across column subsets, skipping zero terms."""
+    if _is_float_matrix(rows):
+        ns = nullspace(rows, ncols)
+        return ns[0] if len(ns) == 1 else None
+    zt = type(rows[0][0]) is tuple
+    zero = _ZT0 if zt else 0
+    level = {1 << c: x for c, x in enumerate(rows[0]) if x != zero}
+    for row, plan in zip(rows[1:], _laplace(ncols)):
+        minors = {}
+        for cols, terms in plan:
+            v = zero
+            for c, rest, negate in terms:
+                x, m = row[c], level.get(rest)
+                if m is None or x == zero:
+                    continue
+                if not zt:
+                    v = v - x * m if negate else v + x * m
+                    continue
+                (y0, y1, y2, y3), (v0, v1, v2, v3) = zt_mul(x, m), v
+                v = ((v0 - y0, v1 - y1, v2 - y2, v3 - y3) if negate
+                     else (v0 + y0, v1 + y1, v2 + y2, v3 + y3))
+            if v != zero:
+                minors[cols] = v
+        level = minors
+    if not level:
+        return None
+    vec = [level.get((1 << ncols) - 1 - (1 << j), zero) for j in range(ncols)]
+    return [(tuple(-c for c in x) if zt else -x) if j & 1 else x for j, x in enumerate(vec)]
+
+
+@cache
+def _laplace(ncols: int) -> tuple:
+    """For k = 2..ncols - 1, each k-subset of the columns as a bitmask with
+    the terms of its minor's expansion along the k-th row: (c, the subset
+    without c, whether the term is negated) for each column c in it."""
+    return tuple(tuple((sum(1 << c for c in cols),
+                        tuple((c, sum(1 << d for d in cols if d != c), (k - 1 - i) & 1)
+                              for i, c in enumerate(cols)))
+                       for cols in combinations(range(ncols), k)) for k in range(2, ncols))
 
 
 def zt_row(row: Sequence) -> List[Tuple[int, int, int, int]]:

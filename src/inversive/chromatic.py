@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
                     Tuple, Union)
 
@@ -24,7 +25,7 @@ from .colorings import (
     generic_position_points,
     num_colors,
 )
-from .exactnum import THETA, NormClass, is_zero, norm_class_of, sign_of, zt_pair
+from .exactnum import THETA, NormClass, is_zero, norm_class_of, sign_of, zt_mul, zt_pair
 from .geom import (
     DegenerateConfigError,
     GeometryError,
@@ -552,12 +553,16 @@ def verify_two_line(per_class: int = 40, seed: int = 0) -> Dict:
             c2.append((y, color))
 
     def pair_products(pool: List[Tuple[Scalar, int]]) -> Dict:
-        # keyed on each product's canonical (numerators, denominator) ints
+        # keyed on each product's canonical (numerators, denominator), from the factors' ints
         table: Dict = {}
-        for (v1, col1), (v2, col2) in combinations(pool, 2):
+        for (v1, col1, (n1, d1)), (v2, col2, (n2, d2)) in combinations(
+                [(v, col, zt_pair(v)) for v, col in pool], 2):
             if col1 == col2:
                 continue
-            table.setdefault(zt_pair(v1 * v2), []).append((col1, col2, v1, v2))
+            (m0, m1, m2, m3), d = zt_mul(n1, n2), d1 * d2
+            g = gcd(m0, m1, m2, m3, d)
+            table.setdefault(((m0 // g, m1 // g, m2 // g, m3 // g), d // g), []).append(
+                (col1, col2, v1, v2))
         return table
 
     prod1 = pair_products(c1)

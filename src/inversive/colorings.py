@@ -114,8 +114,8 @@ _TWO_LINE_AXIS_CLASSES = {
     # on C1 (x-axis)
     "C1": {NormClass.ROOT2_Q_STAR: 4, NormClass.Q_STAR: 5},
 }
-# the norm each class 2..5 samples scales its rationals by, built once
-_TWO_LINE_SCALES = {2: THETA, 3: THETA ** 3, 4: THETA ** 2, 5: Fraction(1)}
+# the norm each class scales its seeded rationals by (class 1: those on C1), built once
+_TWO_LINE_SCALES = {1: THETA, 2: THETA, 3: THETA ** 3, 4: THETA ** 2, 5: Fraction(1)}
 
 
 @dataclass(frozen=True)
@@ -158,27 +158,23 @@ class TwoLine:
         return table.get(cls, 1)
 
     def sample_class(self, i: int, count: int, seed: int = 0) -> List[Point]:
+        """Class 1: the origin, infinity, then seeded rationals r in turn as (0, r)
+        and (r*theta, 0); class i > 1: seeded rationals scaled onto its axis, each
+        rational deduplicated (in class 1 per axis) before its point is built."""
         _check_class(i, self.k, count)
-        rng = random.Random(seed)
-        rats = _rational_stream(rng)
-        zero = Fraction(0)
-        if i == 1:
-            def gen():
-                yield Point.finite((zero, zero))
-                yield Point.infinity(2)
-                while True:
-                    yield Point.finite((zero, next(rats)))          # Q* norm on C2
-                    yield Point.finite((next(rats) * THETA, zero))  # theta norm on C1
-            return _distinct(gen(), count)
+        rats = _rational_stream(random.Random(seed))
         scale = _TWO_LINE_SCALES[i]
-        axis_is_c2 = i in (2, 3)
-
-        def gen():
-            while True:
-                v = next(rats) * scale
-                yield Point.finite((zero, v) if axis_is_c2 else (v, zero))
-
-        return _distinct(gen(), count)
+        zero, other = Fraction(0), 0 * scale  # a scaled point's other coordinate, on its backend
+        if i == 1:
+            def tagged():
+                while True:
+                    yield True, next(rats)
+                    yield False, next(rats)
+            head = [Point.finite((zero, zero)), Point.infinity(2)][:count]
+            return head + [Point.finite((zero, r) if on_c2 else (r * scale, other))
+                           for on_c2, r in (_distinct(tagged(), count - 2) if count > 2 else ())]
+        return [Point.finite((other, r * scale) if i in (2, 3) else (r * scale, other))
+                for r in _distinct(rats, count)]
 
 
 @dataclass(frozen=True)

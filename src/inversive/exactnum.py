@@ -277,11 +277,14 @@ SQRT2 = _make(0, 0, 1, 0, 1)
 
 
 def quartic_sign(x: Quartic2) -> int:
-    """Exact sign of a quartic field element, by integer square comparisons.
+    """Exact sign of a quartic field element: that of its numerators."""
+    return zt_sign(x._n)
 
-    x*d = E + t*O with E = n0 + n2*s, O = n1 + n3*s and s = t**2. If E and O
-    differ in sign, E*E - s*O*O (never zero, as t is not in Q(s)) decides."""
-    n0, n1, n2, n3 = x._n
+
+def zt_sign(n: Sequence[int]) -> int:
+    """Exact sign of E + t*O = n0 + n1*t + n2*t**2 + n3*t**3 (s = t**2, E = n0 + n2*s,
+    O = n1 + n3*s); if E, O differ in sign, E*E - s*O*O (t is not in Q(s)) decides."""
+    n0, n1, n2, n3 = n
     se, so = _sqrt2_sign(n0, n2), _sqrt2_sign(n1, n3)
     if se * so >= 0:
         return se or so

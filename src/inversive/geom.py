@@ -33,6 +33,7 @@ from .exactnum import (
     sign_of,
     zt_element,
     zt_mul,
+    zt_sign,
 )
 
 Scalar = Union[int, Fraction, Quartic2, float]
@@ -89,7 +90,8 @@ class Point:
         if not coords:
             raise GeometryError("a point needs at least one coordinate")
         k = common_kind(coords)
-        p = cls(tuple(promote(x, k) for x in coords), len(coords))
+        t = _SCALAR_TYPE[k]
+        p = cls(tuple(x if type(x) is t else promote(x, k) for x in coords), len(coords))
         p.__dict__["_kind"] = k  # as the cached_property would store it
         return p
 
@@ -219,10 +221,10 @@ class Hypersphere:
     @classmethod
     def _from_zt(cls, v: Sequence[Tuple[int, int, int, int]]) -> "Hypersphere":
         """`make` of a nonzero Z[t] row (c, b, a), on the Q(2^(1/4)) backend:
-        the sign, coefficients and `_zt` all come from its `zt_normal` form."""
+        the sign (`zt_sign`), coefficients and `_zt` all come from its `zt_normal` ints."""
         w, q = _linalg.zt_normal(v)
         terms = [zt_mul(x, x) for x in w[1:-1]] + [tuple(-4 * y for y in zt_mul(w[0], w[-1]))]
-        if sign_of(zt_element([sum(z) for z in zip(*terms)])) <= 0:
+        if zt_sign([sum(z) for z in zip(*terms)]) <= 0:
             raise DegenerateSphereError("discriminant <b,b> - 4ca is not positive")
         coeffs = [zt_element(x, q) for x in w]
         row = coeffs if any(x[1] or x[2] or x[3] for x in w) else [zt_element(x) for x in w]
@@ -269,16 +271,19 @@ class Hypersphere:
 
 
 def _incidence(s: Hypersphere, p: Point, zero_test: bool = False) -> Scalar:
-    """A positive multiple of c<x,x> + <b,x> + a (c at infinity); with a float
-    on either side, the one on the stored (c, b, a), so EPSILON keeps its scale.
-    An exact pair with a Q(2^(1/4)) side takes it over Z[t], from their cached
-    Z[t] rows; with zero_test only its vanishing is computed (nonzero reads 1)."""
+    """A positive multiple of c<x,x> + <b,x> + a (c at infinity), (c, b, a) =
+    `row`; with a float on either side, the one on the stored (c, b, a) in
+    `row`'s orientation, so EPSILON keeps its scale. An exact pair with a
+    Q(2^(1/4)) side takes it over Z[t], from their cached Z[t] rows; with
+    zero_test only its vanishing is computed (nonzero reads 1)."""
     if p.dim != s.dim:
         raise GeometryError("point dimension mismatch")
     if p._kind == "rational" and type(s.row[0]) is int:
         return sum(map(mul, s.row, p._row))
     if p._kind == "float" or type(s.c) is float:
-        return vec_dot((s.c, *s.b, s.a), p._float_row)
+        stored = (s.c, *s.b, s.a)  # `row` is stored times the sign of its lead
+        value = vec_dot(stored, p._float_row)
+        return -value if next((x for x in stored if not is_zero(x)), 0) < 0 else value
     if zero_test:
         return int(not _linalg.zt_vanishes(s._zt, p._zt))
     return zt_element(_linalg.zt_dot(s._zt, p._zt))
@@ -339,17 +344,17 @@ def sphere_through(points: Sequence[Point]) -> Hypersphere:
     """The unique generalized (n-1)-sphere through n+1 points of R^n_inf.
 
     Affinely degenerate inputs (or any containing infinity) come back with
-    c = 0. Inputs that fail to pin down a unique sphere raise; over the
-    rationals the coefficients are the signed maximal minors of the lift.
+    c = 0. Inputs that fail to pin down a unique sphere raise; on exact points
+    the coefficients are the signed maximal minors of the lift (`null_vector`).
     """
     rows, n = _lifted(points)
     if len(rows) != n + 1:
         raise GeometryError("need exactly n+1 points in dimension n")
     _check_distinct(rows, "sphere_through")
-    ns = _linalg.nullspace(rows, n + 2)
-    if len(ns) != 1:
+    vec = _linalg.null_vector(rows, n + 2)
+    if vec is None:
         raise DegenerateSphereError("points do not determine a unique sphere")
-    return _sphere_of(ns[0])
+    return _sphere_of(vec)
 
 
 def _sphere_of(vec: Sequence) -> Hypersphere:

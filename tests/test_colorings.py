@@ -126,6 +126,75 @@ class TestTwoLine:
             assert tl.color_of(scaled) == tl.color_of(pt)
 
 
+def reference_two_line_sample_class(i, count, seed):
+    """`TwoLine.sample_class` as it was: every candidate is built as a Point
+    and the Points are deduplicated."""
+    _check_class(i, 5, count)
+    rats = _rational_stream(random.Random(seed))
+    zero = F(0)
+    if i == 1:
+        def gen():
+            yield Point.finite((zero, zero))
+            yield Point.infinity(2)
+            while True:
+                yield Point.finite((zero, next(rats)))
+                yield Point.finite((next(rats) * THETA, zero))
+        return _distinct(gen(), count)
+    scale = {2: THETA, 3: THETA ** 3, 4: THETA ** 2, 5: F(1)}[i]
+
+    def gen():
+        while True:
+            v = next(rats) * scale
+            yield Point.finite((zero, v) if i in (2, 3) else (v, zero))
+
+    return _distinct(gen(), count)
+
+
+class TestTwoLineSamplingReference:
+    # seed 10 repeats a rational on one axis; 54, 64 and 74 repeat one across the axes
+    SEEDS = (*range(16), 54, 64, 74)
+
+    def test_matches_point_deduplicating_reference(self):
+        # the same points in the same order, each on the same backend with
+        # the same JSON form
+        tl = TwoLine()
+        for i in range(1, 6):
+            for seed in self.SEEDS:
+                for count in range(1, 13):
+                    got = tl.sample_class(i, count, seed)
+                    want = reference_two_line_sample_class(i, count, seed)
+                    assert got == want
+                    assert [p.backend() for p in got] == [p.backend() for p in want]
+                    assert [encode_point(p) for p in got] == [encode_point(p) for p in want]
+
+    def test_seeds_repeat_rationals(self):
+        # the seeds above draw a rational twice among the first 10, all that
+        # class 1 takes at count 12: on one axis (one point), and on both
+        # axes (two points)
+        same_axis = cross_axis = False
+        for seed in self.SEEDS:
+            xs = [x for x, _ in zip(_rational_stream(random.Random(seed)), range(10))]
+            for a, b in combinations(range(10), 2):
+                if xs[a] == xs[b]:
+                    same_axis |= (b - a) % 2 == 0
+                    cross_axis |= (b - a) % 2 == 1
+        assert same_axis and cross_axis
+
+    def test_backends(self):
+        # the origin, the class-1 points of the y-axis and class 5 are
+        # rational points; the class-1 points of the x-axis and classes 2..4
+        # are Q(2^(1/4)) points
+        tl = TwoLine()
+        for seed in self.SEEDS:
+            origin, infinity, *rest = tl.sample_class(1, 12, seed)
+            assert origin.backend() == "rational" and infinity.is_infinity
+            assert [p.backend() for p in rest] == [
+                "rational" if p.coords[0] == 0 else "quartic" for p in rest]
+            for i in range(2, 6):
+                expected = "rational" if i == 5 else "quartic"
+                assert {p.backend() for p in tl.sample_class(i, 12, seed)} == {expected}
+
+
 class TestFlagEuclidean:
     def test_axis_pair(self):
         fe = FlagEuclidean(2)

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
@@ -129,11 +130,7 @@ class TestOnSphereAndSide:
                         (Quartic2(1), (Quartic2(0), Quartic2(0)), -SQRT2),
                         (1.0, (0.0, 0.0), -1.0)):
             direct, made = Hypersphere(c, b, a), Hypersphere.make(c, b, a)
-            probes = [INF2, P([0, 0]), P([1, 0]), P([2, 3]), P([THETA, 0])]
-            # a float point is measured on the stored (c, b, a), so it agrees
-            # when those are make's
-            if (c, b, a) == (made.c, made.b, made.a):
-                probes.append(P([0.5, 1.0]))
+            probes = [INF2, P([0, 0]), P([1, 0]), P([2, 3]), P([THETA, 0]), P([0.5, 1.0])]
             for q in probes:
                 assert _answer(direct.contains, q) == _answer(made.contains, q)
                 assert _answer(side, q, direct) == _answer(side, q, made)
@@ -146,6 +143,23 @@ class TestOnSphereAndSide:
         assert PolychromaticWitness(circle, on, frozenset({1, 2, 3})).sphere is circle
         with pytest.raises(DegenerateSphereError):
             Hypersphere(Fraction(1), (Fraction(0), Fraction(0)), Fraction(1)).contains(P([1, 0]))
+
+    def test_float_side_in_rows_orientation(self):
+        # stored coefficients that are a negative multiple of `row` give a
+        # float point the side that `make`'s sphere gives it
+        p = P([0.5, 1.0])
+        for c, b, a in ((Fraction(-2), (Fraction(0), Fraction(0)), Fraction(2)),
+                        (-2.0, (0.0, 0.0), 2.0), (0, (0, -3), 0), (0.0, (-1e-12, -3.0), 1.0)):
+            direct, made = Hypersphere(c, b, a), Hypersphere.make(c, b, a)
+            assert side(p, direct) is side(p, made)
+            assert side(P([0.5, -1.0]), direct) is side(P([0.5, -1.0]), made)
+        assert side(p, Hypersphere(Fraction(-2), (Fraction(0), Fraction(0)), Fraction(2))) \
+            is SideLabel.OUTSIDE
+        # EPSILON stays on the stored scale: the point 5e-14 off the unit
+        # circle has the value -1e-10 on these coefficients, so it is on it
+        big = Hypersphere(-1e3, (0.0, 0.0), 1e3)
+        assert side(P([1.0 + 5e-14, 0.0]), big) is SideLabel.ON
+        assert side(P([2.0, 0.0]), big) is SideLabel.OUTSIDE
 
     def test_center_and_radius(self):
         s = sphere_through([P([0, 0]), P([1, 0]), P([0, 1])])
@@ -211,6 +225,58 @@ class TestSphereThrough:
             except (DegenerateSphereError, DegenerateConfigError):
                 continue
             assert all(on_sphere(p, s) for p in pts)
+
+
+def _bareiss_sphere_through(points):
+    """`sphere_through` by the fraction-free elimination: the sphere of the
+    one `nullspace` vector of the lifted rows."""
+    rows, n = _lifted(points)
+    _check_distinct(rows, "sphere_through")
+    ns = _linalg.nullspace(rows, n + 2)
+    if len(ns) != 1:
+        raise DegenerateSphereError("points do not determine a unique sphere")
+    return geom._sphere_of(ns[0])
+
+
+def _sphere_fields(s):
+    return repr((s.c, s.b, s.a, s.row, s.key())) if isinstance(s, Hypersphere) else s
+
+
+class TestSphereThroughMinors:
+    """`sphere_through` from the signed maximal minors against the sphere of
+    the Bareiss nullspace vector: the same c, b, a (as scalars of the same
+    type), row and key, or the same refusal."""
+
+    @staticmethod
+    def scalar(rng, quartic):
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        return q * rng.choice([1, THETA, SQRT2, THETA ** 3, 1 + THETA]) if quartic else q
+
+    def families(self):
+        tl = ColoredConfig.sample(TwoLine(), 2, 5).points()
+        yield from combinations(tl, 3)
+        for seed in range(40):
+            rng = random.Random(seed)
+            quartic = seed % 2 == 1
+            yield [INF2] + [P([self.scalar(rng, quartic), self.scalar(rng, quartic)])
+                            for _ in range(2)]
+            yield [P([self.scalar(rng, quartic) for _ in range(2)]) for _ in range(3)]
+            yield [P([self.scalar(rng, quartic) for _ in range(3)]) for _ in range(4)]
+            yield ([Point.infinity(3)] +
+                   [P([self.scalar(rng, quartic) for _ in range(3)]) for _ in range(3)])
+        # four points of one circle, and a repeated point
+        yield [P([THETA, 0, 0]), P([0, THETA, 0]), P([-THETA, 0, 0]), P([0, -THETA, 0])]
+        yield [P([0, THETA]), P([0, THETA]), P([1, 0])]
+
+    def test_same_sphere_as_bareiss(self):
+        kinds = set()
+        for points in self.families():
+            want = _outcome(_bareiss_sphere_through, points)
+            kinds.add(want[0].__name__ if isinstance(want, tuple)
+                      else (len(points), geom._family_kind(points)))
+            assert _sphere_fields(_outcome(sphere_through, points)) == _sphere_fields(want)
+        assert kinds == {(3, "rational"), (3, "quartic"), (4, "rational"), (4, "quartic"),
+                         "DegenerateSphereError", "DegenerateConfigError"}
 
 
 class TestConcyclic:
@@ -508,6 +574,32 @@ def quartic_matrices(draw):
     return rows
 
 
+def _seeded_rows(rng, n, zt):
+    """An (n+1) x (n+2) matrix over Z, or over Z[t] with int 4-tuple entries:
+    small entries, about a third of them zero, some rows (1, 0, .., 0) of
+    the point at infinity, and one draw in three a row that is a combination
+    of the others."""
+    zero, one = ((0, 0, 0, 0), (1, 0, 0, 0)) if zt else (0, 1)
+
+    def entry():
+        if rng.random() < 1 / 3:
+            return zero
+        return tuple(rng.randint(-3, 3) for _ in range(4)) if zt else rng.randint(-5, 5)
+
+    rows = [[entry() for _ in range(n + 2)] for _ in range(n + 1)]
+    for i in rng.sample(range(n + 1), rng.choice([0, 0, 1, 2])):
+        rows[i] = [one] + [zero] * (n + 1)
+    if rng.random() < 1 / 3:
+        j = rng.randrange(n + 1)
+        combo = [zero] * (n + 2)
+        for r in rows[:j] + rows[j + 1:]:
+            w = entry()
+            combo = [tuple(map(sum, zip(c, zt_mul(w, x)))) if zt else c + w * x
+                     for c, x in zip(combo, r)]
+        rows[j] = combo
+    return rows
+
+
 class TestZtKernelAgainstSympy:
     """The Z[t] elimination behind `rank`, `nullspace` and `echelon` on
     Q(2^(1/4)) matrices, and the Z[t] incidence behind `side`, against
@@ -624,6 +716,34 @@ class TestZtKernelAgainstSympy:
                 assert math.gcd(*[c for x in v for c in x]) == 1
                 assert lead[0] > 0 and lead[1:] == (0, 0, 0)
             basis, zt_basis = cut, zt_cut
+
+    def test_null_vector_matches_nullspace(self, field):
+        # the signed maximal minors of seeded (n+1) x (n+2) matrices over Z
+        # and Z[t]: a nonzero multiple of sympy's one nullspace vector when
+        # the rank is n+1, else None
+        sympy, K, element, matrix = field
+        seen = set()
+        for seed in range(240):
+            rng = random.Random(seed)
+            n, zt = 1 + seed % 3, seed // 3 % 2 == 1
+            rows = _seeded_rows(rng, n, zt)
+            exact = [[zt_element(x) if zt else x for x in r] for r in rows]
+            ref = matrix(exact, n + 2)
+            vec = _linalg.null_vector(rows, n + 2)
+            full = ref.rank() == n + 1
+            seen.add((n, zt, full, [1] + [0] * (n + 1) in exact))
+            if not full:
+                assert vec is None
+                continue
+            assert all(type(x) is (tuple if zt else int) for x in vec)
+            v = [element(zt_element(x) if zt else x) for x in vec]
+            (w,) = ref.nullspace().to_list()
+            i = next(i for i, x in enumerate(w) if x != K.zero)
+            assert v[i] != K.zero
+            assert all(v[j] * w[i] == v[i] * w[j] for j in range(n + 2))
+        # every size over both rings, of full and short rank, with and
+        # without a row of the point at infinity
+        assert len(seen) == 24
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(_QUARTICS, st.one_of(_QUARTICS, _SMALL_Q)), min_size=6, max_size=6,
