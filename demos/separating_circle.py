@@ -31,7 +31,7 @@ print("separated pair:")
 for p, c in (a, b):
     print("  color %d at %s  ->  %s" % (c, p, side(p, witness.sphere).value))
 
-# side() never returns ON for the separated pair; the witness dataclass
+# side() never returns ON for the separated pair; SeparationWitness
 # would have refused to construct otherwise.
 assert side(a[0], witness.sphere) != side(b[0], witness.sphere)
 print("strictly separated: yes")

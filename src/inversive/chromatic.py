@@ -9,7 +9,6 @@ finite sample only.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -28,6 +27,7 @@ from .colorings import (
 from .exactnum import THETA, NormClass, is_zero, norm_class_of, sign_of, zt_mul, zt_pair
 from .geom import (
     DegenerateConfigError,
+    Frozen,
     GeometryError,
     Hypersphere,
     Point,
@@ -58,46 +58,42 @@ class SearchBudgetError(GeometryError):
     """A search that had to produce a witness ran out of budget instead."""
 
 
-@dataclass(frozen=True)
-class PolychromaticWitness:
+class PolychromaticWitness(Frozen):
     """A sphere with incident colored points realizing |color_set| colors."""
 
-    sphere: SphereLike
-    on_points: Tuple[ColoredPoint, ...]
-    color_set: FrozenSet[int]
-
-    def __post_init__(self):
-        pts = [p for p, _ in self.on_points]
+    def __init__(self, sphere: SphereLike, on_points: Tuple[ColoredPoint, ...],
+                 color_set: FrozenSet[int]):
+        pts = [p for p, _ in on_points]
         if len(set(pts)) != len(pts):
             raise GeometryError("witness points must be distinct")
-        for p, _ in self.on_points:
-            if not self.sphere.contains(p):
+        for p in pts:
+            if not sphere.contains(p):
                 raise GeometryError("witness point %r is off the sphere" % (p,))
-        if frozenset(c for _, c in self.on_points) != self.color_set:
+        if frozenset(c for _, c in on_points) != color_set:
             raise GeometryError("witness color set does not match its points")
+        self.__dict__.update(sphere=sphere, on_points=on_points, color_set=color_set,
+                             _values=(sphere, on_points, color_set))
 
 
-@dataclass(frozen=True)
-class SeparationWitness:
+class SeparationWitness(Frozen):
     """A sphere through distinct-colored points separating two more colors."""
 
-    sphere: Hypersphere
-    defining: Tuple[ColoredPoint, ...]
-    separated_pair: Tuple[ColoredPoint, ColoredPoint]
-
-    def __post_init__(self):
-        n = self.sphere.dim + 1
-        if len(self.defining) != n or len({p for p, _ in self.defining}) != n:
+    def __init__(self, sphere: Hypersphere, defining: Tuple[ColoredPoint, ...],
+                 separated_pair: Tuple[ColoredPoint, ColoredPoint]):
+        n = sphere.dim + 1
+        if len(defining) != n or len({p for p, _ in defining}) != n:
             raise GeometryError("a separation witness needs %d distinct defining points" % n)
-        colors = [c for _, c in self.defining] + [c for _, c in self.separated_pair]
+        colors = [c for _, c in defining] + [c for _, c in separated_pair]
         if len(set(colors)) != len(colors):
             raise GeometryError("separation witness colors must be distinct")
-        for p, _ in self.defining:
-            if not on_sphere(p, self.sphere):
+        for p, _ in defining:
+            if not on_sphere(p, sphere):
                 raise GeometryError("defining point is off the sphere")
-        (x, _), (y, _) = self.separated_pair
-        if not separated(x, y, self.sphere):
+        (x, _), (y, _) = separated_pair
+        if not separated(x, y, sphere):
             raise GeometryError("claimed pair is not separated")
+        self.__dict__.update(sphere=sphere, defining=defining, separated_pair=separated_pair,
+                             _values=(sphere, defining, separated_pair))
 
 
 IndexEntry = Tuple[Tuple[int, ...], Set[int]]

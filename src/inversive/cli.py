@@ -12,7 +12,9 @@ searches need exact coordinates.
 `main(argv)` may be called repeatedly in one process: the parser is built on
 the first call and reused, and each call looks its handler up by name.
 Each handler imports what it runs, so a process that separates or validates
-never loads the Moebius, Euclidean, WCP or SVG modules.
+never loads the Moebius, Euclidean, WCP or SVG modules. The value types are
+plain classes on `geom.Frozen`: no process imports `inspect` for them or
+generates their methods when it starts.
 """
 
 import argparse

@@ -8,7 +8,6 @@ of 1..k is nonempty; finite classes clamp sample requests to their size.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
@@ -22,6 +21,7 @@ from .exactnum import (
     norm_class_of,
 )
 from .geom import (
+    Frozen,
     GeometryError,
     Point,
     Scalar,
@@ -72,17 +72,15 @@ def _last_nonzero_index(coords: Sequence[Scalar]) -> int:
     return idx
 
 
-@dataclass(frozen=True)
-class FlagInversive:
+class FlagInversive(Frozen):
     """Colors R^n_inf along the standard flag of subspaces: the origin gets 1,
     infinity gets 2, and a finite nonzero point gets 2 plus the index of its
     last nonzero coordinate."""
 
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise ColoringError("ambient dimension must be at least 1")
+        self.__dict__.update(n=n, _values=(n,))
 
     @property
     def k(self) -> int:
@@ -118,8 +116,7 @@ _TWO_LINE_AXIS_CLASSES = {
 _TWO_LINE_SCALES = {1: THETA, 2: THETA, 3: THETA ** 3, 4: THETA ** 2, 5: Fraction(1)}
 
 
-@dataclass(frozen=True)
-class TwoLine:
+class TwoLine(Frozen):
     """The 5-coloring of two crossing extended lines built from powers of
     2^(1/4): y-axis points of norm class theta*Q* get 2 and theta^3*Q* get 3,
     x-axis points of norm class sqrt(2)*Q* get 4 and Q* get 5, and every
@@ -127,7 +124,8 @@ class TwoLine:
     1. With extended=True the rest of the plane also gets 1, making a full
     5-coloring of S^2."""
 
-    extended: bool = False
+    def __init__(self, extended: bool = False):
+        self.__dict__.update(extended=extended, _values=(extended,))
 
     @property
     def n(self) -> int:
@@ -177,16 +175,14 @@ class TwoLine:
                 for r in _distinct(rats, count)]
 
 
-@dataclass(frozen=True)
-class FlagEuclidean:
+class FlagEuclidean(Frozen):
     """Colors the unit n-sphere in R^(n+1) along the standard flag: the color
     is the index of the last nonzero coordinate, giving n+1 classes."""
 
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise ColoringError("ambient dimension must be at least 1")
+        self.__dict__.update(n=n, _values=(n,))
 
     @property
     def k(self) -> int:
@@ -220,28 +216,25 @@ class FlagEuclidean:
         return _distinct(gen(), count)
 
 
-@dataclass(frozen=True)
-class PointListBackground:
+class PointListBackground(Frozen):
     """Explicit colored points over a constant background color. The
     generic-points coloring is one: k-1 marked points in spherically generic
     position colored 1..k-1, over background k."""
 
-    n: int
-    points: Tuple[Point, ...]
-    colors: Tuple[int, ...]
-    background: int
-
-    def __post_init__(self):
-        if len(self.points) != len(self.colors):
+    def __init__(self, n: int, points: Tuple[Point, ...], colors: Tuple[int, ...],
+                 background: int):
+        if len(points) != len(colors):
             raise ColoringError("points and colors must align")
-        if len(set(self.points)) != len(self.points):
+        if len(set(points)) != len(points):
             raise ColoringError("listed points must be distinct")
-        for p in self.points:
-            if p.dim != self.n:
+        for p in points:
+            if p.dim != n:
                 raise ColoringError("listed point has the wrong dimension")
-        realized = set(self.colors) | {self.background}
+        realized = set(colors) | {background}
         if min(realized) < 1 or realized != set(range(1, max(realized) + 1)):
             raise ColoringError("colors must realize 1..k with no gaps")
+        self.__dict__.update(n=n, points=points, colors=colors, background=background,
+                             _values=(n, points, colors, background))
 
     @property
     def k(self) -> int:
@@ -331,23 +324,19 @@ def generic_position_points(n: int, count: int, seed: int = 0) -> List[Point]:
     return chosen
 
 
-@dataclass(frozen=True)
-class ColoredConfig:
+class ColoredConfig(Frozen):
     """A finite colored point set: the search input format."""
 
-    n: int
-    k: int
-    items: Tuple[Tuple[Point, int], ...]
-
-    def __post_init__(self):
-        pts = [p for p, _ in self.items]
+    def __init__(self, n: int, k: int, items: Tuple[Tuple[Point, int], ...]):
+        pts = [p for p, _ in items]
         if len(set(pts)) != len(pts):
             raise ColoringError("configuration points must be distinct")
-        for p, c in self.items:
-            if p.dim != self.n:
+        for p, c in items:
+            if p.dim != n:
                 raise ColoringError("configuration point has the wrong dimension")
-            if not 1 <= c <= self.k:
-                raise ColoringError("color %d outside 1..%d" % (c, self.k))
+            if not 1 <= c <= k:
+                raise ColoringError("color %d outside 1..%d" % (c, k))
+        self.__dict__.update(n=n, k=k, items=items, _values=(n, k, items))
 
     @classmethod
     def sample(cls, coloring: ProceduralColoring, per_class: int,

@@ -14,7 +14,6 @@ equal orthogonal complements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -27,6 +26,7 @@ from .exactnum import BackendMismatch, common_kind, is_zero, promote, sqrt_in_fi
 from .geom import (
     DegenerateConfigError,
     Flat,
+    Frozen,
     GeometryError,
     Hypersphere,
     Point,
@@ -77,13 +77,13 @@ def _padding(rows: Sequence[Sequence[Scalar]], d: int) -> Tuple[List[List[int]],
     return pads, normals
 
 
-@dataclass(frozen=True)
-class GreatFlat:
+class GreatFlat(Frozen):
     """Linear subspace of R^(n+1), stored as its reduced-echelon basis so
     equal subspaces compare equal; its unit-sphere section is a great
     (dim-1)-sphere."""
 
-    basis: Tuple[Tuple[Scalar, ...], ...]
+    def __init__(self, basis: Tuple[Tuple[Scalar, ...], ...]):
+        self.__dict__.update(basis=basis, _values=(basis,))
 
     @classmethod
     def span(cls, vectors: Sequence[Sequence[Scalar]]) -> "GreatFlat":
@@ -150,15 +150,14 @@ def great_flat_through(points: Sequence[Point], d: int) -> GreatFlat:
     return GreatFlat.span(rows + pads)
 
 
-@dataclass(frozen=True)
-class GreatIntersection:
+class GreatIntersection(Frozen):
     """A common direction of two great spheres with its antipodal sphere
     points; `exact` is False when scaling the direction to unit length left
     the scalar field and the points fall back to floats."""
 
-    direction: Tuple[Scalar, ...]
-    points: Tuple[Point, Point]
-    exact: bool
+    def __init__(self, direction: Tuple[Scalar, ...], points: Tuple[Point, Point], exact: bool):
+        self.__dict__.update(direction=direction, points=points, exact=exact,
+                             _values=(direction, points, exact))
 
 
 def great_intersection(s: GreatFlat, c: GreatFlat) -> GreatIntersection:

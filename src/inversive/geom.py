@@ -15,7 +15,6 @@ through it. Float spheres have no key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -74,15 +73,45 @@ def vec_is_zero(u: Sequence) -> bool:
     return all(is_zero(a) for a in u)
 
 
-@dataclass(frozen=True)
-class Point:
+class Frozen:
+    """Base of the immutable value types. A class's fields are the parameters
+    of its __init__, which stores each in the instance __dict__ and their
+    tuple as `_values`: ==, hash (of that tuple) and the default repr read
+    it, and whatever a class caches in its __dict__ beside them stays outside
+    the value. Assignment and del raise AttributeError."""
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % fv for fv in zip(self._fields, self._values)))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class Point(Frozen):
     """A point of R^n or the single point at infinity. Its backend (decided
     by `finite`) and its lifted row (integer for a rational point) are
     computed once and cached on the instance, outside the fields (so outside
     ==, hash and repr)."""
 
-    coords: Optional[Tuple[Scalar, ...]]
-    dim: int
+    def __init__(self, coords: Optional[Tuple[Scalar, ...]], dim: int):
+        d = self.__dict__  # item stores build the dict faster than update()
+        d["coords"], d["dim"], d["_values"] = coords, dim, (coords, dim)
 
     @classmethod
     def finite(cls, coords: Sequence[Scalar]) -> "Point":
@@ -174,8 +203,7 @@ class SideLabel(Enum):
     NEGATIVE = "negative"
 
 
-@dataclass(frozen=True)
-class Hypersphere:
+class Hypersphere(Frozen):
     """Coefficients (c, b, a) of a nondegenerate generalized sphere, scaled so
     the first nonzero of (c, b_1..b_n, a) is 1; the float backend scales to
     unit coefficient norm with the same sign rule and takes a discriminant
@@ -184,9 +212,8 @@ class Hypersphere:
     norm on floats), cached outside the fields as `Point._row` is: `make` sets
     it, and a directly built sphere takes the one `make` gives its fields."""
 
-    c: Scalar
-    b: Tuple[Scalar, ...]
-    a: Scalar
+    def __init__(self, c: Scalar, b: Tuple[Scalar, ...], a: Scalar):
+        self.__dict__.update(c=c, b=b, a=a, _values=(c, b, a))
 
     @classmethod
     def make(cls, c: Scalar, b: Sequence[Scalar], a: Scalar) -> "Hypersphere":
@@ -215,7 +242,7 @@ class Hypersphere:
         if degenerate:
             raise DegenerateSphereError("discriminant <b,b> - 4ca is not positive")
         s = cls(coeffs[0], tuple(coeffs[1:-1]), coeffs[-1])
-        object.__setattr__(s, "row", tuple(row))
+        s.__dict__["row"] = tuple(row)
         return s
 
     @classmethod
@@ -229,8 +256,7 @@ class Hypersphere:
         coeffs = [zt_element(x, q) for x in w]
         row = coeffs if any(x[1] or x[2] or x[3] for x in w) else [zt_element(x) for x in w]
         s = cls(coeffs[0], tuple(coeffs[1:-1]), coeffs[-1])
-        object.__setattr__(s, "row", tuple(row))
-        object.__setattr__(s, "_zt", _linalg.zt_twisted(w))
+        s.__dict__.update(row=tuple(row), _zt=_linalg.zt_twisted(w))
         return s
 
     @cached_property
@@ -282,6 +308,8 @@ def _incidence(s: Hypersphere, p: Point, zero_test: bool = False) -> Scalar:
         return sum(map(mul, s.row, p._row))
     if p._kind == "float" or type(s.c) is float:
         stored = (s.c, *s.b, s.a)  # `row` is stored times the sign of its lead
+        if Quartic2 in map(type, stored):
+            raise BackendMismatch("cannot mix a float point with a Q(2^(1/4)) sphere")
         value = vec_dot(stored, p._float_row)
         return -value if next((x for x in stored if not is_zero(x)), 0) < 0 else value
     if zero_test:
@@ -448,13 +476,12 @@ def power_condition(x: Scalar, xp: Scalar, y: Scalar, yp: Scalar) -> bool:
     return is_zero(x * xp - y * yp)
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(Frozen):
     """Affine subspace with an orthogonal direction basis, always understood
     as extended through infinity."""
 
-    basepoint: Tuple[Scalar, ...]
-    basis: Tuple[Tuple[Scalar, ...], ...]
+    def __init__(self, basepoint: Tuple[Scalar, ...], basis: Tuple[Tuple[Scalar, ...], ...]):
+        self.__dict__.update(basepoint=basepoint, basis=basis, _values=(basepoint, basis))
 
     @classmethod
     def through(cls, points: Sequence[Point]) -> "Flat":
@@ -497,28 +524,25 @@ def _orthogonal_residual(v: Sequence[Scalar], basis: Sequence[Sequence[Scalar]])
     return v
 
 
-@dataclass(frozen=True)
-class SubSphere:
+class SubSphere(Frozen):
     """A d-sphere presented as carrier flat (dimension d+1 >= 1) cut by an
     ambient hypersphere whose center lies in the carrier; surface None, with
     the whole space as carrier, means the whole extended space. Its spheres,
     the surface and the extended hyperplanes through the carrier, are built
     once: incidence and the key read their rows."""
 
-    carrier: Flat
-    surface: Optional[Hypersphere]
-
-    def __post_init__(self):
-        if self.surface is None:
-            if self.carrier.dim != self.ambient:
+    def __init__(self, carrier: Flat, surface: Optional[Hypersphere]):
+        if surface is None:
+            if carrier.dim != carrier.ambient:
                 raise GeometryError("surface None needs the whole space as carrier, "
                                     "not a %d-flat in dimension %d"
-                                    % (self.carrier.dim, self.ambient))
-        elif self.surface.dim != self.ambient:
+                                    % (carrier.dim, carrier.ambient))
+        elif surface.dim != carrier.ambient:
             raise GeometryError("surface in dimension %d cannot cut a carrier in dimension %d"
-                                % (self.surface.dim, self.ambient))
-        elif self.carrier.dim < 1:
+                                % (surface.dim, carrier.ambient))
+        elif carrier.dim < 1:
             raise GeometryError("a surface cannot cut a carrier of dimension 0")
+        self.__dict__.update(carrier=carrier, surface=surface, _values=(carrier, surface))
 
     @property
     def dim(self) -> int:

@@ -17,7 +17,6 @@ infinity (for one inversion: |x - m|^2 <= EPSILON rho).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import List, Optional, Sequence, Tuple, Union
@@ -25,6 +24,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from . import _linalg
 from .exactnum import EPSILON, common_kind, is_zero, promote, sign_of, sqrt_in_field
 from .geom import (
+    Frozen,
     GeometryError,
     Hypersphere,
     Point,
@@ -74,18 +74,15 @@ def _reflect(mirrors: Sequence[tuple], xs: List[Scalar]) -> List[Scalar]:
     return xs
 
 
-@dataclass(frozen=True)
-class MoebiusMap:
+class MoebiusMap(Frozen):
     """A finite composition of primitives, applied first to last."""
 
-    factors: Tuple[PrimitiveMap, ...]
-    dim: int
-
-    def __post_init__(self):
-        if any(f.dim != self.dim for f in self.factors):
+    def __init__(self, factors: Tuple[PrimitiveMap, ...], dim: int):
+        if any(f.dim != dim for f in factors):
             raise GeometryError("factor dimension mismatch")
-        object.__setattr__(self, "_mirrors", tuple(f._mirrors[0] for f in self.factors))
-        object.__setattr__(self, "_float", any(f._float for f in self.factors))
+        self.__dict__.update(factors=factors, dim=dim, _values=(factors, dim),
+                             _mirrors=tuple(f._mirrors[0] for f in factors),
+                             _float=any(f._float for f in factors))
 
     @classmethod
     def identity(cls, dim: int) -> "MoebiusMap":
@@ -134,41 +131,31 @@ class _Primitive:
     image_sphere = MoebiusMap.image_sphere
 
 
-@dataclass(frozen=True)
-class SphereInversion(_Primitive):
-    center: Tuple[Scalar, ...]
-    radius_sq: Scalar
-
-    def __post_init__(self):
-        k = common_kind([*self.center, self.radius_sq])
-        object.__setattr__(self, "center", tuple(promote(x, k) for x in self.center))
-        object.__setattr__(self, "radius_sq", promote(self.radius_sq, k))
-        if sign_of(self.radius_sq) <= 0:
+class SphereInversion(_Primitive, Frozen):
+    def __init__(self, center: Tuple[Scalar, ...], radius_sq: Scalar):
+        k = common_kind([*center, radius_sq])
+        center, radius_sq = tuple(promote(x, k) for x in center), promote(radius_sq, k)
+        if sign_of(radius_sq) <= 0:
             raise GeometryError("inversion needs a positive squared radius")
-        *m, rho = _dyadic([*self.center, self.radius_sq])
+        *m, rho = _dyadic([*center, radius_sq])
         row = [promote(1, k), *vec_scale(-2, m), vec_dot(m, m) - rho]
-        object.__setattr__(self, "_mirrors", (_mirror(row),))
-        object.__setattr__(self, "_float", k == "float")
+        self.__dict__.update(center=center, radius_sq=radius_sq, _values=(center, radius_sq),
+                             _mirrors=(_mirror(row),), _float=k == "float")
 
     @property
     def dim(self) -> int:
         return len(self.center)
 
 
-@dataclass(frozen=True)
-class HyperplaneReflection(_Primitive):
-    normal: Tuple[Scalar, ...]
-    offset: Scalar
-
-    def __post_init__(self):
-        k = common_kind([*self.normal, self.offset])
-        object.__setattr__(self, "normal", tuple(promote(x, k) for x in self.normal))
-        object.__setattr__(self, "offset", promote(self.offset, k))
-        if all(is_zero(x) for x in self.normal):
+class HyperplaneReflection(_Primitive, Frozen):
+    def __init__(self, normal: Tuple[Scalar, ...], offset: Scalar):
+        k = common_kind([*normal, offset])
+        normal, offset = tuple(promote(x, k) for x in normal), promote(offset, k)
+        if all(is_zero(x) for x in normal):
             raise GeometryError("reflection needs a nonzero normal")
-        row = [promote(0, k), *self.normal, self.offset]
-        object.__setattr__(self, "_mirrors", (_mirror(row),))
-        object.__setattr__(self, "_float", k == "float")
+        row = [promote(0, k), *normal, offset]
+        self.__dict__.update(normal=normal, offset=offset, _values=(normal, offset),
+                             _mirrors=(_mirror(row),), _float=k == "float")
 
     @property
     def dim(self) -> int:

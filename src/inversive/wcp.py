@@ -14,7 +14,6 @@ infinity (dimension 2), or ambient coordinates of a sphere in R^(m+1)
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import List, Mapping, Optional, Sequence, Tuple
@@ -23,6 +22,7 @@ from .chromatic import PolychromaticWitness, SearchBudgetError, find_polychromat
 from .colorings import FlagEuclidean, FlagInversive, ProceduralColoring, num_colors
 from .geom import (
     DegenerateConfigError,
+    Frozen,
     GeometryError,
     Hypersphere,
     Point,
@@ -48,47 +48,43 @@ def _image_points_valid(points: Sequence[Point]) -> None:
         raise GeometryError("ambient sphere coordinates have no infinity")
 
 
-@dataclass(frozen=True)
-class FiniteImageMap:
+class FiniteImageMap(Frozen):
     """A map of the plane-with-infinity with finite image: the coloring
     picks a class, the table picks the image point of that class."""
 
-    coloring: ProceduralColoring
-    image: Tuple[Point, ...]
-    table: Mapping[int, int]
-
-    def __post_init__(self):
-        if isinstance(self.coloring, FlagEuclidean) or self.coloring.n != 2:
+    def __init__(self, coloring: ProceduralColoring, image: Tuple[Point, ...],
+                 table: Mapping[int, int]):
+        if isinstance(coloring, FlagEuclidean) or coloring.n != 2:
             raise GeometryError("the domain must be the plane with infinity")
-        _image_points_valid(self.image)
-        if len(set(self.image)) != len(self.image):
+        _image_points_valid(image)
+        if len(set(image)) != len(image):
             raise GeometryError("image points must be pairwise distinct")
-        k = num_colors(self.coloring)
-        if set(self.table.keys()) != set(range(1, k + 1)):
+        k = num_colors(coloring)
+        if set(table.keys()) != set(range(1, k + 1)):
             raise GeometryError("table must assign every color 1..%d" % k)
-        if any(not 0 <= v < len(self.image) for v in self.table.values()):
+        if any(not 0 <= v < len(image) for v in table.values()):
             raise GeometryError("table entry points outside the image list")
+        self.__dict__.update(coloring=coloring, image=image, table=table,
+                             _values=(coloring, image, table))
 
     def apply(self, p: Point) -> Point:
         return self.image[self.table[self.coloring.color_of(p)]]
 
 
-@dataclass(frozen=True)
-class CgpReport:
+class CgpReport(Frozen):
     """Circular-general-position verdict; a False verdict carries the
     violating circle together with the input points on it."""
 
-    verdict: bool
-    circle: Optional[SubSphere]
-    on_circle: Tuple[Point, ...] = field(default=())
-
-    def __post_init__(self):
-        if self.verdict != (self.circle is None):
+    def __init__(self, verdict: bool, circle: Optional[SubSphere],
+                 on_circle: Tuple[Point, ...] = ()):
+        if verdict != (circle is None):
             raise GeometryError("a False verdict needs exactly one violating circle")
-        if self.circle is not None:
-            for p in self.on_circle:
-                if not self.circle.contains(p):
+        if circle is not None:
+            for p in on_circle:
+                if not circle.contains(p):
                     raise GeometryError("reported point is off the violating circle")
+        self.__dict__.update(verdict=verdict, circle=circle, on_circle=on_circle,
+                             _values=(verdict, circle, on_circle))
 
 
 def _aux_candidates(dim: int):
@@ -135,24 +131,22 @@ def circular_general_position(points: Sequence[Point]) -> CgpReport:
     return CgpReport(True, None)
 
 
-@dataclass(frozen=True)
-class WcpViolation:
+class WcpViolation(Frozen):
     """A sampled domain circle whose image spreads over no single circle,
     certified by four distinct non-concyclic image points."""
 
-    sample_index: int
-    circle: Hypersphere
-    domain_points: Tuple[Point, ...]
-    images: Tuple[Point, ...]
-
-    def __post_init__(self):
-        if len(self.images) != 4 or len(set(self.images)) != 4:
+    def __init__(self, sample_index: int, circle: Hypersphere,
+                 domain_points: Tuple[Point, ...], images: Tuple[Point, ...]):
+        if len(images) != 4 or len(set(images)) != 4:
             raise GeometryError("a violation needs four distinct image points")
-        if concyclic(*self.images):
+        if concyclic(*images):
             raise GeometryError("claimed violation images are concyclic")
-        for p in self.domain_points:
-            if not on_sphere(p, self.circle):
+        for p in domain_points:
+            if not on_sphere(p, circle):
                 raise GeometryError("domain point is off the sampled circle")
+        self.__dict__.update(sample_index=sample_index, circle=circle,
+                             domain_points=domain_points, images=images,
+                             _values=(sample_index, circle, domain_points, images))
 
 
 CircleSample = Tuple[Hypersphere, Sequence[Point]]
@@ -219,20 +213,18 @@ def sample_circles(count: int, seed: int = 0) -> List[Tuple[Hypersphere, List[Po
     return out
 
 
-@dataclass(frozen=True)
-class FivePointRefutation:
+class FivePointRefutation(Frozen):
     """A domain circle needing four colors, so its four distinct image
     points cannot be concyclic: the map is not weakly circle-preserving."""
 
-    witness: PolychromaticWitness
-    domain_points: Tuple[Point, ...]
-    images: Tuple[Point, ...]
-
-    def __post_init__(self):
-        if len(self.images) != 4 or len(set(self.images)) != 4:
+    def __init__(self, witness: PolychromaticWitness, domain_points: Tuple[Point, ...],
+                 images: Tuple[Point, ...]):
+        if len(images) != 4 or len(set(images)) != 4:
             raise GeometryError("a refutation needs four distinct image points")
-        if concyclic(*self.images):
+        if concyclic(*images):
             raise GeometryError("refutation images are concyclic")
+        self.__dict__.update(witness=witness, domain_points=domain_points, images=images,
+                             _values=(witness, domain_points, images))
 
 
 def five_point_refute(t: FiniteImageMap, budget: int = 2000,

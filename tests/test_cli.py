@@ -769,11 +769,15 @@ def _fresh_stdout(code):
     return done.stdout
 
 
+def _modules_after(code):
+    """The modules a fresh interpreter holds after `code`."""
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    return set(json.loads(_fresh_stdout(probe).splitlines()[-1]))
+
+
 def _loaded_by(code):
     """The inversive submodules a fresh interpreter holds after `code`."""
-    probe = code + ("\nimport json, sys\nprint(json.dumps(sorted("
-                    "m for m in sys.modules if m.startswith('inversive.'))))")
-    return set(json.loads(_fresh_stdout(probe).splitlines()[-1]))
+    return {m for m in _modules_after(code) if m.startswith("inversive.")}
 
 
 def _run_main(argv):
@@ -809,6 +813,21 @@ class TestImports:
         cfg = write_json(tmp_path / "cfg.json", UNIT_CIRCLE_DOC)
         argv = ["plot", "--input", cfg, "--out", str(tmp_path / "fig.svg")]
         assert _loaded_by(_run_main(argv)) & OPTIONAL == {"inversive.svg"}
+
+    def test_no_command_loads_dataclasses_or_inspect(self, tmp_path, capsys):
+        # the value types are plain classes: a process neither imports the
+        # dataclasses machinery (and inspect with it) nor generates methods
+        cfg = write_json(tmp_path / "five.json", FIVE_POINT_DOC)
+        report = tmp_path / "report.json"
+        report.write_text(run_cli(["separate", "--input", cfg], capsys)[1])
+        map_path = write_json(tmp_path / "map.json", SHARP_MAP_DOC)
+        baseline = _modules_after("pass")
+        for code in ("import inversive.cli",
+                     _run_main(["separate", "--input", cfg]),
+                     _run_main(["validate", "--input", str(report)]),
+                     _run_main(["wcp", "check", "--map", map_path, "--samples", "5"])):
+            added = _modules_after(code) - baseline
+            assert not added & {"dataclasses", "inspect"}, code
 
 
 def _commands(parser, path=()):

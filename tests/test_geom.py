@@ -1,6 +1,5 @@
 """Incidence predicates, sphere constructions, and the planar invariants."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -172,6 +171,21 @@ class TestOnSphereAndSide:
         assert not on_sphere(P([1.0 + 1e-6, 0.0]), s)
         with pytest.raises(BackendMismatch):
             sphere_through([P([0.5, 0.5]), P([1, 0]), P([0, 1])])
+
+    def test_float_and_quartic_do_not_mix_either_way(self):
+        # a float point on a Q(2^(1/4)) sphere and a Q(2^(1/4)) point on a
+        # float sphere both refuse with BackendMismatch, never a TypeError
+        quartic = Hypersphere.make(Quartic2(1), (Quartic2(0), Quartic2(0)), -SQRT2)
+        floats = Hypersphere.make(1.0, (0.0, 0.0), -1.0)
+        for p, s in ((P([0.5, 1.0]), quartic), (P([THETA, 0]), floats)):
+            for ask in (side, lambda p, s: s.contains(p), on_sphere):
+                with pytest.raises(BackendMismatch):
+                    ask(p, s)
+        sub = SubSphere(Flat.through([P([0, 0]), P([1, 0])]), quartic)
+        with pytest.raises(BackendMismatch):
+            sub.contains(P([0.5, 0.0]))
+        # a rational sphere still answers a float point, as documented
+        assert side(P([0.5, 0.0]), Hypersphere.make(1, (0, 0), -1)) is SideLabel.INSIDE
 
 
 class TestSphereThrough:
@@ -1229,8 +1243,9 @@ class TestLiftedRows:
         assert lift_row(p) == list(_formula_row(p))
         assert (repr(p), hash(p)) == before == (repr(fresh), hash(fresh))
         assert p == fresh and fresh == p
-        assert [f.name for f in dataclasses.fields(Point)] == ["coords", "dim"]
-        assert dataclasses.astuple(p) == (p.coords, p.dim)
+        # the cached row sits in the instance beside the fields, never among them
+        assert Point._fields == ("coords", "dim") and "_row" in vars(p)
+        assert p._values == (p.coords, p.dim) == fresh._values
 
     @settings(max_examples=150, deadline=None)
     @given(point_families(lambda n: n + 2), st.integers(0, 3))
