@@ -33,10 +33,10 @@ from .geom import (
     Point,
     Scalar,
     SubSphere,
-    concyclic,
     on_common_sphere,
     on_sphere,
     separated,
+    separation_signs,
     smallest_sphere,
     span_walk,
     sphere_through,
@@ -261,7 +261,7 @@ def separating_circle_5pts(pairs: Sequence[ColoredPoint]) -> SeparationWitness:
     is an extended line with a between b and c, and otherwise the first on a
     genuine circle. Some Moebius map sends it onto a line with a strictly
     between b and c, where a is inside every circle through b and c. Since
-    separation is Moebius invariant, both tests run on the points themselves:
+    separation is Moebius invariant, both tests compare `separation_signs`:
     either the role circle separates the other two points d and e, or the
     circle through e, b, c separates a from d, or else the circle through d,
     b, c separates a from e."""
@@ -273,9 +273,9 @@ def separating_circle_5pts(pairs: Sequence[ColoredPoint]) -> SeparationWitness:
         raise GeometryError("need five distinct planar points")
     if len(set(colors)) != 5:
         raise DegenerateConfigError("need five distinct colors")
-    for quad in combinations(pts, 4):
-        if concyclic(*quad):
-            raise DegenerateConfigError("four of the points are concyclic")
+    signs = separation_signs(pts)
+    if signs is None:
+        raise DegenerateConfigError("four of the points are concyclic")
 
     chosen = fallback = None
     for a, b, c in _role_assignments(5):
@@ -286,28 +286,21 @@ def separating_circle_5pts(pairs: Sequence[ColoredPoint]) -> SeparationWitness:
             break
         if fallback is None and not circle.is_flat:
             fallback = (a, b, c, circle)
-    a, b, c, role_circle = chosen or fallback
+    a, b, c, circle = chosen or fallback
 
     d, e = [i for i in range(5) if i not in (a, b, c)]
-    if separated(pts[d], pts[e], role_circle):
-        return SeparationWitness(role_circle,
-                                 (pairs[a], pairs[b], pairs[c]),
-                                 (pairs[d], pairs[e]))
-    if separated(pts[d], pts[a], sphere_through([pts[e], pts[b], pts[c]])):
-        keep, out = e, d
-    else:
-        keep, out = d, e
-    witness_circle = sphere_through([pts[keep], pts[b], pts[c]])
-    return SeparationWitness(witness_circle,
-                             (pairs[keep], pairs[b], pairs[c]),
-                             (pairs[a], pairs[out]))
+    if signs[d] != signs[e]:
+        # a shares its sign with one of d, e: the circle through the other
+        # one, b and c separates that pair
+        a, d, e = (e, a, d) if signs[d] == signs[a] else (d, a, e)
+        circle = sphere_through([pts[a], pts[b], pts[c]])
+    return SeparationWitness(circle, (pairs[a], pairs[b], pairs[c]), (pairs[d], pairs[e]))
 
 
-def separating_sphere_bruteforce(pairs: Sequence[ColoredPoint]
-                                 ) -> Optional[SeparationWitness]:
-    """Exhaustive scan for a separating (n-1)-sphere among n+3 colored
-    points: first lexicographic (n+1)-subset whose sphere separates the
-    remaining two, or None."""
+def separating_sphere_bruteforce(pairs: Sequence[ColoredPoint]) -> SeparationWitness:
+    """The sphere through the first (n+1)-subset of n+3 colored points, in
+    lexicographic order, whose other two have equal `separation_signs`: it
+    separates them, and two of n+3 nonzero signs always agree."""
     pts = [p for p, _ in pairs]
     colors = [c for _, c in pairs]
     if not pts:
@@ -317,20 +310,15 @@ def separating_sphere_bruteforce(pairs: Sequence[ColoredPoint]
         raise GeometryError("need exactly n+3 colored points")
     if len(set(pts)) != len(pts) or len(set(colors)) != len(colors):
         raise GeometryError("points and colors must be distinct")
-    for subset in combinations(range(len(pts)), n + 2):
-        if on_common_sphere([pts[i] for i in subset]):
-            raise DegenerateConfigError("n+2 of the points share a sphere")
-    for subset in combinations(range(len(pts)), n + 1):
-        try:
-            s = sphere_through([pts[i] for i in subset])
-        except GeometryError:
-            continue
-        rest = [i for i in range(len(pts)) if i not in subset]
-        x, y = pts[rest[0]], pts[rest[1]]
-        if separated(x, y, s):
-            return SeparationWitness(s, tuple(pairs[i] for i in subset),
-                                     (pairs[rest[0]], pairs[rest[1]]))
-    return None
+    signs = separation_signs(pts)
+    if signs is None:
+        raise DegenerateConfigError("n+2 of the points share a sphere")
+    for subset in combinations(range(n + 3), n + 1):
+        i, j = [k for k in range(n + 3) if k not in subset]
+        if signs[i] == signs[j]:
+            break
+    return SeparationWitness(sphere_through([pts[k] for k in subset]),
+                             tuple(pairs[k] for k in subset), (pairs[i], pairs[j]))
 
 
 def transfer(kind: str, r1: Scalar, r2: Scalar, r3: Scalar) -> Scalar:

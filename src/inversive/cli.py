@@ -233,8 +233,6 @@ def cmd_separate(args) -> Tuple[str, Dict, Dict, Dict]:
         witness = separating_circle_5pts(cfg.items)
     else:
         witness = separating_sphere_bruteforce(cfg.items)
-    if witness is None:
-        return "no-witness", {}, stats, params
     if args.plot:
         from .svg import emit_svg
         emit_svg(witness, args.plot, config=cfg)

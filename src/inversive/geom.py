@@ -415,6 +415,20 @@ def on_common_sphere(points: Sequence[Point]) -> bool:
     return _linalg.rank(rows, n + 2) < len(rows)
 
 
+def separation_signs(points: Sequence[Point]) -> Optional[List[int]]:
+    """The signs, up to one flip, of lambda in sum_k lambda_k X_k = 0 over the lifted
+    rows of n+3 distinct points: a sphere through all but x_i and x_j separates them
+    exactly when lambda_i and lambda_j agree. None when n+2 share a sphere, so some
+    lambda_k is 0 or the first `nullspace` vector is 0 at another free column."""
+    rows, n = _lifted(points)
+    if len(rows) != n + 3:
+        raise GeometryError("need exactly n+3 points")
+    _check_distinct(rows, "separation_signs")
+    lam = _linalg.nullspace(list(zip(*rows)), n + 3)[0]
+    signs = [zt_sign(x) if type(x) is tuple else sign_of(x) for x in lam]
+    return None if 0 in signs else signs
+
+
 def second_intersection(s: Hypersphere, base: Point, direction: Sequence[Scalar]) -> Point:
     """The other point where the line from a sphere point along `direction`
     meets a genuine sphere, by Vieta on the restricted quadratic."""

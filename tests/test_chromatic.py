@@ -44,7 +44,9 @@ from inversive.geom import (
     Point,
     SideLabel,
     concyclic,
+    on_common_sphere,
     second_intersection,
+    separated,
     side,
     smallest_sphere,
     span_key,
@@ -460,11 +462,13 @@ grid = st.integers(-3, 3)
 
 @st.composite
 def five_point_configs(draw):
-    """Five colored planar points: exact or float, on a small grid so that
-    collinear and concyclic subsets are common, sometimes with many points on
-    one line and sometimes with infinity among them."""
-    kind = draw(st.sampled_from(["exact", "float", "line", "infinity"]))
-    if kind == "line":
+    """Five colored planar points: exact, Q(2^(1/4)) or float, on a small grid
+    so that collinear and concyclic subsets are common, sometimes with many
+    points on one line and sometimes with infinity among them. A Q(2^(1/4))
+    point is a grid point times 1, 2^(1/4) or 2^(1/2), so a line through the
+    origin keeps its points."""
+    kind = draw(st.sampled_from(["exact", "float", "line", "infinity", "quartic"]))
+    if kind == "line" or (kind == "quartic" and draw(st.booleans())):
         # most points on one line through the origin, the rest anywhere
         dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -2)]))
         on = draw(st.integers(3, 5))
@@ -476,11 +480,75 @@ def five_point_configs(draw):
     divisor = draw(st.sampled_from([1, 2, 3]))
     if kind == "float":
         pts = [Point.finite((x / divisor, y / divisor)) for x, y in coords]
+    elif kind == "quartic":
+        pts = [Point.finite((F(x, divisor) * f, F(y, divisor) * f))
+               for (x, y), f in zip(coords, draw(st.lists(
+                   st.sampled_from([1, THETA, SQRT2]), min_size=5, max_size=5)))]
     else:
         pts = [fp(F(x, divisor), F(y, divisor)) for x, y in coords]
-    if kind == "infinity" or (kind == "line" and draw(st.booleans())):
+    if kind == "infinity" or (kind in ("line", "quartic") and draw(st.booleans())):
         pts[draw(st.integers(0, 4))] = Point.infinity(2)
     colors = draw(st.permutations([1, 2, 3, 4, 5]))
+    return tuple(zip(pts, colors))
+
+
+def reference_separating_sphere_bruteforce(pairs):
+    """The per-subset scan `separating_sphere_bruteforce` replaced, kept as its
+    oracle: one `on_common_sphere` call per (n+2)-subset, then the sphere of
+    each (n+1)-subset in lexicographic order, until one `separated` test
+    holds for the two points off it."""
+    pts = [p for p, _ in pairs]
+    colors = [c for _, c in pairs]
+    if not pts:
+        raise GeometryError("empty input")
+    n = pts[0].dim
+    if len(pairs) != n + 3:
+        raise GeometryError("need exactly n+3 colored points")
+    if len(set(pts)) != len(pts) or len(set(colors)) != len(colors):
+        raise GeometryError("points and colors must be distinct")
+    for subset in combinations(range(len(pts)), n + 2):
+        if on_common_sphere([pts[i] for i in subset]):
+            raise DegenerateConfigError("n+2 of the points share a sphere")
+    for subset in combinations(range(len(pts)), n + 1):
+        try:
+            s = sphere_through([pts[i] for i in subset])
+        except GeometryError:
+            continue
+        rest = [i for i in range(len(pts)) if i not in subset]
+        x, y = pts[rest[0]], pts[rest[1]]
+        if separated(x, y, s):
+            return SeparationWitness(s, tuple(pairs[i] for i in subset),
+                                     (pairs[rest[0]], pairs[rest[1]]))
+    return None
+
+
+@st.composite
+def bruteforce_configs(draw):
+    """n+3 colored points of R^n_inf, n = 1..4: rational, Q(2^(1/4)) or
+    float, on a small grid, sometimes with n+2 of them on the hyperplane
+    x_n = 0 and sometimes with infinity among them. A Q(2^(1/4)) point is a
+    grid point times 1, 2^(1/4) or 2^(1/2). Equal points are dropped, so a
+    few inputs fall short of n+3 and are refused for their count."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["rational", "quartic", "float"]))
+    on_flat = n + 2 if n > 1 and draw(st.booleans()) else 0
+    coords = [c + (0,) for c in draw(st.lists(
+        st.lists(grid, min_size=n - 1, max_size=n - 1).map(tuple),
+        min_size=on_flat, max_size=on_flat, unique=True))]
+    coords += draw(st.lists(st.lists(grid, min_size=n, max_size=n).map(tuple),
+                            min_size=n + 3 - on_flat, max_size=n + 3 - on_flat, unique=True))
+    divisor = draw(st.sampled_from([1, 2, 3]))
+    factors = draw(st.lists(st.sampled_from([1, THETA, SQRT2] if kind == "quartic" else [1]),
+                            min_size=n + 3, max_size=n + 3))
+    pts = []
+    for c, f in zip(coords, factors):
+        xs = [F(x, divisor) * f for x in c]
+        p = Point.finite([float(x) for x in xs] if kind == "float" else xs)
+        if p not in pts:
+            pts.append(p)
+    if draw(st.booleans()):
+        pts[draw(st.integers(0, len(pts) - 1))] = Point.infinity(n)
+    colors = draw(st.permutations(range(1, len(pts) + 1)))
     return tuple(zip(pts, colors))
 
 
@@ -565,6 +633,24 @@ class TestSeparatingBruteforce:
     def test_wrong_count(self):
         with pytest.raises(GeometryError):
             separating_sphere_bruteforce(FIVE_POINT_EXAMPLE[:4])
+
+    @settings(max_examples=400, deadline=None)
+    @given(bruteforce_configs())
+    def test_matches_per_subset_reference(self, pairs):
+        new = outcome(separating_sphere_bruteforce, pairs)
+        ref = outcome(reference_separating_sphere_bruteforce, pairs)
+        assert repr(new) == repr(ref)
+        if isinstance(ref, SeparationWitness):
+            assert encode_separation_witness(new) == encode_separation_witness(ref)
+
+    def test_mixed_backends_refused_before_the_degeneracy_check(self):
+        # four exact points of the unit circle and a float one: the family is
+        # refused as a whole, before any of its points are tested
+        pairs = ((fp(1, 0), 1), (fp(0, 1), 2), (fp(-1, 0), 3), (fp(0, -1), 4),
+                 (Point.finite((0.5, 0.25)), 5))
+        for procedure in (separating_circle_5pts, separating_sphere_bruteforce):
+            with pytest.raises(BackendMismatch):
+                procedure(pairs)
 
 
 class TestTransfer:

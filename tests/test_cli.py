@@ -324,7 +324,33 @@ class TestSeparate:
         })
         code, out, _ = run_cli(["separate", "--input", cfg], capsys)
         assert code == 1
-        assert json.loads(out)["verdict"] == "witness-found"
+        rep = json.loads(out)
+        assert rep["verdict"] == "witness-found"
+        w = rep["witness"]
+        assert [e["color"] for e in w["defining"]] == [1, 2, 3, 5]
+        assert [e["color"] for e in w["separated"]] == [4, 6]
+        assert w["separated"][0]["point"] == {"coords": ["0", "0", "1"]}
+        assert w["sphere"] == {"a": "0", "b": ["-1", "-1", "-2"], "c": "1"}
+
+    @pytest.mark.parametrize("n, coords, reason", [
+        # (0, 0) and four points of the unit circle
+        (2, [["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"], ["0", "0"]],
+         "four of the points are concyclic"),
+        # five points of the unit sphere and (3, 5, 7)
+        (3, [["1", "0", "0"], ["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"],
+             ["0", "0", "-1"], ["3", "5", "7"]],
+         "n+2 of the points share a sphere"),
+    ])
+    def test_degenerate_input_is_refused(self, tmp_path, capsys, n, coords, reason):
+        path = write_json(tmp_path / "degenerate.json", {
+            "n": n, "k": n + 3,
+            "points": [{"coords": c, "color": i + 1} for i, c in enumerate(coords)],
+        })
+        code, out, err = run_cli(["separate", "--input", path], capsys)
+        assert code == 2
+        rep = json.loads(out)
+        assert (rep["verdict"], rep["error"]) == ("error", reason)
+        assert reason in err
 
     def test_wrong_count_is_input_error(self, tmp_path, capsys):
         cfg = dict(FIVE_POINT_DOC)

@@ -39,6 +39,7 @@ from inversive.geom import (
     second_intersection,
     power_condition,
     separated,
+    separation_signs,
     side,
     smallest_sphere,
     span_key,
@@ -319,6 +320,88 @@ class TestConcyclic:
             assert cr is not CR_INFINITY
             assert concyclic(*pts) == (cr[1] == 0)
             checked += 1
+
+
+class TestSeparationSigns:
+    """The signs of the one relation among the lifted rows of n+3 points
+    against the tests they replace: the sphere through all but two of the
+    points separates those two exactly when their signs agree, and there is
+    no such relation with every sign nonzero exactly when n+2 of the points
+    share a sphere."""
+
+    @staticmethod
+    def configs(kind):
+        """Seeded n+3 distinct points, n = 1..4, on a coarse grid; for one
+        seed in three with n > 1, n+2 of them on the hyperplane x_n = 0.
+        `kind` is their backend, or "infinity" for rational and Q(2^(1/4))
+        families through infinity."""
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = 1 + seed % 4
+            quartic = kind == "quartic" or (kind == "infinity" and seed % 2)
+            flat = seed % 3 == 0 and n > 1
+            points = [Point.infinity(n)] if kind == "infinity" else []
+            while len(points) < n + 3:
+                xs = [rand_rat(rng, -3, 3, 2) for _ in range(n)]
+                if flat and len(points) < n + 2:
+                    xs[-1] = Fraction(0)
+                if quartic:
+                    xs = [x * rng.choice([1, THETA, SQRT2, THETA ** 3]) for x in xs]
+                p = P([float(x) for x in xs] if kind == "float" else xs)
+                if p not in points:
+                    points.append(p)
+            yield points
+
+    @pytest.mark.parametrize("kind", ["rational", "quartic", "float", "infinity"])
+    def test_signs_decide_every_separation(self, kind):
+        decided = refused = 0
+        for points in self.configs(kind):
+            m = len(points)
+            signs = separation_signs(points)
+            assert (signs is None) == any(on_common_sphere(sub)
+                                          for sub in combinations(points, m - 1))
+            if signs is None:
+                refused += 1
+                continue
+            decided += 1
+            for subset in combinations(range(m), m - 2):
+                i, j = [k for k in range(m) if k not in subset]
+                s = sphere_through([points[k] for k in subset])
+                assert separated(points[i], points[j], s) == (signs[i] == signs[j])
+        assert decided >= 30 and refused >= 10
+
+    def test_none_when_four_points_are_concyclic(self):
+        assert separation_signs([P([1, 0]), P([0, 1]), P([-1, 0]), P([0, -1]), P([0, 0])]) is None
+        # three collinear points and infinity lie on one extended line
+        assert separation_signs([P([0, 0]), P([1, 0]), P([2, 0]), INF2, P([0, 1])]) is None
+        on_circle = [P([THETA, 0]), P([0, THETA]), P([-THETA, 0]), P([0, -THETA])]
+        assert separation_signs(on_circle + [P([1, 2])]) is None
+        assert separation_signs(on_circle[:3] + [P([0, 1]), P([1, 2])]) is not None
+        # five concyclic points satisfy two independent relations
+        fifth = P([THETA * Fraction(3, 5), THETA * Fraction(4, 5)])
+        assert separation_signs(on_circle + [fifth]) is None
+
+    def test_none_when_n_plus_two_points_are_cospherical(self):
+        sphere = [P([1, 0, 0]), P([-1, 0, 0]), P([0, 1, 0]), P([0, 0, 1]), P([0, 0, -1])]
+        assert separation_signs(sphere + [P([3, 5, 7])]) is None
+        assert separation_signs(sphere + [P([0, -1, 0])]) is None
+        plane = [P([0, 0, 0]), P([1, 0, 0]), P([0, 1, 0]), P([1, 2, 0]), Point.infinity(3)]
+        assert separation_signs(plane + [P([0, 0, 1])]) is None
+        assert separation_signs(sphere[:4] + [P([1, 1, 2]), P([3, 5, 7])]) is not None
+
+    def test_duplicates_and_counts_refused(self):
+        with pytest.raises(DegenerateConfigError):
+            separation_signs([P([0, 0]), P([0, 0]), P([1, 0]), P([0, 1]), P([2, 3])])
+        with pytest.raises(DegenerateConfigError):
+            separation_signs([INF2, P([1, 0]), INF2, P([0, 1]), P([2, 3])])
+        with pytest.raises(GeometryError, match="n\\+3"):
+            separation_signs([P([0, 0]), P([1, 0]), P([0, 1]), P([2, 3])])
+
+    def test_five_point_example_partition(self):
+        # (x^2 + y^2, x, y, 1) of (0,0), (0,1), (0,3), (-2,0), (2,0) satisfy
+        # 14 X_0 - 12 X_1 + 4 X_2 - 3 X_3 - 3 X_4 = 0, worked out by hand
+        signs = separation_signs([P([0, 0]), P([0, 1]), P([0, 3]), P([-2, 0]), P([2, 0])])
+        assert signs in ([1, -1, 1, -1, -1], [-1, 1, -1, 1, 1])
 
 
 def _stereo(ts):
