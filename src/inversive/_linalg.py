@@ -1,17 +1,17 @@
 """Dense linear algebra over the scalar backends (internal); the only module
-that picks an elimination. There is one exact kernel, fraction-free
-elimination (Bareiss 1968), whose every entry stays a minor of the input, so
-each division by the previous pivot is exact. `rank`, `nullspace` and
-`echelon` send an exact matrix to it with each row scaled by a positive
-integer into Z for a rational one (int and Fraction entries), into Z[t],
-t**4 = 2, for any other (a Quartic2 entry), where an entry is the int
-4-tuple of its coefficients and the division goes through the pivot's
-cofactor and integer norm. `null_vector` reads the nullspace vector of n+1
-such rows in n+2 columns off their signed maximal minors, dividing nothing.
-`rref` is Gauss-Jordan over the field for float matrices: partial pivoting,
-entries within EPSILON treated as zero. `cut` adds a row to a nullspace
-basis, `zt_cut` to a Z[t] one; `zt_row`, `zt_lift` and `zt_twisted` give
-the Z[t] rows of one exact dot product.
+that picks an elimination. There is one exact kernel, fraction-free elimination
+(Bareiss 1968), whose every entry stays a minor of the input, so each division
+by the previous pivot is exact. `rank`, `nullspace` and `echelon` send an exact
+matrix to it with each row scaled by a positive integer into Z for a rational
+one (int and Fraction entries), into Z[t], t**4 = 2, for any other (a Quartic2
+entry), where an entry is the int 4-tuple of its coefficients and the division
+goes through the pivot's cofactor and integer norm. `null_vector` reads the
+nullspace vector of n+1 such rows in n+2 columns off their signed maximal
+minors, dividing nothing: the sphere through n+1 points, the relation among n+3
+and the generic-position sampler's normals. `rref` is Gauss-Jordan over the
+field for float matrices: partial pivoting, entries within EPSILON are zero.
+`cut` adds a row to a nullspace basis, `zt_cut` to a Z[t] one; `zt_row`,
+`zt_lift` and `zt_twisted` give the Z[t] rows of one exact dot product.
 """
 
 from __future__ import annotations

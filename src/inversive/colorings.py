@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from ._linalg import cut, nullspace
+from ._linalg import null_vector
 from .exactnum import (
     BackendMismatch,
     NormClass,
@@ -293,14 +293,13 @@ def rational_sphere_points(n: int, count: int, seed: int = 0) -> List[Point]:
 
 def generic_position_points(n: int, count: int, seed: int = 0) -> List[Point]:
     """Seeded rational points of R^n in spherically generic position: no n+2
-    of them on a common (n-1)-sphere."""
+    of them on a common (n-1)-sphere. A candidate must miss the `null_vector` sphere
+    through each n+1 chosen points; n+1 on no one sphere give None and reject all."""
     if count < 1:
         raise ColoringError("need a positive sample count")
     stream = _random_points(n, seed)
     chosen: List[Point] = []
-    # nullspace bases of the lifted subsets of at most n chosen points and the
-    # normals of the (n+1)-subsets, None when dependent
-    bases: List[Tuple[int, Optional[List]]] = [(0, nullspace([], n + 2))]
+    rows: List[List[int]] = []
     normals: List[Optional[List[int]]] = []
     attempts = 0
     limit = 400 * count + 400
@@ -314,13 +313,9 @@ def generic_position_points(n: int, count: int, seed: int = 0) -> List[Point]:
         row = lift_row(cand)
         if any(v is None or not vec_dot(v, row) for v in normals):
             continue
-        for size, basis in list(bases):
-            grown = None if basis is None else cut(basis, row)
-            if size < n:
-                bases.append((size + 1, grown))
-            else:
-                normals.append(None if grown is None else grown[0])
+        normals += [null_vector([*s, row], n + 2) for s in combinations(rows, n)]
         chosen.append(cand)
+        rows.append(row)
     return chosen
 
 

@@ -416,17 +416,17 @@ def on_common_sphere(points: Sequence[Point]) -> bool:
 
 
 def separation_signs(points: Sequence[Point]) -> Optional[List[int]]:
-    """The signs, up to one flip, of lambda in sum_k lambda_k X_k = 0 over the lifted
-    rows of n+3 distinct points: a sphere through all but x_i and x_j separates them
-    exactly when lambda_i and lambda_j agree. None when n+2 share a sphere, so some
-    lambda_k is 0 or the first `nullspace` vector is 0 at another free column."""
+    """The signs, up to one flip, of the `null_vector` lambda of the transposed lifted
+    rows of n+3 distinct points (sum_k lambda_k X_k = 0): a sphere through all but x_i
+    and x_j separates them exactly when lambda_i and lambda_j agree. lambda_k is +-the
+    determinant of the rows but X_k, so None when n+2 of the points share a sphere."""
     rows, n = _lifted(points)
     if len(rows) != n + 3:
         raise GeometryError("need exactly n+3 points")
     _check_distinct(rows, "separation_signs")
-    lam = _linalg.nullspace(list(zip(*rows)), n + 3)[0]
-    signs = [zt_sign(x) if type(x) is tuple else sign_of(x) for x in lam]
-    return None if 0 in signs else signs
+    lam = _linalg.null_vector(list(zip(*rows)), n + 3)
+    signs = [zt_sign(x) if type(x) is tuple else sign_of(x) for x in lam or ()]
+    return signs if signs and 0 not in signs else None
 
 
 def second_intersection(s: Hypersphere, base: Point, direction: Sequence[Scalar]) -> Point:
@@ -662,15 +662,15 @@ def span_key(points: Sequence[Point]) -> Optional[tuple]:
 def span_walk(points: Sequence[Point], size: int) -> Iterator[Tuple[tuple, tuple]]:
     """(subset, key) for each `size`-subset that `span_key` keys, in order,
     with the key `span_key` gives it. Each point is lifted once; a depth-first
-    walk cuts the prefix's nullspace basis (its pencil of spheres) by one row
-    per point, in Z[t] for a family with a Q(2^(1/4)) point."""
+    walk cuts the prefix's nullspace basis (its pencil of spheres), from the
+    identity, by one row per point, in Z[t] for a family with a Q(2^(1/4)) point."""
     rows, n = _lifted(points)
     _refuse_float(rows[0][0])
-    ncols = n + 2
-    basis, cut, zt = _linalg.nullspace([], ncols), _linalg.cut, type(rows[0][0]) is tuple
+    ncols, zt = n + 2, type(rows[0][0]) is tuple
+    one, zero, cut = ((1, 0, 0, 0), (0, 0, 0, 0), _linalg.zt_cut) if zt else (1, 0, _linalg.cut)
+    basis = [[one if j == i else zero for j in range(ncols)] for i in range(ncols)]
     if zt:
         rows = [_linalg.zt_twisted(r) for r in rows]
-        basis, cut = [_linalg.zt_row(v) for v in basis], _linalg.zt_cut
 
     def walk(start: int, prefix: Tuple[int, ...], basis: List[List]) -> Iterator:
         for i in range(start, len(rows) - size + len(prefix) + 1):

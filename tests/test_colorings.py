@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inversive import colorings
 from inversive._linalg import rank
 from inversive.chromatic import verify_generic
 from inversive.colorings import (
@@ -390,11 +391,29 @@ class TestGenericPosition:
     def test_deterministic(self):
         assert generic_position_points(2, 6, seed=11) == generic_position_points(2, 6, seed=11)
 
+    def test_four_concyclic_points_block_every_candidate(self, monkeypatch):
+        # four points of R^3 on one circle have dependent lifted rows, so no
+        # sphere passes through just them: their normal is None, and once
+        # they are all chosen every later candidate is rejected
+        circle = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
+
+        def stream(n, seed):
+            yield from (Point.finite(x) for x in circle)
+            k = 2
+            while True:
+                yield Point.finite((k, k * k, 1))
+                k += 1
+
+        monkeypatch.setattr(colorings, "_random_points", stream)
+        assert generic_position_points(3, 4) == [Point.finite(x) for x in circle]
+        with pytest.raises(ColoringError, match="did not converge"):
+            generic_position_points(3, 5)
+
 
 def reference_generic_position_points(n, count, seed):
-    """The inversive sampling with the per-subset rule the shared bases
-    replaced: a candidate is rejected when it and some n+1 chosen points
-    lie on a common sphere."""
+    """The inversive sampling with one rank test per subset instead of the
+    sampler's normals: a candidate is rejected when it and some n+1 chosen
+    points lie on a common sphere."""
     rats = _rational_stream(random.Random(seed))
     chosen = []
     while len(chosen) < count:
@@ -411,7 +430,8 @@ def reference_generic_position_points(n, count, seed):
 
 class TestGenericPositionReference:
     @pytest.mark.parametrize("n,count,seeds", [
-        (1, 9, range(5)), (2, 14, (0, 1, 2, 48)), (3, 9, range(5)), (4, 8, range(3))])
+        (1, 9, range(5)), (2, 14, (0, 1, 2, 48)), (3, 9, range(5)), (4, 8, range(3)),
+        (2, 7, range(12)), (3, 7, range(12))])
     def test_same_points_as_the_per_subset_rule(self, n, count, seeds):
         for seed in seeds:
             assert (generic_position_points(n, count, seed)

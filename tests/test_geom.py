@@ -523,6 +523,37 @@ class TestAgainstSympy:
         assert red == [_primitive([Fraction(int(v.p), int(v.q)) for v in ref.row(i)])
                        for i in range(len(pivots))]
 
+    @pytest.mark.parametrize("infinity", [False, True])
+    def test_separation_signs_match_cofactors(self, sympy, infinity):
+        # lambda_k = (-1)**k det(the lifted rows without row k) is a relation
+        # among the n+3 rows (expand det([rows | a column of rows]) = 0 along
+        # that column), and lambda_k = 0 exactly when the other n+2 points
+        # share a sphere; for one seed in three with n > 1, n+2 of the points
+        # lie on the hyperplane x_n = 0
+        decided = refused = 0
+        for seed in range(48):
+            rng = random.Random(seed)
+            n = 1 + seed % 4
+            points = [Point.infinity(n)] if infinity else []
+            while len(points) < n + 3:
+                xs = [rand_rat(rng, -2, 2, 2) for _ in range(n)]
+                if seed % 3 == 0 and n > 1 and len(points) < n + 2:
+                    xs[-1] = Fraction(0)
+                if P(xs) not in points:
+                    points.append(P(xs))
+            rows = _oracle_rows(sympy, points)
+            dets = [(-1) ** k * rows.extract([i for i in range(n + 3) if i != k],
+                                             list(range(n + 2))).det() for k in range(n + 3)]
+            signs = separation_signs(points)
+            if any(d == 0 for d in dets):
+                assert signs is None
+                refused += 1
+                continue
+            expected = [int(sympy.sign(d)) for d in dets]
+            assert signs in (expected, [-s for s in expected])
+            decided += 1
+        assert decided >= 20 and refused >= 10
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_hyperplane_through_infinity(self, sympy, n):
         # the origin, e_1 .. e_(n-1) and 2(e_1 + .. + e_(n-1)) lie on the
