@@ -1,24 +1,24 @@
 """Dense linear algebra over the scalar backends (internal); the only module
 that picks an elimination. There is one exact kernel, fraction-free elimination
 (Bareiss 1968), whose every entry stays a minor of the input, so each division
-by the previous pivot is exact. `rank`, `nullspace` and `echelon` send an exact
-matrix to it with each row scaled by a positive integer into Z for a rational
-one (int and Fraction entries), into Z[t], t**4 = 2, for any other (a Quartic2
-entry), where an entry is the int 4-tuple of its coefficients and the division
-goes through the pivot's cofactor and integer norm. `null_vector` reads the
-nullspace vector of n+1 such rows in n+2 columns off their signed maximal
-minors, dividing nothing: the sphere through n+1 points, the relation among n+3
-and the generic-position sampler's normals. `rref` is Gauss-Jordan over the
-field for float matrices: partial pivoting, entries within EPSILON are zero.
-`cut` adds a row to a nullspace basis, `zt_cut` to a Z[t] one; `zt_row`,
-`zt_lift` and `zt_twisted` give the Z[t] rows of one exact dot product.
+by the previous pivot is exact. `_exact_rows` scales each row of an exact matrix
+by a positive integer into Z for a rational one (int and Fraction entries), into
+Z[t], t**4 = 2, for any other (a Quartic2 entry), where an entry is the int
+4-tuple of its coefficients and a division goes through the pivot's cofactor and
+integer norm. `nullspace` and `echelon` reduce those rows fully (`bareiss`);
+`rank` eliminates below each pivot only, on the trailing columns. `null_vector`
+reads the nullspace vector of n+1 such rows in n+2 columns off their signed
+maximal minors, dividing nothing. `rref` is Gauss-Jordan for float matrices:
+partial pivoting, entries within EPSILON are zero. `cut` adds a row to a
+nullspace basis, `zt_cut` to a Z[t] one; `zt_row`, `zt_lift` and `zt_twisted`
+give the Z[t] rows of one exact dot product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -28,10 +28,6 @@ from .exactnum import EPSILON, is_zero, promote, zt_cofactor, zt_element, zt_mul
 _ZT0 = (0, 0, 0, 0)
 
 
-def _copy(rows: Sequence[Sequence]) -> List[List]:
-    return [list(r) for r in rows]
-
-
 def _is_float_matrix(rows) -> bool:
     for r in rows:
         for x in r:
@@ -39,19 +35,16 @@ def _is_float_matrix(rows) -> bool:
     return False
 
 
-def _eliminate(rows: Sequence[Sequence], ncols: int,
-               reduced: bool = True) -> Tuple[List[List], List[int]]:
-    """The elimination of a matrix: `bareiss` over Z for a rational one (an
-    all-int one as it is, else each row scaled by its least common
-    denominator), `rref` for a float one, else `bareiss` over Z[t] with each
-    row scaled by a positive integer (`zt_row`), a Z[t] one as it is."""
-    if all(type(x) is int for r in rows for x in r):
-        return bareiss(rows, ncols, reduced)
-    if all(type(x) is int or type(x) is Fraction for r in rows for x in r):
-        return bareiss([scaled_to_integers(r)[1] for r in rows], ncols, reduced)
-    if _is_float_matrix(rows):
-        return rref(rows, ncols)
-    return bareiss(rows if type(rows[0][0]) is tuple else list(map(zt_row, rows)), ncols, reduced)
+def _exact_rows(rows: Sequence[Sequence]) -> Optional[Sequence[Sequence]]:
+    """The rows the exact elimination takes, None for a float matrix: an int or
+    Z[t] one as it is, else each row scaled by a positive integer into Z for a
+    rational one (its least common denominator), into Z[t] (`zt_row`) for another."""
+    kinds = set(map(type, chain.from_iterable(rows)))
+    if kinds <= {int, tuple}:
+        return rows
+    if kinds <= {int, Fraction}:
+        return [scaled_to_integers(r)[1] for r in rows]
+    return None if float in kinds else list(map(zt_row, rows))
 
 
 def scaled_to_integers(xs: Sequence) -> Tuple[int, List[int]]:
@@ -63,7 +56,7 @@ def scaled_to_integers(xs: Sequence) -> Tuple[int, List[int]]:
 def rref(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List], List[int]]:
     """Reduced row echelon form and pivot column indices, by Gauss-Jordan with
     partial pivoting; on floats an entry within EPSILON of zero is zero."""
-    m = _copy(rows)
+    m = [list(r) for r in rows]
     tol = EPSILON if _is_float_matrix(m) else 0
     pivots: List[int] = []
     r = 0
@@ -85,23 +78,21 @@ def rref(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List], List[int]]:
     return m, pivots
 
 
-def bareiss(rows: Sequence[Sequence], ncols: int,
-            reduced: bool = True) -> Tuple[List[List], List[int]]:
+def bareiss(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List], List[int]]:
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of a matrix over
     Z, or over Z[t] with int 4-tuple entries (`zt_row`), and its pivot
-    columns; with reduced=False only the rows below each pivot are
-    eliminated, which is all the rank needs.
+    columns: the reduced row echelon form scaled by d, the last pivot, so
+    every pivot row carries d at its pivot column and zeros at the others.
 
-    The reduced result is the reduced row echelon form scaled by d, the last
-    pivot: every pivot row carries d at its pivot column and zeros at the
-    others. Every entry is a minor of the row-permuted input, so each division
-    is exact; over Z[t] it goes through the previous pivot's cofactor
+    Every entry is a minor of the row-permuted input, so each division is
+    exact; over Z[t] it goes through the previous pivot's cofactor
     (`_zt_step`), and the entries the elimination fixes are set, not
-    computed. With full row rank and one free column f, the nullspace vector
-    (d at f, -row[f] at each pivot) is, up to one common sign, the vector of
-    signed maximal minors, which `null_vector` computes without dividing.
+    computed. `rank` takes the same steps below the pivot alone, on the
+    trailing columns. With full row rank and one free column f, the
+    nullspace vector (d at f, -row[f] at each pivot) is, up to one common
+    sign, the vector of signed maximal minors (`null_vector`).
     """
-    m = _copy(rows)
+    m = [list(r) for r in rows]
     zt = bool(m and m[0]) and type(m[0][0]) is tuple
     zero, prev = (_ZT0, ((1, 0, 0, 0), None, 1)) if zt else (0, 1)
     pivots: List[int] = []
@@ -116,10 +107,9 @@ def bareiss(rows: Sequence[Sequence], ncols: int,
         top = m[r]
         p = top[col]
         pivots.append(col)
-        for j in range(0 if reduced else r + 1, len(m)):
+        for j, row in enumerate(m):
             if j == r:
                 continue
-            row = m[j]
             f = row[col]
             if not zt:
                 m[j] = [(p * a - f * b) // prev for a, b in zip(row, top)]
@@ -128,10 +118,7 @@ def bareiss(rows: Sequence[Sequence], ncols: int,
                           for k, (a, b) in enumerate(zip(row, top))]
             if j < r:
                 new[pivots[j]] = p
-        if not zt:
-            prev = p
-        else:
-            prev = (p, *zt_cofactor(p)) if p[1] or p[2] or p[3] else (p, None, p[0])
+        prev = p if not zt else (p, *zt_cofactor(p)) if p[1] or p[2] or p[3] else (p, None, p[0])
         r += 1
     return m, pivots
 
@@ -304,13 +291,38 @@ def lead_one(v: Sequence, kind: str) -> List:
 
 
 def rank(rows: Sequence[Sequence], ncols: int) -> int:
-    return len(_eliminate(rows, ncols, False)[1])
+    """The rank of a matrix, its pivot count: by `rref` over floats, else by
+    `bareiss`'s steps below the pivot alone on the `_exact_rows`. Each step pops
+    the first row with a nonzero lead p and keeps the trailing columns of each
+    other row r, (p * r - r[0] * the popped row) / the previous pivot, exactly;
+    a column with no pivot is dropped."""
+    m = _exact_rows(rows)
+    if m is None:
+        return len(rref(rows, ncols)[1])
+    zt, m, found = bool(m and m[0]) and type(m[0][0]) is tuple, list(m), 0
+    zero, prev = (_ZT0, ((1, 0, 0, 0), None, 1)) if zt else (0, 1)
+    for _ in range(ncols):
+        for i, top in enumerate(m):
+            if top[0] != zero:
+                break
+        else:
+            m = [r[1:] for r in m]
+            continue
+        del m[i]
+        p, tail, new = top[0], top[1:], []
+        for r in m:
+            f = r[0]
+            new.append([_zt_step(p, a, f, b, prev) for a, b in zip(r[1:], tail)] if zt
+                       else [(p * a - f * b) // prev for a, b in zip(r[1:], tail)])
+        m, found = new, found + 1
+        prev = p if not zt else (p, *zt_cofactor(p)) if p[1] or p[2] or p[3] else (p, None, p[0])
+    return found
 
 
 def echelon(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List], List[int]]:
     """The nonzero rows of the reduced row echelon form of an exact matrix,
     each `canonical`, and the pivot columns, from the reduced Bareiss rows."""
-    m, pivots = _eliminate(rows, ncols)
+    m, pivots = bareiss(_exact_rows(rows), ncols)
     return [canonical(r) for r in m[: len(pivots)]], pivots
 
 
@@ -318,7 +330,8 @@ def nullspace(rows: Sequence[Sequence], ncols: int) -> List[List]:
     """Basis of the right nullspace, one vector per free column: integer
     vectors for a rational matrix, Z[t] ones (int 4-tuples) for a Z[t]
     matrix, Quartic2 ones for another exact matrix."""
-    m, pivots = _eliminate(rows, ncols)
+    exact = _exact_rows(rows)
+    m, pivots = rref(rows, ncols) if exact is None else bareiss(exact, ncols)
     # the first pivot is the matrix's own one (d for bareiss), so a float
     # matrix gets float entries at the free columns
     scale = m[0][pivots[0]] if pivots else 1

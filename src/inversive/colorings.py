@@ -294,7 +294,7 @@ def rational_sphere_points(n: int, count: int, seed: int = 0) -> List[Point]:
 def generic_position_points(n: int, count: int, seed: int = 0) -> List[Point]:
     """Seeded rational points of R^n in spherically generic position: no n+2
     of them on a common (n-1)-sphere. A candidate must miss the `null_vector` sphere
-    through each n+1 chosen points; n+1 on no one sphere give None and reject all."""
+    through each n+1 chosen points; n+1 on no one sphere (None) are refused unless last."""
     if count < 1:
         raise ColoringError("need a positive sample count")
     stream = _random_points(n, seed)
@@ -311,11 +311,13 @@ def generic_position_points(n: int, count: int, seed: int = 0) -> List[Point]:
         if cand in chosen:
             continue
         row = lift_row(cand)
-        if any(v is None or not vec_dot(v, row) for v in normals):
+        if any(not vec_dot(v, row) for v in normals):
             continue
-        normals += [null_vector([*s, row], n + 2) for s in combinations(rows, n)]
-        chosen.append(cand)
-        rows.append(row)
+        new = [null_vector([*s, row], n + 2) for s in combinations(rows, n)]
+        if count <= n + 1 or None not in new:
+            normals += new
+            chosen.append(cand)
+            rows.append(row)
     return chosen
 
 

@@ -352,19 +352,19 @@ def lift_row(p: Point) -> List[Scalar]:
 
 def _lifted(points: Sequence[Point]) -> Tuple[List[Sequence], int]:
     """(rows, n): the lifted rows of points of R^n_inf, each read from the
-    point's cache: `_float_row` in a float family, the Z[t] rows `_zt` as int
-    4-tuples in a family with a Q(2^(1/4)) point, `_row` in any other."""
+    point's cache: `_float_row` in a float family, the Z[t] rows `_zt` as tuples of
+    int 4-tuples in a family with a Q(2^(1/4)) point, `_row` in any other; all hash."""
     if not points:
         raise GeometryError("need at least one point")
     k = _family_kind(points)
     if k == "quartic":
-        return [list(zip(*[iter(p._zt)] * 4)) for p in points], points[0].dim
+        return [tuple(zip(*[iter(p._zt)] * 4)) for p in points], points[0].dim
     return [p._float_row if k == "float" else p._row for p in points], points[0].dim
 
 
 def _check_distinct(items: Sequence, where: str) -> None:
-    """Refuse equal points, or equal lifted rows (which are equal points)."""
-    if any(x in items[:i] for i, x in enumerate(items)):
+    """Refuse equal points, or equal lifted rows (which are equal points), by hash."""
+    if len(set(items)) != len(items):
         raise DegenerateConfigError("duplicate point in %s" % where)
 
 
@@ -405,9 +405,9 @@ def concyclic(p1: Point, p2: Point, p3: Point, p4: Point) -> bool:
 
 
 def on_common_sphere(points: Sequence[Point]) -> bool:
-    """Whether the given distinct points all lie on one generalized sphere of
-    positive codimension. For n+2 points of R^n_inf this is the cospherical
-    test; the lifted matrix drops rank exactly then."""
+    """Whether 3 to n+2 distinct points of R^n_inf lie on one generalized sphere of
+    positive codimension (cospherical, for n+2): exactly when their lifted rows are
+    dependent, which `_linalg.rank` decides below each pivot on the trailing columns."""
     rows, n = _lifted(points)
     _check_distinct(rows, "on_common_sphere")
     if not 3 <= len(rows) <= n + 2:

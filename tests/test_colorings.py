@@ -393,8 +393,10 @@ class TestGenericPosition:
 
     def test_four_concyclic_points_block_every_candidate(self, monkeypatch):
         # four points of R^3 on one circle have dependent lifted rows, so no
-        # sphere passes through just them: their normal is None, and once
-        # they are all chosen every later candidate is rejected
+        # sphere passes through just them: their normal is None. As the last
+        # point of the sample the fourth is taken; before more points it is
+        # refused, since once all four were chosen every later candidate
+        # would lie on a sphere through three of them and the fourth
         circle = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
 
         def stream(n, seed):
@@ -406,14 +408,15 @@ class TestGenericPosition:
 
         monkeypatch.setattr(colorings, "_random_points", stream)
         assert generic_position_points(3, 4) == [Point.finite(x) for x in circle]
-        with pytest.raises(ColoringError, match="did not converge"):
-            generic_position_points(3, 5)
+        assert generic_position_points(3, 5) == [Point.finite(x) for x in circle[:3]
+                                                 + [(2, 4, 1), (3, 9, 1)]]
 
 
 def reference_generic_position_points(n, count, seed):
     """The inversive sampling with one rank test per subset instead of the
     sampler's normals: a candidate is rejected when it and some n+1 chosen
-    points lie on a common sphere."""
+    points lie on a common sphere, or, when more than n+1 points are asked
+    for, when it and the n chosen points lie on a sphere of lower dimension."""
     rats = _rational_stream(random.Random(seed))
     chosen = []
     while len(chosen) < count:
@@ -423,6 +426,8 @@ def reference_generic_position_points(n, count, seed):
         if len(chosen) >= n + 1 and any(
                 on_common_sphere(list(subset) + [cand])
                 for subset in combinations(chosen, n + 1)):
+            continue
+        if count > n + 1 and len(chosen) == n >= 2 and on_common_sphere(chosen + [cand]):
             continue
         chosen.append(cand)
     return chosen

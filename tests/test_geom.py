@@ -602,11 +602,13 @@ class TestBareiss:
         st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), min_size=1, max_size=5)))
     def test_scaled_rref(self, rows):
         # fraction-free elimination is rref scaled by the last pivot, also on
-        # rank-deficient inputs where it skips columns
+        # rank-deficient inputs where it skips columns; the rank's pass below
+        # the pivot finds as many pivots
         ncols = len(rows[0])
         red, pivots = _linalg.bareiss(rows, ncols)
         ref, ref_pivots = _linalg.rref([[Fraction(x) for x in r] for r in rows], ncols)
-        assert pivots == ref_pivots == _linalg.bareiss(rows, ncols, reduced=False)[1]
+        assert pivots == ref_pivots
+        assert len(pivots) == _linalg.rank(rows, ncols)
         d = red[0][pivots[0]] if pivots else 1
         assert all(type(x) is int for r in red for x in r)
         assert red == [[d * x for x in r] for r in ref]
@@ -700,6 +702,48 @@ def quartic_matrices(draw):
         # a row times 2^(1/4) keeps the rank and puts the matrix over Q(t)
         rows[0] = [x * THETA for x in rows[0]]
     return rows
+
+
+@st.composite
+def rank_matrices(draw, entries):
+    """A matrix of 1 to 6 columns and 1 to 7 rows drawn from `entries`: one
+    draw in two with all-zero leading columns, one in two with a row inserted
+    that is an int combination of the others."""
+    ncols, nrows = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    zeros = draw(st.sampled_from([0, 0, 0, 1, 2, ncols]))
+    rows = [[0] * zeros + r[zeros:] for r in rows]
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        rows.insert(draw(st.integers(0, len(rows))),
+                    [sum((w * r[j] for w, r in zip(weights, rows)), 0) for j in range(ncols)])
+    return rows
+
+
+def _rank_events(rows, rank):
+    ncols = len(rows[0])
+    event("rank-deficient" if rank < min(len(rows), ncols) else "full rank")
+    if len(rows) > ncols:
+        event("more rows than columns")
+    if all(not r[0] for r in rows):
+        event("all-zero leading column")
+
+
+class TestRank:
+    """`rank`'s fraction-free pass below the pivot against sympy's exact rank
+    over QQ, which shares no code with `_linalg`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["int", "fraction", "mixed"]).flatmap(lambda kind: rank_matrices(
+        {"int": st.integers(-3, 3), "fraction": small_fractions,
+         "mixed": st.one_of(st.integers(-3, 3), small_fractions)}[kind])))
+    def test_rational_rows_match_sympy(self, sympy, rows):
+        ncols = len(rows[0])
+        want = sympy.Matrix([[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
+                              for x in r] for r in rows]).rank()
+        _rank_events(rows, want)
+        assert _linalg.rank(rows, ncols) == want
 
 
 def _seeded_rows(rng, n, zt):
@@ -806,6 +850,24 @@ class TestZtKernelAgainstSympy:
             lead = element(next(x for x in mine if x))
             assert [K.quo(element(x), lead) for x in mine] == theirs
         assert steps[0] > 0 or rank <= 1
+
+    @settings(max_examples=120, deadline=None)
+    @given(rank_matrices(_MIXED_ENTRIES))
+    def test_rank_below_the_pivot(self, field, rows):
+        # the rank's pass below the pivot on Quartic2, int and Fraction
+        # entries, and on the same rows as Z[t] int 4-tuples, every division
+        # of it checked exact
+        sympy, K, element, matrix = field
+        if not any(isinstance(x, Quartic2) for r in rows for x in r):
+            rows[0] = [x * THETA for x in rows[0]]
+        ncols = len(rows[0])
+        want = matrix(rows, ncols).rank()
+        _rank_events(rows, want)
+        with pytest.MonkeyPatch.context() as mp:
+            steps = self.exact_divisions(mp)
+            assert _linalg.rank(rows, ncols) == want
+            assert _linalg.rank([_linalg.zt_row(r) for r in rows], ncols) == want
+        assert steps[0] > 0 or want <= 1
 
     @settings(max_examples=100, deadline=None)
     @given(quartic_matrices())
@@ -1391,6 +1453,27 @@ class TestLiftedRows:
         # Point((1, 2), 2) and P([1, 2]) are one point
         with pytest.raises(DegenerateConfigError, match="duplicate point in smallest_sphere"):
             smallest_sphere([Point((1, 2), 2), b, P([1, 2])])
+
+    def test_duplicates_refused_on_every_backend(self):
+        # the rows are hashed: an equal point, also -0.0 beside 0.0 or a
+        # second infinity, is refused before any elimination
+        rat = [P([Fraction(1, 2), 3]), P([0, Fraction(-2, 3)]), P([2, 5]), P([-1, 4])]
+        quartic = [P([THETA, 1]), P([SQRT2, Fraction(1, 2)]), P([1 + THETA, -1]), P([0, THETA])]
+        floats = [P([0.0, 1.0]), P([2.5, -1.0]), P([1.0, 3.0]), P([-2.0, 0.5])]
+        cases = [(rat, Point(rat[0].coords, 2)), (quartic, Point(quartic[0].coords, 2)),
+                 (floats, P([-0.0, 1.0])), ([INF2] + rat[1:], Point.infinity(2)),
+                 ([INF2] + quartic[1:], Point.infinity(2))]
+        for (a, b, c, d), again in cases:
+            calls = [("on_common_sphere", lambda: on_common_sphere([a, b, again])),
+                     ("concyclic", lambda: concyclic(a, b, c, again)),
+                     ("sphere_through", lambda: sphere_through([a, again, b])),
+                     ("separation_signs", lambda: separation_signs([a, b, c, d, again])),
+                     ("smallest_sphere", lambda: smallest_sphere([b, a, again]))]
+            if again.backend() != "float":  # float families have no key
+                calls.append(("span_key", lambda: span_key([a, b, again])))
+            for where, call in calls:
+                with pytest.raises(DegenerateConfigError, match="duplicate point in %s$" % where):
+                    call()
 
     def test_error_precedence(self):
         a, b = P([1, 2]), P([3, -1])
