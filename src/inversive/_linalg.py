@@ -294,7 +294,8 @@ def rank(rows: Sequence[Sequence], ncols: int) -> int:
     """The rank of a matrix, its pivot count: by `rref` over floats, else by
     `bareiss`'s steps below the pivot alone on the `_exact_rows`. Each step pops
     the first row with a nonzero lead p and keeps the trailing columns of each
-    other row r, (p * r - r[0] * the popped row) / the previous pivot, exactly;
+    other row r, (p * r - r[0] * the popped row) / the previous pivot, exactly
+    (an int row with r[0] = 0 as it is when p is that pivot, else p * r / it);
     a column with no pivot is dropped."""
     m = _exact_rows(rows)
     if m is None:
@@ -313,7 +314,8 @@ def rank(rows: Sequence[Sequence], ncols: int) -> int:
         for r in m:
             f = r[0]
             new.append([_zt_step(p, a, f, b, prev) for a, b in zip(r[1:], tail)] if zt
-                       else [(p * a - f * b) // prev for a, b in zip(r[1:], tail)])
+                       else [(p * a - f * b) // prev for a, b in zip(r[1:], tail)] if f
+                       else r[1:] if p == prev else [p * a // prev for a in r[1:]])
         m, found = new, found + 1
         prev = p if not zt else (p, *zt_cofactor(p)) if p[1] or p[2] or p[3] else (p, None, p[0])
     return found

@@ -294,7 +294,8 @@ def rational_sphere_points(n: int, count: int, seed: int = 0) -> List[Point]:
 def generic_position_points(n: int, count: int, seed: int = 0) -> List[Point]:
     """Seeded rational points of R^n in spherically generic position: no n+2
     of them on a common (n-1)-sphere. A candidate must miss the `null_vector` sphere
-    through each n+1 chosen points; n+1 on no one sphere (None) are refused unless last."""
+    through each n+1 chosen points. Only a point that another follows builds its own
+    spheres, and it is refused if n+1 points lie on no one sphere (None)."""
     if count < 1:
         raise ColoringError("need a positive sample count")
     stream = _random_points(n, seed)
@@ -313,11 +314,13 @@ def generic_position_points(n: int, count: int, seed: int = 0) -> List[Point]:
         row = lift_row(cand)
         if any(not vec_dot(v, row) for v in normals):
             continue
-        new = [null_vector([*s, row], n + 2) for s in combinations(rows, n)]
-        if count <= n + 1 or None not in new:
+        if len(chosen) + 1 < count:
+            new = [null_vector([*s, row], n + 2) for s in combinations(rows, n)]
+            if None in new:
+                continue
             normals += new
-            chosen.append(cand)
-            rows.append(row)
+        chosen.append(cand)
+        rows.append(row)
     return chosen
 
 

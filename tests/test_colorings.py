@@ -411,6 +411,25 @@ class TestGenericPosition:
         assert generic_position_points(3, 5) == [Point.finite(x) for x in circle[:3]
                                                  + [(2, 4, 1), (3, 9, 1)]]
 
+    @pytest.mark.parametrize("n,count,calls", [(2, 7, 20), (3, 7, 15)])
+    def test_the_last_point_builds_no_normals(self, monkeypatch, n, count, calls):
+        # a point's normals are read only by later candidates, so the i-th
+        # point (from 0) builds C(i, n) of them unless it is the last: the
+        # sum over i < count - 1 is C(count - 1, n + 1), not the C(count, n + 1)
+        # normals of every chosen point
+        made = []
+
+        def counted(rows, ncols):
+            made.append(len(rows))
+            return real(rows, ncols)
+
+        real = colorings.null_vector
+        monkeypatch.setattr(colorings, "null_vector", counted)
+        pts = generic_position_points(n, count, 1000)
+        assert len(made) == calls and set(made) == {n + 1}
+        monkeypatch.undo()
+        assert pts == reference_generic_position_points(n, count, 1000)
+
 
 def reference_generic_position_points(n, count, seed):
     """The inversive sampling with one rank test per subset instead of the
@@ -436,7 +455,10 @@ def reference_generic_position_points(n, count, seed):
 class TestGenericPositionReference:
     @pytest.mark.parametrize("n,count,seeds", [
         (1, 9, range(5)), (2, 14, (0, 1, 2, 48)), (3, 9, range(5)), (4, 8, range(3)),
-        (2, 7, range(12)), (3, 7, range(12))])
+        (2, 7, range(12)), (3, 7, range(12)),
+        # the last point builds no normals: at count n+1 it is the (n+1)-th,
+        # the one point whose normal can be None; at n+2 the (n+1)-th builds them
+        *[(n, count, range(6)) for n in range(1, 5) for count in (n + 1, n + 2)]])
     def test_same_points_as_the_per_subset_rule(self, n, count, seeds):
         for seed in seeds:
             assert (generic_position_points(n, count, seed)

@@ -3,14 +3,14 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from inversive import _linalg, geom
 from inversive.chromatic import PolychromaticWitness
-from inversive.colorings import ColoredConfig, TwoLine
+from inversive.colorings import ColoredConfig, FlagInversive, TwoLine
 from inversive.exactnum import (Quartic2, THETA, SQRT2, BackendMismatch, is_zero, promote,
                                sign_of, zt_element, zt_mul)
 from inversive.geom import (
@@ -712,7 +712,7 @@ def rank_matrices(draw, entries):
     ncols, nrows = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
-    zeros = draw(st.sampled_from([0, 0, 0, 1, 2, ncols]))
+    zeros = min(draw(st.sampled_from([0, 0, 0, 1, 2, ncols])), ncols)
     rows = [[0] * zeros + r[zeros:] for r in rows]
     if draw(st.booleans()):
         weights = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
@@ -744,6 +744,37 @@ class TestRank:
                               for x in r] for r in rows]).rank()
         _rank_events(rows, want)
         assert _linalg.rank(rows, ncols) == want
+
+    @pytest.mark.parametrize("rows,want", [
+        ([[0, 1, 1], [-2, 0, 0], [0, 1, 0]], 3),
+        ([[0, 1, 1], [-2, 0, 0], [0, 2, 2]], 2),
+        ([[0, 0, 1], [1, 0, 0], [0, -2, 1]], 3)])
+    def test_zero_lead_rows(self, sympy, rows, want):
+        # a row with a zero lead is carried over as it is when the pivot
+        # equals the previous one, else scaled by the pivot over it. In the
+        # first two matrices the first pivot, -2, differs from the starting
+        # 1; in the last the second pivot, -2, differs from the first, 1.
+        # Carried over unscaled, the first matrix's rows would meet a
+        # rounding division by -2 and read rank 2
+        assert sympy.Matrix(rows).rank() == want
+        assert _linalg.rank(rows, 3) == want
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_flag_tuples_match_sympy(self, sympy, n):
+        # the lifted rows of `verify_flag`'s tuples: the origin row (0, .., 0, 1)
+        # has a zero lead; the row at infinity (1, 0, .., 0) is the first
+        # pivot, equal to the starting 1, so the origin row is carried over,
+        # then scaled by the second pivot. Each tuple is also checked with
+        # its last row replaced by a combination of the others, rank-deficient
+        config = ColoredConfig.sample(FlagInversive(n), 3, 0)
+        classes = [config.points_of_color(i) for i in range(1, config.k + 1)]
+        for tup in product(*classes):
+            rows = _lifted(tup)[0]
+            assert rows[:2] == [(0,) * (n + 1) + (1,), (1,) + (0,) * (n + 1)]
+            dependent = rows[:-1] + [[3 * a - b + c for a, b, c in zip(*rows[:3])]]
+            for m in (rows, dependent, rows[:3], dependent[1:]):
+                assert _linalg.rank(m, n + 2) == sympy.Matrix(m).rank()
+            assert not on_common_sphere(tup)
 
 
 def _seeded_rows(rng, n, zt):
