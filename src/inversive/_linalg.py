@@ -1,17 +1,18 @@
 """Dense linear algebra over the scalar backends (internal); the only module
-that picks an elimination. There is one exact kernel, fraction-free elimination
-(Bareiss 1968), whose every entry stays a minor of the input, so each division
-by the previous pivot is exact. `_exact_rows` scales each row of an exact matrix
-by a positive integer into Z for a rational one (int and Fraction entries), into
+that picks an elimination. `_exact_rows` scales each row of an exact matrix by a
+positive integer into Z for a rational one (int and Fraction entries), into
 Z[t], t**4 = 2, for any other (a Quartic2 entry), where an entry is the int
-4-tuple of its coefficients and a division goes through the pivot's cofactor and
-integer norm. `nullspace` and `echelon` reduce those rows fully (`bareiss`);
-`rank` eliminates below each pivot only, on the trailing columns. `null_vector`
-reads the nullspace vector of n+1 such rows in n+2 columns off their signed
-maximal minors, dividing nothing. `rref` is Gauss-Jordan for float matrices:
-partial pivoting, entries within EPSILON are zero. `cut` adds a row to a
-nullspace basis, `zt_cut` to a Z[t] one; `zt_row`, `zt_lift` and `zt_twisted`
-give the Z[t] rows of one exact dot product.
+4-tuple of its coefficients; every exact routine takes those rows. `cut` adds a
+row to a nullspace basis, `zt_cut` to a Z[t] one, and is the one exact subspace
+routine: `nullspace` is the identity cut by each row in turn, and `echelon`
+reads the reduced rows off the nullspace of the nullspace. `rank` runs a
+fraction-free elimination (Bareiss 1968) below each pivot, on the trailing
+columns: every entry stays a minor of the input, so each division by the
+previous pivot is exact, over Z[t] through its cofactor and integer norm.
+`null_vector` reads the nullspace vector of n+1 such rows in n+2 columns off
+their signed maximal minors, dividing nothing. `rref` is Gauss-Jordan for float
+matrices: partial pivoting, entries within EPSILON are zero. `zt_row`, `zt_lift`
+and `zt_twisted` give the Z[t] rows of one exact dot product.
 """
 
 from __future__ import annotations
@@ -74,51 +75,6 @@ def rref(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List], List[int]]:
                 factor = m[j][col]
                 m[j] = [a - factor * b for a, b in zip(m[j], m[r])]
         pivots.append(col)
-        r += 1
-    return m, pivots
-
-
-def bareiss(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List], List[int]]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of a matrix over
-    Z, or over Z[t] with int 4-tuple entries (`zt_row`), and its pivot
-    columns: the reduced row echelon form scaled by d, the last pivot, so
-    every pivot row carries d at its pivot column and zeros at the others.
-
-    Every entry is a minor of the row-permuted input, so each division is
-    exact; over Z[t] it goes through the previous pivot's cofactor
-    (`_zt_step`), and the entries the elimination fixes are set, not
-    computed. `rank` takes the same steps below the pivot alone, on the
-    trailing columns. With full row rank and one free column f, the
-    nullspace vector (d at f, -row[f] at each pivot) is, up to one common
-    sign, the vector of signed maximal minors (`null_vector`).
-    """
-    m = [list(r) for r in rows]
-    zt = bool(m and m[0]) and type(m[0][0]) is tuple
-    zero, prev = (_ZT0, ((1, 0, 0, 0), None, 1)) if zt else (0, 1)
-    pivots: List[int] = []
-    r = 0
-    for col in range(ncols):
-        if r >= len(m):
-            break
-        i = next((i for i in range(r, len(m)) if m[i][col] != zero), -1)
-        if i < 0:
-            continue
-        m[r], m[i] = m[i], m[r]
-        top = m[r]
-        p = top[col]
-        pivots.append(col)
-        for j, row in enumerate(m):
-            if j == r:
-                continue
-            f = row[col]
-            if not zt:
-                m[j] = [(p * a - f * b) // prev for a, b in zip(row, top)]
-                continue
-            m[j] = new = [_ZT0 if k in pivots else _zt_step(p, a, f, b, prev)
-                          for k, (a, b) in enumerate(zip(row, top))]
-            if j < r:
-                new[pivots[j]] = p
-        prev = p if not zt else (p, *zt_cofactor(p)) if p[1] or p[2] or p[3] else (p, None, p[0])
         r += 1
     return m, pivots
 
@@ -292,7 +248,7 @@ def lead_one(v: Sequence, kind: str) -> List:
 
 def rank(rows: Sequence[Sequence], ncols: int) -> int:
     """The rank of a matrix, its pivot count: by `rref` over floats, else by
-    `bareiss`'s steps below the pivot alone on the `_exact_rows`. Each step pops
+    fraction-free steps below the pivot alone on the `_exact_rows`. Each step pops
     the first row with a nonzero lead p and keeps the trailing columns of each
     other row r, (p * r - r[0] * the popped row) / the previous pivot, exactly
     (an int row with r[0] = 0 as it is when p is that pivot, else p * r / it);
@@ -321,34 +277,47 @@ def rank(rows: Sequence[Sequence], ncols: int) -> int:
     return found
 
 
-def echelon(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List], List[int]]:
-    """The nonzero rows of the reduced row echelon form of an exact matrix,
-    each `canonical`, and the pivot columns, from the reduced Bareiss rows."""
-    m, pivots = bareiss(_exact_rows(rows), ncols)
-    return [canonical(r) for r in m[: len(pivots)]], pivots
+def identity(ncols: int, zt: bool = False) -> List[List]:
+    """The unit basis of ncols columns, in Z[t] int 4-tuples when zt."""
+    one, zero = ((1, 0, 0, 0), _ZT0) if zt else (1, 0)
+    return [[one if j == i else zero for j in range(ncols)] for i in range(ncols)]
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> List[List]:
-    """Basis of the right nullspace, one vector per free column: integer
-    vectors for a rational matrix, Z[t] ones (int 4-tuples) for a Z[t]
-    matrix, Quartic2 ones for another exact matrix."""
+    """Basis of the right nullspace, one vector per free column f, zero at the
+    other free columns. An exact matrix's is the identity cut by each of its
+    `_exact_rows` in turn (`cut`, or `zt_cut` over Z[t]): each vector ends at
+    its f and is `canonical` (`zt_normal` over Z[t]), so the basis depends only
+    on the row space. Integer vectors for a rational matrix, Z[t] ones (int
+    4-tuples) for a Z[t] matrix, Quartic2 ones for another exact matrix, and
+    float ones, 1.0 at f, from `rref` for a float matrix."""
     exact = _exact_rows(rows)
-    m, pivots = rref(rows, ncols) if exact is None else bareiss(exact, ncols)
-    # the first pivot is the matrix's own one (d for bareiss), so a float
-    # matrix gets float entries at the free columns
-    scale = m[0][pivots[0]] if pivots else 1
-    zt = type(scale) is tuple
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [_ZT0 if zt else 0 * scale] * ncols
-        vec[free] = scale
-        for row_idx, pcol in enumerate(pivots):
-            x = m[row_idx][free]
-            vec[pcol] = (-x[0], -x[1], -x[2], -x[3]) if zt else -x
-        basis.append(vec)
+    if exact is None:
+        m, pivots = rref(rows, ncols)
+        basis = []
+        for free in (c for c in range(ncols) if c not in pivots):
+            vec = [0.0] * ncols
+            vec[free] = 1.0
+            for r, pcol in zip(m, pivots):
+                vec[pcol] = -r[free]
+            basis.append(vec)
+        return basis
+    zt = bool(exact and exact[0]) and type(exact[0][0]) is tuple
+    basis = identity(ncols, zt)
+    for row in exact:
+        narrowed = zt_cut(basis, zt_twisted(row)) if zt else cut(basis, row)
+        if narrowed is not None:
+            basis = narrowed
     if zt and type(rows[0][0]) is not tuple:
         return [[zt_element(x) for x in v] for v in basis]
     return basis
+
+
+def echelon(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List], List[int]]:
+    """The nonzero rows of the reduced row echelon form of an exact matrix,
+    each `canonical`, and the pivot columns. With the columns reversed, the
+    nullspace of the nullspace is the row space's basis whose vectors each end
+    at a pivot, zero at the other pivots: reversed back, the reduced rows."""
+    flipped = [r[::-1] for r in _exact_rows(rows)]
+    red = [canonical(v[::-1]) for v in reversed(nullspace(nullspace(flipped, ncols), ncols))]
+    return red, [next(j for j, x in enumerate(v) if x) for v in red]

@@ -9,8 +9,8 @@ works on lifted rows (<x,x>, x, 1), integer for rational points, through
 row. A hypersphere is a row (c, b, a) annihilating the lifted rows of its
 points, so incidence is one dot product. Every sphere is the common zero set
 of such rows, computed once and cached: incidence reads them, and its key is
-their canonical echelon basis, the span of the (c, b, a) of the hyperspheres
-through it. Float spheres have no key.
+the canonical nullspace basis (`_linalg.nullspace`) of the space they span,
+the (c, b, a) of the hyperspheres through it. Float spheres have no key.
 """
 
 from __future__ import annotations
@@ -286,7 +286,7 @@ class Hypersphere(Frozen):
         return is_zero(_incidence(self, p, True))
 
     def key(self) -> tuple:
-        """Its own row: the echelon key of its coefficient space."""
+        """Its own row: the key of its coefficient space."""
         _refuse_float(self.c)
         return (self.row,)
 
@@ -527,7 +527,8 @@ class Flat(Frozen):
 
     def key(self) -> tuple:
         _refuse_float(self.basepoint[0])
-        return _echelon_key(self._rows, self.ambient + 2)
+        n = self.ambient + 2
+        return _basis_key(_linalg.nullspace(_linalg.nullspace(self._rows, n), n))
 
 
 def _orthogonal_residual(v: Sequence[Scalar], basis: Sequence[Sequence[Scalar]]) -> Tuple:
@@ -587,7 +588,8 @@ class SubSphere(Frozen):
     def _key(self) -> tuple:
         rows = [s.row for s in self._spheres]
         _refuse_float(rows[0][0] if rows else 0)
-        return _echelon_key(rows, self.ambient + 2)
+        n = self.ambient + 2
+        return _basis_key(_linalg.nullspace(_linalg.nullspace(rows, n), n))
 
 
 def _extended_flat_subsphere(hull: Flat, n: int) -> SubSphere:
@@ -638,37 +640,36 @@ def _refuse_float(x: Scalar) -> None:
         raise BackendMismatch("sphere keys need exact coordinates")
 
 
-def _echelon_key(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple:
-    """The key of the generalized sphere whose coefficient space the exact
-    rows (c, b, a) span: the canonical nonzero rows of its reduced row
-    echelon form."""
-    return tuple(tuple(r) for r in _linalg.echelon(rows, ncols)[0])
+def _basis_key(basis: Sequence[Sequence]) -> tuple:
+    """The key of the generalized sphere whose coefficient space has the exact
+    `_linalg.nullspace` basis given: its vectors, each `canonical`. That basis
+    depends only on the space, so equal spheres get equal keys."""
+    return tuple(tuple(_linalg.canonical(v)) for v in basis)
 
 
 def span_key(points: Sequence[Point]) -> Optional[tuple]:
-    """`smallest_sphere(points).key()` from the nullspace of the lifted rows,
-    or None when they are dependent (the sphere has dimension below
+    """`smallest_sphere(points).key()`, the key of the nullspace of the lifted
+    rows, or None when they are dependent (the sphere has dimension below
     len(points) - 2)."""
     rows, n = _lifted(points)
     _refuse_float(rows[0][0])
     _check_distinct(rows, "span_key")
-    ncols = n + 2
-    ns = _linalg.nullspace(rows, ncols)
-    if len(rows) + len(ns) > ncols:
+    ns = _linalg.nullspace(rows, n + 2)
+    if len(rows) + len(ns) > n + 2:
         return None
-    return _echelon_key(ns, ncols)
+    return _basis_key(ns)
 
 
 def span_walk(points: Sequence[Point], size: int) -> Iterator[Tuple[tuple, tuple]]:
     """(subset, key) for each `size`-subset that `span_key` keys, in order,
     with the key `span_key` gives it. Each point is lifted once; a depth-first
     walk cuts the prefix's nullspace basis (its pencil of spheres), from the
-    identity, by one row per point, in Z[t] for a family with a Q(2^(1/4)) point."""
+    identity, by one row per point, in Z[t] for a family with a Q(2^(1/4))
+    point, as `_linalg.nullspace` does, so a leaf's basis is its key."""
     rows, n = _lifted(points)
     _refuse_float(rows[0][0])
-    ncols, zt = n + 2, type(rows[0][0]) is tuple
-    one, zero, cut = ((1, 0, 0, 0), (0, 0, 0, 0), _linalg.zt_cut) if zt else (1, 0, _linalg.cut)
-    basis = [[one if j == i else zero for j in range(ncols)] for i in range(ncols)]
+    zt = type(rows[0][0]) is tuple
+    cut = _linalg.zt_cut if zt else _linalg.cut
     if zt:
         rows = [_linalg.zt_twisted(r) for r in rows]
 
@@ -680,9 +681,9 @@ def span_walk(points: Sequence[Point], size: int) -> Iterator[Tuple[tuple, tuple
             subset = prefix + (i,)
             if len(subset) < size:
                 yield from walk(i + 1, subset, narrowed)
-            elif len(narrowed) != 1:
-                yield subset, _echelon_key(narrowed, ncols)
-            else:
+            elif len(narrowed) == 1:
                 yield subset, (tuple(_linalg.canonical(narrowed[0]) if zt else narrowed[0]),)
+            else:
+                yield subset, _basis_key(narrowed)
 
-    yield from walk(0, (), basis)
+    yield from walk(0, (), _linalg.identity(n + 2, zt))

@@ -1,5 +1,6 @@
 """Incidence predicates, sphere constructions, and the planar invariants."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from inversive import _linalg, geom
+from inversive import _linalg, geom, jsonio
 from inversive.chromatic import PolychromaticWitness
 from inversive.colorings import ColoredConfig, FlagInversive, TwoLine
 from inversive.exactnum import (Quartic2, THETA, SQRT2, BackendMismatch, is_zero, promote,
@@ -43,8 +44,10 @@ from inversive.geom import (
     side,
     smallest_sphere,
     span_key,
+    span_walk,
     sphere_through,
 )
+from test_zt_path import reference_canonical, reference_nullspace
 
 P = Point.finite
 INF2 = Point.infinity(2)
@@ -198,6 +201,10 @@ class TestSphereThrough:
     def test_float_nullspace_stays_float(self):
         for vec in _linalg.nullspace([[1.0, 2.0, 0.0, 0.0]], 4):
             assert all(type(x) is float for x in vec)
+        # with no pivot every column is free, and its vector is float too
+        basis = _linalg.nullspace([[0.0, 0.0, 0.0]], 3)
+        assert basis == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        assert all(type(x) is float for vec in basis for x in vec)
 
     def test_circle_through_three_points(self):
         s = sphere_through([P([0, 0]), P([1, 0]), P([0, 1])])
@@ -242,9 +249,9 @@ class TestSphereThrough:
             assert all(on_sphere(p, s) for p in pts)
 
 
-def _bareiss_sphere_through(points):
-    """`sphere_through` by the fraction-free elimination: the sphere of the
-    one `nullspace` vector of the lifted rows."""
+def _nullspace_sphere_through(points):
+    """`sphere_through` by the `nullspace` fold: the sphere of the one
+    `nullspace` vector of the lifted rows."""
     rows, n = _lifted(points)
     _check_distinct(rows, "sphere_through")
     ns = _linalg.nullspace(rows, n + 2)
@@ -259,7 +266,7 @@ def _sphere_fields(s):
 
 class TestSphereThroughMinors:
     """`sphere_through` from the signed maximal minors against the sphere of
-    the Bareiss nullspace vector: the same c, b, a (as scalars of the same
+    the `nullspace` vector: the same c, b, a (as scalars of the same
     type), row and key, or the same refusal."""
 
     @staticmethod
@@ -283,10 +290,10 @@ class TestSphereThroughMinors:
         yield [P([THETA, 0, 0]), P([0, THETA, 0]), P([-THETA, 0, 0]), P([0, -THETA, 0])]
         yield [P([0, THETA]), P([0, THETA]), P([1, 0])]
 
-    def test_same_sphere_as_bareiss(self):
+    def test_same_sphere_as_nullspace(self):
         kinds = set()
         for points in self.families():
-            want = _outcome(_bareiss_sphere_through, points)
+            want = _outcome(_nullspace_sphere_through, points)
             kinds.add(want[0].__name__ if isinstance(want, tuple)
                       else (len(points), geom._family_kind(points)))
             assert _sphere_fields(_outcome(sphere_through, points)) == _sphere_fields(want)
@@ -574,7 +581,7 @@ class TestEchelon:
         min_size=1, max_size=5)))
     def test_rational_rows_match_rref(self, rows):
         # int, Fraction and mixed rows: their denominators are cleared row by
-        # row and the reduced Bareiss rows taken over their content
+        # row and the reduced rows read off the integer nullspace folds
         ncols = len(rows[0])
         ref, ref_pivots = _linalg.rref([[Fraction(x) for x in r] for r in rows], ncols)
         red, pivots = _linalg.echelon(rows, ncols)
@@ -596,31 +603,14 @@ class TestEchelon:
         assert not any(isinstance(x, float) for x in red[0])
 
 
-class TestBareiss:
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 5).flatmap(lambda cols: st.lists(
-        st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), min_size=1, max_size=5)))
-    def test_scaled_rref(self, rows):
-        # fraction-free elimination is rref scaled by the last pivot, also on
-        # rank-deficient inputs where it skips columns; the rank's pass below
-        # the pivot finds as many pivots
-        ncols = len(rows[0])
-        red, pivots = _linalg.bareiss(rows, ncols)
-        ref, ref_pivots = _linalg.rref([[Fraction(x) for x in r] for r in rows], ncols)
-        assert pivots == ref_pivots
-        assert len(pivots) == _linalg.rank(rows, ncols)
-        d = red[0][pivots[0]] if pivots else 1
-        assert all(type(x) is int for r in red for x in r)
-        assert red == [[d * x for x in r] for r in ref]
-
-
 QUARTIC_ENTRIES = [Quartic2(0), Quartic2(1), Quartic2(-2), THETA, SQRT2, 1 + THETA,
                    THETA * SQRT2 - Fraction(1, 3)]
 
 
 class TestCut:
-    """`cut` narrows a nullspace basis by one row; `nullspace` of every
-    independent row so far is the oracle."""
+    """`cut` narrows a nullspace basis by one row; the field Gauss-Jordan
+    nullspace of every independent row so far, each vector canonical, is
+    the oracle: cut from the identity, the basis is that one exactly."""
 
     @staticmethod
     def walk(rows, ncols):
@@ -631,9 +621,9 @@ class TestCut:
             if cut is None:
                 continue
             taken.append(row)
-            ns = _linalg.nullspace(taken, ncols)
+            ns = reference_nullspace(taken, ncols)
             assert len(cut) == len(ns) == len(basis) - 1
-            assert _linalg.rank(cut, ncols) == _linalg.rank(cut + ns, ncols) == len(ns)
+            assert cut == [reference_canonical(v) for v in ns]
             assert all(not sum(a * x for a, x in zip(r, v)) for r in taken for v in cut)
             basis = cut
             yield cut
@@ -777,6 +767,60 @@ class TestRank:
             assert not on_common_sphere(tup)
 
 
+@st.composite
+def spanning_sets(draw):
+    """(rows, other): a matrix of int, Fraction or Q(2^(1/4)) entries and
+    another spanning set of its row space. Row i of `other` is a nonzero
+    rational multiple of row i plus rational multiples of the rows before
+    it; up to two rational combinations of the rows follow, and the whole
+    is shuffled."""
+    kind = draw(st.sampled_from(["int", "fraction", "quartic"]))
+    rows = draw(rank_matrices({"int": st.integers(-3, 3), "fraction": small_fractions,
+                               "quartic": _MIXED_ENTRIES}[kind]))
+    if kind == "quartic" and not any(isinstance(x, Quartic2) for r in rows for x in r):
+        rows[0] = [x * THETA for x in rows[0]]
+    ncols, weight = len(rows[0]), st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+    def combo(weights):
+        return [sum((w * r[j] for w, r in zip(weights, rows)), 0) for j in range(ncols)]
+
+    other = []
+    for i in range(len(rows)):
+        weights = draw(st.lists(weight, min_size=i, max_size=i))
+        other.append(combo(weights + [draw(weight.filter(bool))]))
+    for _ in range(draw(st.integers(0, 2))):
+        other.append(combo(draw(st.lists(weight, min_size=len(rows), max_size=len(rows)))))
+    return rows, draw(st.permutations(other))
+
+
+class TestNullspace:
+    """`nullspace`, the identity cut by each row in turn, against sympy's
+    nullspace over QQ, and as a function of the row space alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["int", "fraction", "mixed"]).flatmap(lambda kind: rank_matrices(
+        {"int": st.integers(-3, 3), "fraction": small_fractions,
+         "mixed": st.one_of(st.integers(-3, 3), small_fractions)}[kind])))
+    def test_rational_rows_match_sympy(self, sympy, rows):
+        # one vector per free column, in order, each sympy's made primitive
+        # with a positive lead
+        ncols = len(rows[0])
+        ref = sympy.Matrix([[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
+                             for x in r] for r in rows]).nullspace()
+        event("%d free columns" % len(ref))
+        assert _linalg.nullspace(rows, ncols) == [
+            _primitive([Fraction(int(v.p), int(v.q)) for v in w]) for w in ref]
+
+    @settings(max_examples=150, deadline=None)
+    @given(spanning_sets())
+    def test_same_basis_for_every_spanning_set(self, drawn):
+        rows, other = drawn
+        ncols = len(rows[0])
+        basis = _linalg.nullspace(rows, ncols)
+        event("%d free columns" % len(basis))
+        assert _linalg.nullspace(other, ncols) == basis
+
+
 def _seeded_rows(rng, n, zt):
     """An (n+1) x (n+2) matrix over Z, or over Z[t] with int 4-tuple entries:
     small entries, about a third of them zero, some rows (1, 0, .., 0) of
@@ -801,6 +845,13 @@ def _seeded_rows(rng, n, zt):
                      for c, x in zip(combo, r)]
         rows[j] = combo
     return rows
+
+
+def _from_field(x):
+    """An element of sympy's QQ<2**(1/4)> as a Quartic2, from its
+    coefficients in 2**(1/4), highest power first."""
+    return Quartic2(*[Fraction(int(c.numerator), int(c.denominator))
+                      for c in reversed(x.to_list())])
 
 
 class TestZtKernelAgainstSympy:
@@ -863,16 +914,11 @@ class TestZtKernelAgainstSympy:
         rank = ref.rank()
         event("rank-deficient" if rank < min(len(rows), ncols) else "full rank")
         assert _linalg.rank(rows, ncols) == rank
-        # the nullspace: the right number of independent vectors, each
-        # annihilating every row, so the span is sympy's
+        # the nullspace: sympy's basis, vector by vector, each up to a factor
         basis = _linalg.nullspace(rows, ncols)
-        assert len(basis) == ncols - rank
-        for v in basis:
-            ev = [element(x) for x in v]
-            for r in rows:
-                assert sum((element(x) * y for x, y in zip(r, ev)), K.zero) == K.zero
-        if basis:
-            assert matrix(basis, ncols).rank() == len(basis)
+        assert [_linalg.canonical(v) for v in basis] == [
+            _linalg.canonical([_from_field(x) for x in w])
+            for w in ref.nullspace().to_list()]
         # echelon: sympy's rref rows, each up to its lead
         red, pivots = _linalg.echelon(rows, ncols)
         ref_red, ref_pivots = ref.rref()
@@ -1281,6 +1327,25 @@ class TestSpanKey:
         assert span_key(line + [P([5, 0])]) is None
         assert Flat.through(line[:2]).key() == smallest_sphere(line).key() == key
         assert smallest_sphere(line[:2] + [P([1, 1]), P([2, 2])]).key() == ()
+
+    @pytest.mark.parametrize("pts", [
+        [P([1, 0, 0]), P([0, 1, 0]), P([0, 0, 1])],
+        [P([2, 0, 1]), P([0, Fraction(1, 2), 3]), P([1, -1, Fraction(2, 3)])],
+        [P([THETA, 0, 1]), P([1, SQRT2, 0]), Point.infinity(3)],
+    ], ids=["unit-circle", "rational-circle", "quartic-line"])
+    def test_multi_vector_keys_agree(self, pts):
+        # a circle of R^3 and a Q(2^(1/4)) line through infinity, spheres of
+        # codimension 2: one key from the walk, the span, the smallest
+        # sphere, the line's flat and a SubSphere decoded from JSON
+        key = span_key(pts)
+        assert len(key) == 2
+        ss = smallest_sphere(pts)
+        decoded = jsonio.decode_sphere(json.loads(json.dumps(jsonio.encode_sphere(ss))))
+        keys = [key, *(k for _, k in span_walk(pts, 3)), ss.key(), decoded.key()]
+        if pts[-1].is_infinity:
+            keys.append(Flat.through(pts[:-1]).key())
+        assert len(keys) == 4 + pts[-1].is_infinity
+        assert len(set(map(repr, keys))) == 1
 
 
 class TestFlat:

@@ -4,7 +4,7 @@
 work on Z[t] rows (t**4 = 2) from the lifted row to the answer. The
 `reference_*` functions below are the earlier versions in Q(2^(1/4))
 arithmetic, kept as oracles: the lifted rows promoted to `Quartic2`, their
-nullspace and echelon forms by field Gauss-Jordan, the sphere normalised by
+nullspace by field Gauss-Jordan, the sphere normalised by
 a field division and its discriminant taken in `Quartic2`, the walk cutting
 `Quartic2` rows with `Quartic2` dot products, and the product table keyed on
 `Quartic2` values. None of them goes through the library's elimination.
@@ -144,8 +144,8 @@ def reference_cut(basis, row):
 
 def reference_span_walk(points, size):
     """`span_walk` as it was: the lifted rows on the family's backend, cut by
-    `reference_cut` from the unit basis, a leaf of several vectors keyed by
-    the canonical rows of their reduced echelon form."""
+    `reference_cut` from the unit basis, a leaf keyed by its vectors, each
+    canonical."""
     rows, ncols = reference_rows(points), points[0].dim + 2
 
     def walk(start, prefix, basis):
@@ -157,8 +157,8 @@ def reference_span_walk(points, size):
             if len(subset) < size:
                 yield from walk(i + 1, subset, cut)
             else:
-                yield subset, ((tuple(cut[0]),) if len(cut) == 1 else tuple(
-                    tuple(reference_canonical(r)) for r in reference_rref(cut, ncols)[0]))
+                yield subset, ((tuple(cut[0]),) if len(cut) == 1 else
+                               tuple(tuple(reference_canonical(v)) for v in cut))
 
     yield from walk(0, (), [[int(i == j) for j in range(ncols)] for i in range(ncols)])
 
