@@ -8,8 +8,8 @@ is fully constructive and exact, no floating point anywhere.
 
 from fractions import Fraction
 
-from inversive.chromatic import separating_circle_5pts
 from inversive.geom import Point, side
+from inversive.witness import separating_circle_5pts
 
 pairs = [
     (Point.finite((Fraction(0), Fraction(0))), 1),

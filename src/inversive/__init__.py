@@ -18,15 +18,14 @@ _EXPORTS = {
              "smallest_sphere", "sphere_through"),
     "moebius": ("HyperplaneReflection", "MoebiusMap", "SphereInversion",
                 "compose"),
-    "colorings": ("ColoredConfig", "ColoringError", "FlagEuclidean",
-                  "FlagInversive", "PointListBackground", "TwoLine",
-                  "num_colors", "sample_class"),
-    "chromatic": ("CosetModel", "PolychromaticWitness", "SearchBudgetError",
-                  "SeparationWitness", "coset_closure_check",
-                  "find_polychromatic", "max_polychromatic",
-                  "separating_circle_5pts", "separating_sphere_bruteforce",
-                  "two_line_coset_model", "verify_flag", "verify_generic",
-                  "verify_two_line"),
+    "witness": ("ColoredConfig", "ColoringError", "PolychromaticWitness",
+                "SearchBudgetError", "SeparationWitness",
+                "separating_circle_5pts", "separating_sphere_bruteforce"),
+    "colorings": ("FlagEuclidean", "FlagInversive", "PointListBackground",
+                  "TwoLine", "num_colors", "sample_class"),
+    "chromatic": ("CosetModel", "coset_closure_check", "find_polychromatic",
+                  "max_polychromatic", "two_line_coset_model", "verify_flag",
+                  "verify_generic", "verify_two_line"),
     "euclid": ("GreatFlat", "GreatIntersection", "great_flat_through",
                "great_intersection", "max_colors_great",
                "verify_flag_euclidean"),

@@ -1,5 +1,5 @@
-"""Polychromatic witness search, the constructive separating-circle
-procedure, and the transfer-map coset structure of the two-line coloring.
+"""Polychromatic witness search and the transfer-map coset structure of the
+two-line coloring.
 
 Searches return a witness object or None (not found within the enumerated
 sample or budget); absence of a witness is always a statement about the
@@ -12,88 +12,38 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
-                    Tuple, Union)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .colorings import (
-    ColoredConfig,
-    ColoringError,
     FlagInversive,
     ProceduralColoring,
     TwoLine,
     generic_position_points,
     num_colors,
 )
-from .exactnum import THETA, NormClass, is_zero, norm_class_of, sign_of, zt_mul, zt_pair
+from .exactnum import THETA, NormClass, is_zero, norm_class_of, zt_mul, zt_pair
 from .geom import (
     DegenerateConfigError,
-    Frozen,
     GeometryError,
-    Hypersphere,
     Point,
     Scalar,
-    SubSphere,
     on_common_sphere,
     on_sphere,
-    separated,
-    separation_signs,
     smallest_sphere,
     span_walk,
     sphere_through,
-    vec_dot,
     vec_scale,
     vec_sub,
 )
+from .witness import ColoredConfig, ColoredPoint, ColoringError, PolychromaticWitness
+# the benchmark's tracer wraps the separation procedures under these names
+from .witness import separating_circle_5pts, separating_sphere_bruteforce  # noqa: F401
+
 
 def _exact_div(a: Scalar, b: Scalar) -> Scalar:
     if isinstance(a, int) and isinstance(b, int):
         return Fraction(a, b)
     return a / b
-
-ColoredPoint = Tuple[Point, int]
-SphereLike = Union[Hypersphere, SubSphere]
-
-
-class SearchBudgetError(GeometryError):
-    """A search that had to produce a witness ran out of budget instead."""
-
-
-class PolychromaticWitness(Frozen):
-    """A sphere with incident colored points realizing |color_set| colors."""
-
-    def __init__(self, sphere: SphereLike, on_points: Tuple[ColoredPoint, ...],
-                 color_set: FrozenSet[int]):
-        pts = [p for p, _ in on_points]
-        if len(set(pts)) != len(pts):
-            raise GeometryError("witness points must be distinct")
-        for p in pts:
-            if not sphere.contains(p):
-                raise GeometryError("witness point %r is off the sphere" % (p,))
-        if frozenset(c for _, c in on_points) != color_set:
-            raise GeometryError("witness color set does not match its points")
-        self.__dict__.update(sphere=sphere, on_points=on_points, color_set=color_set,
-                             _values=(sphere, on_points, color_set))
-
-
-class SeparationWitness(Frozen):
-    """A sphere through distinct-colored points separating two more colors."""
-
-    def __init__(self, sphere: Hypersphere, defining: Tuple[ColoredPoint, ...],
-                 separated_pair: Tuple[ColoredPoint, ColoredPoint]):
-        n = sphere.dim + 1
-        if len(defining) != n or len({p for p, _ in defining}) != n:
-            raise GeometryError("a separation witness needs %d distinct defining points" % n)
-        colors = [c for _, c in defining] + [c for _, c in separated_pair]
-        if len(set(colors)) != len(colors):
-            raise GeometryError("separation witness colors must be distinct")
-        for p, _ in defining:
-            if not on_sphere(p, sphere):
-                raise GeometryError("defining point is off the sphere")
-        (x, _), (y, _) = separated_pair
-        if not separated(x, y, sphere):
-            raise GeometryError("claimed pair is not separated")
-        self.__dict__.update(sphere=sphere, defining=defining, separated_pair=separated_pair,
-                             _values=(sphere, defining, separated_pair))
 
 
 IndexEntry = Tuple[Tuple[int, ...], Set[int]]
@@ -232,93 +182,6 @@ def find_polychromatic(coloring: ProceduralColoring, target: int,
                     chosen.append((p, c))
             return PolychromaticWitness(circle, tuple(chosen), colors)
     return None
-
-
-def _between_on_line(triple: Sequence[Point]) -> bool:
-    """For a role triple on one extended line, whether its first point lies
-    strictly between the other two; every triple through infinity counts."""
-    if any(p.is_infinity for p in triple):
-        return True
-    a, b, c = (p.coords for p in triple)
-    d = vec_sub(c, b)
-    t = vec_dot(vec_sub(a, b), d)
-    return sign_of(t) > 0 and sign_of(vec_dot(d, d) - t) > 0
-
-
-def _role_assignments(k: int):
-    for a in range(k):
-        rest = [i for i in range(k) if i != a]
-        for b, c in combinations(rest, 2):
-            yield a, b, c
-
-
-def separating_circle_5pts(pairs: Sequence[ColoredPoint]) -> SeparationWitness:
-    """The planar separating-circle procedure for five distinct-colored
-    points, no four concyclic.
-
-    Follows the constructive argument without building its Moebius map. The
-    role triple (a, b, c) is the first, in lexicographic order, whose circle
-    is an extended line with a between b and c, and otherwise the first on a
-    genuine circle. Some Moebius map sends it onto a line with a strictly
-    between b and c, where a is inside every circle through b and c. Since
-    separation is Moebius invariant, both tests compare `separation_signs`:
-    either the role circle separates the other two points d and e, or the
-    circle through e, b, c separates a from d, or else the circle through d,
-    b, c separates a from e."""
-    if len(pairs) != 5:
-        raise GeometryError("need exactly five colored points")
-    pts = [p for p, _ in pairs]
-    colors = [c for _, c in pairs]
-    if len(set(pts)) != 5 or any(p.dim != 2 for p in pts):
-        raise GeometryError("need five distinct planar points")
-    if len(set(colors)) != 5:
-        raise DegenerateConfigError("need five distinct colors")
-    signs = separation_signs(pts)
-    if signs is None:
-        raise DegenerateConfigError("four of the points are concyclic")
-
-    chosen = fallback = None
-    for a, b, c in _role_assignments(5):
-        triple = [pts[a], pts[b], pts[c]]
-        circle = sphere_through(triple)
-        if circle.is_flat and _between_on_line(triple):
-            chosen = (a, b, c, circle)
-            break
-        if fallback is None and not circle.is_flat:
-            fallback = (a, b, c, circle)
-    a, b, c, circle = chosen or fallback
-
-    d, e = [i for i in range(5) if i not in (a, b, c)]
-    if signs[d] != signs[e]:
-        # a shares its sign with one of d, e: the circle through the other
-        # one, b and c separates that pair
-        a, d, e = (e, a, d) if signs[d] == signs[a] else (d, a, e)
-        circle = sphere_through([pts[a], pts[b], pts[c]])
-    return SeparationWitness(circle, (pairs[a], pairs[b], pairs[c]), (pairs[d], pairs[e]))
-
-
-def separating_sphere_bruteforce(pairs: Sequence[ColoredPoint]) -> SeparationWitness:
-    """The sphere through the first (n+1)-subset of n+3 colored points, in
-    lexicographic order, whose other two have equal `separation_signs`: it
-    separates them, and two of n+3 nonzero signs always agree."""
-    pts = [p for p, _ in pairs]
-    colors = [c for _, c in pairs]
-    if not pts:
-        raise GeometryError("empty input")
-    n = pts[0].dim
-    if len(pairs) != n + 3:
-        raise GeometryError("need exactly n+3 colored points")
-    if len(set(pts)) != len(pts) or len(set(colors)) != len(colors):
-        raise GeometryError("points and colors must be distinct")
-    signs = separation_signs(pts)
-    if signs is None:
-        raise DegenerateConfigError("n+2 of the points share a sphere")
-    for subset in combinations(range(n + 3), n + 1):
-        i, j = [k for k in range(n + 3) if k not in subset]
-        if signs[i] == signs[j]:
-            break
-    return SeparationWitness(sphere_through([pts[k] for k in subset]),
-                             tuple(pairs[k] for k in subset), (pairs[i], pairs[j]))
 
 
 def transfer(kind: str, r1: Scalar, r2: Scalar, r3: Scalar) -> Scalar:

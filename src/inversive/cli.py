@@ -12,9 +12,9 @@ searches need exact coordinates.
 `main(argv)` may be called repeatedly in one process: the parser is built on
 the first call and reused, and each call looks its handler up by name.
 Each handler imports what it runs, so a process that separates or validates
-never loads the Moebius, Euclidean, WCP or SVG modules. The value types are
-plain classes on `geom.Frozen`: no process imports `inspect` for them or
-generates their methods when it starts.
+never loads the searches, colorings, Moebius, Euclidean, WCP or SVG modules.
+The value types are plain classes on `geom.Frozen`: no process imports
+`inspect` for them or generates their methods when it starts.
 """
 
 import argparse
@@ -26,17 +26,6 @@ import sys
 from fractions import Fraction
 from typing import Any, Dict, Optional, Tuple
 
-from .chromatic import (
-    SearchBudgetError,
-    default_samples_per_class,
-    find_polychromatic,
-    max_polychromatic,
-    separating_circle_5pts,
-    separating_sphere_bruteforce,
-    verify_flag,
-    verify_generic,
-    verify_two_line,
-)
 from .exactnum import BackendMismatch, Quartic2
 from .geom import GeometryError, Point
 from .jsonio import (
@@ -58,6 +47,7 @@ from .jsonio import (
     encode_separation_witness,
     encode_violation,
 )
+from .witness import SearchBudgetError, separating_circle_5pts, separating_sphere_bruteforce
 
 __all__ = ["main"]
 
@@ -161,6 +151,7 @@ def cmd_verify_construction(args) -> Tuple[str, Dict, Dict, Dict]:
         samples = _VERIFY_DEFAULT_SAMPLES[args.kind]
     params = {"kind": args.kind, "n": args.n, "samples": samples,
               "seed": args.seed}
+    from .chromatic import verify_flag, verify_generic, verify_two_line
     if args.kind == "flag":
         res = verify_flag(args.n, per_class=samples, seed=args.seed)
     elif args.kind == "two-line":
@@ -189,6 +180,7 @@ def _scan_report(res: Dict) -> Tuple[str, Dict, Dict]:
 def cmd_search(args) -> Tuple[str, Dict, Dict, Dict]:
     if args.target < 1:
         raise FormatError("--target must be positive")
+    from .chromatic import max_polychromatic
     cfg = decode_config(_load_json(args.input))
     witness = max_polychromatic(cfg, args.dim)
     found = len(witness.color_set) >= args.target
@@ -210,6 +202,7 @@ def cmd_search(args) -> Tuple[str, Dict, Dict, Dict]:
 
 
 def cmd_search_procedural(args) -> Tuple[str, Dict, Dict, Dict]:
+    from .chromatic import default_samples_per_class, find_polychromatic
     coloring = _load_coloring(args.coloring)
     spc = (args.samples_per_class if args.samples_per_class is not None
            else default_samples_per_class(args.budget))

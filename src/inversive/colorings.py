@@ -20,18 +20,8 @@ from .exactnum import (
     is_zero,
     norm_class_of,
 )
-from .geom import (
-    Frozen,
-    GeometryError,
-    Point,
-    Scalar,
-    lift_row,
-    vec_dot,
-)
-
-
-class ColoringError(GeometryError):
-    """A point outside a coloring's domain, or an unsatisfiable sample."""
+from .geom import Frozen, Point, Scalar, lift_row, vec_dot
+from .witness import ColoringError
 
 
 def _rational_stream(rng: random.Random) -> Iterator[Fraction]:
@@ -322,36 +312,3 @@ def generic_position_points(n: int, count: int, seed: int = 0) -> List[Point]:
         chosen.append(cand)
         rows.append(row)
     return chosen
-
-
-class ColoredConfig(Frozen):
-    """A finite colored point set: the search input format."""
-
-    def __init__(self, n: int, k: int, items: Tuple[Tuple[Point, int], ...]):
-        pts = [p for p, _ in items]
-        if len(set(pts)) != len(pts):
-            raise ColoringError("configuration points must be distinct")
-        for p, c in items:
-            if p.dim != n:
-                raise ColoringError("configuration point has the wrong dimension")
-            if not 1 <= c <= k:
-                raise ColoringError("color %d outside 1..%d" % (c, k))
-        self.__dict__.update(n=n, k=k, items=items, _values=(n, k, items))
-
-    @classmethod
-    def sample(cls, coloring: ProceduralColoring, per_class: int,
-               seed: int = 0) -> "ColoredConfig":
-        """The sample every scan draws: class i of the coloring from seed + i."""
-        items: List[Tuple[Point, int]] = []
-        k = num_colors(coloring)
-        for i in range(1, k + 1):
-            for p in sample_class(coloring, i, per_class, seed + i):
-                items.append((p, i))
-        n = coloring.n if not isinstance(coloring, FlagEuclidean) else coloring.n + 1
-        return cls(n, k, tuple(items))
-
-    def points_of_color(self, i: int) -> List[Point]:
-        return [p for p, c in self.items if c == i]
-
-    def points(self) -> List[Point]:
-        return [p for p, _ in self.items]

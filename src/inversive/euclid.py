@@ -20,8 +20,8 @@ from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
 from . import _linalg
-from .chromatic import IndexEntry, PolychromaticWitness, most_colored, sphere_index
-from .colorings import ColoredConfig, FlagEuclidean
+from .chromatic import IndexEntry, most_colored, sphere_index
+from .colorings import FlagEuclidean
 from .exactnum import BackendMismatch, common_kind, is_zero, promote, sqrt_in_field
 from .geom import (
     DegenerateConfigError,
@@ -36,6 +36,7 @@ from .geom import (
     vec_scale,
     vec_sub,
 )
+from .witness import ColoredConfig, PolychromaticWitness
 
 
 def _promoted_rows(vectors: Sequence[Sequence[Scalar]]) -> List[List[Scalar]]:

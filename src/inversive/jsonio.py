@@ -18,21 +18,13 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from .colorings import (
-    ColoredConfig,
-    FlagEuclidean,
-    FlagInversive,
-    PointListBackground,
-    TwoLine,
-    generic_position_points,
-)
-from .chromatic import PolychromaticWitness, SeparationWitness
 from .exactnum import Quartic2
 from .geom import Flat, Hypersphere, Point, SubSphere
+from .witness import ColoredConfig, PolychromaticWitness, SeparationWitness
 
 if TYPE_CHECKING:
-    # annotation-only names; the Moebius, Euclidean and WCP codecs import
-    # their modules when called, so decoding a config loads none of them
+    # annotation-only names; the coloring, Moebius, Euclidean and WCP codecs
+    # import their modules when called, so decoding a config loads none of them
     from .colorings import ProceduralColoring
     from .euclid import GreatFlat, GreatIntersection
     from .geom import Scalar
@@ -329,6 +321,7 @@ def decode_point_list(obj: Any) -> Tuple[int, List[Point]]:
 
 
 def encode_coloring(col: ProceduralColoring) -> Dict[str, Any]:
+    from .colorings import FlagEuclidean, FlagInversive, PointListBackground, TwoLine
     if isinstance(col, FlagInversive):
         return {"kind": "flag", "n": col.n}
     if isinstance(col, FlagEuclidean):
@@ -342,6 +335,8 @@ def encode_coloring(col: ProceduralColoring) -> Dict[str, Any]:
 
 
 def decode_coloring(obj: Any) -> ProceduralColoring:
+    from .colorings import (FlagEuclidean, FlagInversive, PointListBackground, TwoLine,
+                            generic_position_points)
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError("coloring descriptor needs a \"kind\"")
     kind = obj["kind"]

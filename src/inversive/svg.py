@@ -10,9 +10,8 @@ inputs produce byte-identical files.
 import math
 from typing import Dict, List, Optional, Tuple, Union
 
-from .chromatic import PolychromaticWitness, SeparationWitness
-from .colorings import ColoredConfig
 from .geom import GeometryError, Hypersphere, Point, SubSphere
+from .witness import ColoredConfig, PolychromaticWitness, SeparationWitness
 
 __all__ = ["PALETTE", "color_fill", "render_svg", "emit_svg"]
 

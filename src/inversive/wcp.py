@@ -18,7 +18,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-from .chromatic import PolychromaticWitness, SearchBudgetError, find_polychromatic
 from .colorings import FlagEuclidean, FlagInversive, ProceduralColoring, num_colors
 from .geom import (
     DegenerateConfigError,
@@ -36,6 +35,7 @@ from .geom import (
     vec_scale,
     vec_sub,
 )
+from .witness import PolychromaticWitness, SearchBudgetError
 
 
 def _image_points_valid(points: Sequence[Point]) -> None:
@@ -234,6 +234,7 @@ def five_point_refute(t: FiniteImageMap, budget: int = 2000,
     color classes, and its four image points are never concyclic.
 
     Budget exhaustion raises rather than passing silently."""
+    from .chromatic import find_polychromatic
     if len(t.image) != 5:
         raise GeometryError("the image must consist of exactly five points")
     if num_colors(t.coloring) != 5 or set(t.table.values()) != set(range(5)):

@@ -18,8 +18,6 @@ from inversive.chromatic import (
     CosetModel,
     coset_closure_check,
     find_polychromatic,
-    separating_circle_5pts,
-    separating_sphere_bruteforce,
     two_line_coset_model,
     verify_flag,
     verify_two_line,
@@ -60,6 +58,7 @@ from inversive.wcp import (
     sample_circles,
     wcp_check,
 )
+from inversive.witness import separating_circle_5pts, separating_sphere_bruteforce
 
 
 def fp(*coords):

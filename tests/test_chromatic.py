@@ -12,15 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inversive import chromatic, witness
 from inversive.chromatic import (
     CosetModel,
-    PolychromaticWitness,
-    SeparationWitness,
     coset_closure_check,
     find_polychromatic,
     max_polychromatic,
-    separating_circle_5pts,
-    separating_sphere_bruteforce,
     sphere_index,
     transfer,
     two_line_coset_model,
@@ -29,8 +26,6 @@ from inversive.chromatic import (
     verify_two_line,
 )
 from inversive.colorings import (
-    ColoredConfig,
-    ColoringError,
     FlagEuclidean,
     FlagInversive,
     TwoLine,
@@ -59,6 +54,9 @@ from inversive.geom import (
 )
 from inversive.jsonio import encode_separation_witness
 from inversive.moebius import normalize
+from inversive.witness import (ColoredConfig, ColoringError, PolychromaticWitness,
+                               SeparationWitness, separating_circle_5pts,
+                               separating_sphere_bruteforce)
 
 F = Fraction
 
@@ -609,6 +607,26 @@ class TestSeparatingCircle:
         assert repr(new) == repr(ref)
         if isinstance(ref, SeparationWitness):
             assert encode_separation_witness(new) == encode_separation_witness(ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(five_point_configs())
+    def test_builds_only_the_witness_circle(self, pairs):
+        # the role triple's flatness and betweenness are read off the points,
+        # so the one circle built is the witness's, and a refusal builds none
+        built = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(witness, "sphere_through",
+                       lambda pts: built.append(pts) or sphere_through(pts))
+            result = outcome(separating_circle_5pts, pairs)
+        assert len(built) == isinstance(result, SeparationWitness)
+        if built:
+            assert built[0] == [p for p, _ in result.defining]
+
+
+def test_chromatic_keeps_the_traced_separation_names():
+    # the benchmark's tracer wraps these two as chromatic.separating_*
+    assert chromatic.separating_circle_5pts is witness.separating_circle_5pts
+    assert chromatic.separating_sphere_bruteforce is witness.separating_sphere_bruteforce
 
 
 class TestSeparatingBruteforce:

@@ -812,6 +812,8 @@ def _run_main(argv):
 
 # the modules a command loads only when it runs them
 OPTIONAL = {"inversive.euclid", "inversive.moebius", "inversive.svg", "inversive.wcp"}
+# the searches and the colorings they sample
+SEARCH = {"inversive.chromatic", "inversive.colorings"}
 
 
 class TestImports:
@@ -821,24 +823,32 @@ class TestImports:
         assert _loaded_by("import inversive") == set()
 
     def test_cli_import_loads_no_optional_module(self):
-        assert _loaded_by("import inversive.cli") & OPTIONAL == set()
+        assert _loaded_by("import inversive.cli") & (OPTIONAL | SEARCH) == set()
 
     def test_separate_and_validate_load_no_optional_module(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "five.json", FIVE_POINT_DOC)
         report = tmp_path / "report.json"
         report.write_text(run_cli(["separate", "--input", cfg], capsys)[1])
         for argv in (["separate", "--input", cfg], ["validate", "--input", str(report)]):
-            assert _loaded_by(_run_main(argv)) & OPTIONAL == set(), argv
+            assert _loaded_by(_run_main(argv)) & (OPTIONAL | SEARCH) == set(), argv
 
     def test_wcp_check_loads_wcp_alone(self, tmp_path):
         map_path = write_json(tmp_path / "map.json", SHARP_MAP_DOC)
         argv = ["wcp", "check", "--map", map_path, "--samples", "5"]
-        assert _loaded_by(_run_main(argv)) & OPTIONAL == {"inversive.wcp"}
+        loaded = _loaded_by(_run_main(argv))
+        assert loaded & OPTIONAL == {"inversive.wcp"}
+        assert "inversive.chromatic" not in loaded
+
+    def test_wcp_sharp_loads_no_search(self, tmp_path):
+        pts = write_json(tmp_path / "four.json", {"n": 2, "points": SHARP_MAP_DOC["image"][:4]})
+        argv = ["wcp", "sharp", "--input", pts, "--check", "5"]
+        loaded = _loaded_by(_run_main(argv))
+        assert loaded & (OPTIONAL | {"inversive.chromatic"}) == {"inversive.wcp"}
 
     def test_plot_loads_svg(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", UNIT_CIRCLE_DOC)
         argv = ["plot", "--input", cfg, "--out", str(tmp_path / "fig.svg")]
-        assert _loaded_by(_run_main(argv)) & OPTIONAL == {"inversive.svg"}
+        assert _loaded_by(_run_main(argv)) & (OPTIONAL | SEARCH) == {"inversive.svg"}
 
     def test_no_command_loads_dataclasses_or_inspect(self, tmp_path, capsys):
         # the value types are plain classes: a process neither imports the

@@ -14,8 +14,6 @@ from inversive import colorings
 from inversive._linalg import rank
 from inversive.chromatic import verify_generic
 from inversive.colorings import (
-    ColoredConfig,
-    ColoringError,
     FlagEuclidean,
     FlagInversive,
     PointListBackground,
@@ -33,6 +31,7 @@ from inversive.colorings import (
 from inversive.exactnum import BackendMismatch, THETA
 from inversive.geom import Point, concyclic, on_common_sphere
 from inversive.jsonio import FormatError, decode_coloring, encode_point
+from inversive.witness import ColoredConfig, ColoringError
 
 nonzero_rationals = st.fractions(min_value=-30, max_value=30, max_denominator=9).filter(
     lambda q: q != 0

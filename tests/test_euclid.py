@@ -8,8 +8,7 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from inversive import _linalg, euclid
-from inversive.chromatic import PolychromaticWitness
-from inversive.colorings import ColoredConfig, FlagEuclidean, rational_sphere_points, sample_class
+from inversive.colorings import FlagEuclidean, rational_sphere_points, sample_class
 from inversive.euclid import (
     GreatFlat,
     _great_index,
@@ -21,6 +20,7 @@ from inversive.euclid import (
 )
 from inversive.exactnum import BackendMismatch, Quartic2, THETA
 from inversive.geom import GeometryError, Point, span_key, vec_dot, vec_scale
+from inversive.witness import ColoredConfig, PolychromaticWitness
 
 F = Fraction
 

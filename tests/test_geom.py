@@ -10,8 +10,7 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from inversive import _linalg, geom, jsonio
-from inversive.chromatic import PolychromaticWitness
-from inversive.colorings import ColoredConfig, FlagInversive, TwoLine
+from inversive.colorings import FlagInversive, TwoLine
 from inversive.exactnum import (Quartic2, THETA, SQRT2, BackendMismatch, is_zero, promote,
                                sign_of, zt_element, zt_mul)
 from inversive.geom import (
@@ -47,6 +46,7 @@ from inversive.geom import (
     span_walk,
     sphere_through,
 )
+from inversive.witness import ColoredConfig, PolychromaticWitness
 from test_zt_path import reference_canonical, reference_nullspace
 
 P = Point.finite

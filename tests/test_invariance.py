@@ -18,11 +18,12 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from inversive.chromatic import max_polychromatic, most_colored, sphere_index
-from inversive.colorings import ColoredConfig, FlagInversive, PointListBackground, TwoLine
+from inversive.colorings import FlagInversive, PointListBackground, TwoLine
 from inversive.geom import (DegenerateConfigError, GeometryError, Point, concyclic, separated,
                             smallest_sphere, span_key, span_walk, sphere_through)
 from inversive.moebius import HyperplaneReflection, MoebiusMap, SphereInversion
 from inversive.wcp import FiniteImageMap, circular_general_position, sample_circles, wcp_check
+from inversive.witness import ColoredConfig
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 radius_sq = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)

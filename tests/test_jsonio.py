@@ -11,12 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from inversive.chromatic import (
-    max_polychromatic,
-    separating_circle_5pts,
-)
+from inversive.chromatic import max_polychromatic
 from inversive.colorings import (
-    ColoredConfig,
     FlagEuclidean,
     FlagInversive,
     PointListBackground,
@@ -54,6 +50,7 @@ from inversive.jsonio import (
 )
 from inversive.moebius import HyperplaneReflection, MoebiusMap, SphereInversion
 from inversive.wcp import build_sharp_map
+from inversive.witness import ColoredConfig, separating_circle_5pts
 
 
 def fp(*coords):

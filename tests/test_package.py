@@ -3,8 +3,10 @@ home module's object, and README's "Library use" block runs as written."""
 
 import importlib
 import importlib.util
+import json
 import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -54,6 +56,17 @@ class TestLazyExports:
         ns = {}
         exec("from inversive import cli", ns)
         assert ns["cli"] is cli
+
+    def test_witness_names_load_no_search(self):
+        # a fresh interpreter: this one may hold the searches already
+        src = os.path.dirname(os.path.dirname(importlib.util.find_spec("inversive").origin))
+        probe = ("from inversive import SeparationWitness, ColoredConfig\n"
+                 "import json, sys\nprint(json.dumps(sorted(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+        loaded = set(json.loads(out))
+        assert "inversive.witness" in loaded
+        assert not loaded & {"inversive.chromatic", "inversive.colorings"}
 
 
 def test_readme_library_use_block_runs(capsys):

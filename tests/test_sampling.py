@@ -14,14 +14,13 @@ from itertools import combinations, product
 
 import pytest
 
-from inversive.chromatic import (PolychromaticWitness, find_polychromatic, verify_flag,
-                                 verify_two_line)
-from inversive.colorings import (ColoredConfig, ColoringError, FlagInversive,
-                                 PointListBackground, TwoLine, _rational_stream,
+from inversive.chromatic import find_polychromatic, verify_flag, verify_two_line
+from inversive.colorings import (FlagInversive, PointListBackground, TwoLine, _rational_stream,
                                  _stereographic, rational_sphere_points)
 from inversive.exactnum import is_zero
 from inversive.geom import GeometryError, Point, on_common_sphere, on_sphere, sphere_through
 from inversive.jsonio import decode_coloring
+from inversive.witness import ColoredConfig, ColoringError, PolychromaticWitness
 
 
 def reference_points(n, seed):

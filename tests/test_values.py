@@ -13,10 +13,7 @@ from itertools import combinations
 
 import pytest
 
-from inversive.chromatic import PolychromaticWitness, SeparationWitness, separating_circle_5pts
 from inversive.colorings import (
-    ColoredConfig,
-    ColoringError,
     FlagEuclidean,
     FlagInversive,
     PointListBackground,
@@ -49,6 +46,8 @@ from inversive.wcp import (
     build_sharp_map,
     circular_general_position,
 )
+from inversive.witness import (ColoredConfig, ColoringError, PolychromaticWitness,
+                               SeparationWitness, separating_circle_5pts)
 
 F = Fraction
 P = Point.finite

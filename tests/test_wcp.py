@@ -6,7 +6,6 @@ from itertools import combinations, product
 
 import pytest
 
-from inversive.chromatic import SearchBudgetError
 from inversive.colorings import FlagInversive, TwoLine
 from inversive.exactnum import THETA
 from inversive.geom import (
@@ -29,6 +28,7 @@ from inversive.wcp import (
     sample_circles,
     wcp_check,
 )
+from inversive.witness import SearchBudgetError
 
 F = Fraction
 

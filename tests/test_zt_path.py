@@ -21,7 +21,7 @@ from operator import mul
 from hypothesis import event, given, settings, strategies as st
 
 from inversive.chromatic import verify_two_line
-from inversive.colorings import ColoredConfig, TwoLine
+from inversive.colorings import TwoLine
 from inversive.exactnum import SQRT2, THETA, Quartic2, common_kind, is_zero, promote, sign_of
 from inversive.geom import (
     GeometryError,
@@ -32,6 +32,7 @@ from inversive.geom import (
     sphere_through,
     vec_dot,
 )
+from inversive.witness import ColoredConfig
 
 P = Point.finite
 
