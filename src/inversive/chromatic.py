@@ -56,7 +56,8 @@ def sphere_index(keyed: Iterable[Tuple[Tuple[int, ...], tuple]]) -> Dict[tuple, 
     caller brings its keyed stream, and makes that union every point on the
     sphere: `span_walk` keys the subsets whose lifted rows span a sphere, and
     by basis exchange each point of the sphere lies in one of them; `euclid`
-    keys every n-subset by its greedily padded span."""
+    keys every n-subset by its greedily padded span. Keys are compared only
+    within one stream, so a walk's can be its leaves' bases, not `span_key`."""
     index: Dict[tuple, IndexEntry] = {}
     for subset, key in keyed:
         entry = index.get(key)
@@ -100,9 +101,8 @@ def max_polychromatic(config: ColoredConfig, d: int) -> PolychromaticWitness:
     return PolychromaticWitness(s, on, frozenset(c for _, c in on))
 
 
-def _two_line_targeted(coloring: TwoLine, target: int) -> Optional[PolychromaticWitness]:
-    if target > 4:
-        return None
+def _two_line_targeted(coloring: TwoLine) -> PolychromaticWitness:
+    """The documented circle of the extended two-line coloring: colors 1-4."""
     zero = Fraction(0)
     a = Point.finite((zero, THETA))            # color 2
     b = Point.finite((zero, THETA ** 3 / 2))   # color 3
@@ -113,10 +113,7 @@ def _two_line_targeted(coloring: TwoLine, target: int) -> Optional[Polychromatic
     d = Point.finite(vec_sub(vec_scale(2, center.coords), a.coords))
     pts = [(a, coloring.color_of(a)), (b, coloring.color_of(b)),
            (c, coloring.color_of(c)), (d, coloring.color_of(d))]
-    witness = PolychromaticWitness(circle, tuple(pts), frozenset(c for _, c in pts))
-    if len(witness.color_set) >= target:
-        return witness
-    return None
+    return PolychromaticWitness(circle, tuple(pts), frozenset(c for _, c in pts))
 
 
 def default_samples_per_class(budget: int) -> int:
@@ -149,10 +146,8 @@ def find_polychromatic(coloring: ProceduralColoring, target: int,
         if samples_per_class < 1:
             raise ColoringError("need a positive sample count")
         m = samples_per_class
-    if isinstance(coloring, TwoLine) and coloring.extended:
-        witness = _two_line_targeted(coloring, target)
-        if witness is not None:
-            return witness
+    if isinstance(coloring, TwoLine) and coloring.extended and target <= 4:
+        return _two_line_targeted(coloring)
     config = ColoredConfig.sample(coloring, m, seed)
     if config.n != 2:
         raise ColoringError("the procedural search looks for circles in the plane, "

@@ -650,7 +650,7 @@ def _basis_key(basis: Sequence[Sequence]) -> tuple:
 def span_key(points: Sequence[Point]) -> Optional[tuple]:
     """`smallest_sphere(points).key()`, the key of the nullspace of the lifted
     rows, or None when they are dependent (the sphere has dimension below
-    len(points) - 2)."""
+    len(points) - 2). A `span_walk` key is this basis before `_basis_key`."""
     rows, n = _lifted(points)
     _refuse_float(rows[0][0])
     _check_distinct(rows, "span_key")
@@ -661,11 +661,13 @@ def span_key(points: Sequence[Point]) -> Optional[tuple]:
 
 
 def span_walk(points: Sequence[Point], size: int) -> Iterator[Tuple[tuple, tuple]]:
-    """(subset, key) for each `size`-subset that `span_key` keys, in order,
-    with the key `span_key` gives it. Each point is lifted once; a depth-first
-    walk cuts the prefix's nullspace basis (its pencil of spheres), from the
-    identity, by one row per point, in Z[t] for a family with a Q(2^(1/4))
-    point, as `_linalg.nullspace` does, so a leaf's basis is its key."""
+    """(subset, key) for each `size`-subset that `span_key` keys, in order.
+    Each point is lifted once; a depth-first walk cuts the prefix's nullspace
+    basis (its pencil of spheres), from the identity, by one row per point, in
+    Z[t] for a family with a Q(2^(1/4)) point, as `_linalg.nullspace` does. A
+    leaf's key is that basis (`zt_normal` int 4-tuples in Z[t]): it depends
+    only on the row space, so a walk keys one sphere alike, and `_basis_key`
+    turns it into the subset's `span_key`."""
     rows, n = _lifted(points)
     _refuse_float(rows[0][0])
     zt = type(rows[0][0]) is tuple
@@ -681,9 +683,7 @@ def span_walk(points: Sequence[Point], size: int) -> Iterator[Tuple[tuple, tuple
             subset = prefix + (i,)
             if len(subset) < size:
                 yield from walk(i + 1, subset, narrowed)
-            elif len(narrowed) == 1:
-                yield subset, (tuple(_linalg.canonical(narrowed[0]) if zt else narrowed[0]),)
             else:
-                yield subset, _basis_key(narrowed)
+                yield subset, tuple(map(tuple, narrowed))
 
     yield from walk(0, (), _linalg.identity(n + 2, zt))

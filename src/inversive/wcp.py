@@ -196,19 +196,13 @@ def sample_circles(count: int, seed: int = 0) -> List[Tuple[Hypersphere, List[Po
         pts = [Point.finite(c) for c in raw]
         if len(set(pts)) != 3:
             continue
-        try:
-            circle = sphere_through(pts)
-        except GeometryError:
-            continue
+        circle = sphere_through(pts)
         if circle.is_flat:
             continue
+        # the chord's midpoint is strictly inside, so this secant's second point
+        # is not pts[0], nor (the three being off one line) pts[1] or pts[2]
         mid = vec_scale(Fraction(1, 2), vec_add(pts[1].coords, pts[2].coords))
-        try:
-            fourth = second_intersection(circle, pts[0], vec_sub(mid, pts[0].coords))
-        except GeometryError:
-            continue
-        if fourth in pts:
-            continue
+        fourth = second_intersection(circle, pts[0], vec_sub(mid, pts[0].coords))
         out.append((circle, pts + [fourth]))
     return out
 

@@ -38,6 +38,7 @@ from inversive.geom import (
     Hypersphere,
     Point,
     SideLabel,
+    _basis_key,
     concyclic,
     on_common_sphere,
     second_intersection,
@@ -275,8 +276,10 @@ class TestSpanWalk:
                     for s in combinations(range(len(pts)), size)}
             # the walk keys exactly the spanning subsets, in order
             assert [s for s, _ in walked] == [s for s, k in keys.items() if k is not None]
-            # and its keys are span_key's
-            assert all(key == keys[s] for s, key in walked)
+            # each key is its leaf's basis, which _basis_key sends to span_key's,
+            # and on the rationals that basis is span_key's key itself
+            assert all(_basis_key(key) == keys[s] for s, key in walked)
+            assert all(key == keys[s] for s, key in walked if type(key[0][0]) is int)
             assert (list(sphere_index(span_walk(pts, size)).values())
                     == list(sphere_index(span_key_stream(pts, size)).values()))
 
@@ -285,9 +288,12 @@ class TestSpanWalk:
         [(subset, key)] = span_walk(UNIT_CIRCLE_CONFIG.points()[:3], 3)
         assert subset == (0, 1, 2)
         assert key == ((1, 0, 0, -1),)
+        # x^2 + y^2 - t^2 in Z[t]: an int lead 1, and -SQRT2 as (0, 0, -1, 0)
         quartic = [Point.finite((THETA, 0)), Point.finite((0, THETA)),
                    Point.finite((-THETA, 0)), Point.infinity(2)]
-        assert [key for _, key in span_walk(quartic, 3)][0] == ((1, 0, 0, -SQRT2),)
+        key = [key for _, key in span_walk(quartic, 3)][0]
+        assert key == (((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, -1, 0)),)
+        assert _basis_key(key) == ((1, 0, 0, -SQRT2),)
 
     def test_dependent_prefix_drops_its_subtree(self):
         # in R^3 four points of one circle span no 2-sphere, so every

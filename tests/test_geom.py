@@ -14,6 +14,7 @@ from inversive.colorings import FlagInversive, TwoLine
 from inversive.exactnum import (Quartic2, THETA, SQRT2, BackendMismatch, is_zero, promote,
                                sign_of, zt_element, zt_mul)
 from inversive.geom import (
+    _basis_key,
     _check_distinct,
     _extended_flat_subsphere,
     _lifted,
@@ -1335,13 +1336,13 @@ class TestSpanKey:
     ], ids=["unit-circle", "rational-circle", "quartic-line"])
     def test_multi_vector_keys_agree(self, pts):
         # a circle of R^3 and a Q(2^(1/4)) line through infinity, spheres of
-        # codimension 2: one key from the walk, the span, the smallest
-        # sphere, the line's flat and a SubSphere decoded from JSON
+        # codimension 2: one key from the walk's basis, the span, the
+        # smallest sphere, the line's flat and a SubSphere decoded from JSON
         key = span_key(pts)
         assert len(key) == 2
         ss = smallest_sphere(pts)
         decoded = jsonio.decode_sphere(json.loads(json.dumps(jsonio.encode_sphere(ss))))
-        keys = [key, *(k for _, k in span_walk(pts, 3)), ss.key(), decoded.key()]
+        keys = [key, *(_basis_key(k) for _, k in span_walk(pts, 3)), ss.key(), decoded.key()]
         if pts[-1].is_infinity:
             keys.append(Flat.through(pts[:-1]).key())
         assert len(keys) == 4 + pts[-1].is_infinity

@@ -20,13 +20,15 @@ from operator import mul
 
 from hypothesis import event, given, settings, strategies as st
 
-from inversive.chromatic import verify_two_line
+from inversive import exactnum
+from inversive.chromatic import sphere_index, verify_two_line
 from inversive.colorings import TwoLine
 from inversive.exactnum import SQRT2, THETA, Quartic2, common_kind, is_zero, promote, sign_of
 from inversive.geom import (
     GeometryError,
     Hypersphere,
     Point,
+    _basis_key,
     _uniform,
     span_walk,
     sphere_through,
@@ -162,6 +164,16 @@ def reference_span_walk(points, size):
                                tuple(tuple(reference_canonical(v)) for v in cut))
 
     yield from walk(0, (), [[int(i == j) for j in range(ncols)] for i in range(ncols)])
+
+
+def assert_walk_matches_reference(points, size):
+    """The walk keys the reference's leaves into the reference's groups, and
+    `_basis_key` takes each leaf's key to the reference key; the reference
+    leaves are returned."""
+    walked, want = list(span_walk(points, size)), list(reference_span_walk(points, size))
+    assert repr([(s, _basis_key(k)) for s, k in walked]) == repr(want)
+    assert list(sphere_index(walked).values()) == list(sphere_index(want).values())
+    return want
 
 
 def reference_verify_two_line(per_class, seed):
@@ -329,9 +341,7 @@ class TestSpanWalk:
         # sizes up to n + 2, whose leaves have an empty basis
         n, points = case
         for size in range(2, min(n + 3, len(points) + 1)):
-            want = list(reference_span_walk(points, size))
-            event("leaves" if want else "no leaf")
-            assert repr(list(span_walk(points, size))) == repr(want)
+            event("leaves" if assert_walk_matches_reference(points, size) else "no leaf")
 
     def test_two_line_extended_configs(self):
         # the extended two-line samples the search workload walks
@@ -339,8 +349,19 @@ class TestSpanWalk:
             points = _two_line_extended(2, seed)
             assert any(isinstance(x, Quartic2) for p in points if p.coords for x in p.coords)
             for size in (2, 3):
-                walked = list(span_walk(points, size))
-                assert walked and repr(walked) == repr(list(reference_span_walk(points, size)))
+                assert assert_walk_matches_reference(points, size)
+
+    def test_builds_no_quartic2(self, monkeypatch):
+        # a leaf's key is its Z[t] basis, so once the points' rows are
+        # cached a walk constructs no Quartic2
+        points = _two_line_extended(2, 0)
+        new, built = exactnum._new, []
+        for size in (2, 3):
+            list(span_walk(points, size))
+            monkeypatch.setattr(exactnum, "_new", lambda n, d: built.append(n) or new(n, d))
+            assert list(span_walk(points, size))
+            monkeypatch.undo()
+        assert built == []
 
 
 class TestVerifyTwoLine:
