@@ -2,17 +2,16 @@
 that picks an elimination. `_exact_rows` scales each row of an exact matrix by a
 positive integer into Z for a rational one (int and Fraction entries), into
 Z[t], t**4 = 2, for any other (a Quartic2 entry), where an entry is the int
-4-tuple of its coefficients; every exact routine takes those rows. `cut` adds a
-row to a nullspace basis, `zt_cut` to a Z[t] one, and is the one exact subspace
-routine: `nullspace` is the identity cut by each row in turn, and `echelon`
-reads the reduced rows off the nullspace of the nullspace. `rank` runs a
-fraction-free elimination (Bareiss 1968) below each pivot, on the trailing
-columns: every entry stays a minor of the input, so each division by the
-previous pivot is exact, over Z[t] through its cofactor and integer norm.
-`null_vector` reads the nullspace vector of n+1 such rows in n+2 columns off
-their signed maximal minors, dividing nothing. `rref` is Gauss-Jordan for float
-matrices: partial pivoting, entries within EPSILON are zero. `zt_row`, `zt_lift`
-and `zt_twisted` give the Z[t] rows of one exact dot product.
+4-tuple of its coefficients; every exact routine takes those rows, and there
+are two. `_minors` expands the signed minors of the rows row by row, skipping
+a row that leaves them all zero, and divides nothing: `rank` counts the rows
+it keeps, and `null_vector` reads the nullspace vector of n+1 rows in n+2
+columns off their signed maximal minors. `cut` adds a row to a nullspace
+basis, `zt_cut` to a Z[t] one, and is the one exact subspace routine:
+`nullspace` is the identity cut by each row in turn, and `echelon` reads the
+reduced rows off the nullspace of the nullspace. `rref` is Gauss-Jordan for
+float matrices: partial pivoting, entries within EPSILON are zero. `zt_row`,
+`zt_lift` and `zt_twisted` give the Z[t] rows of one exact dot product.
 """
 
 from __future__ import annotations
@@ -79,51 +78,72 @@ def rref(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List], List[int]]:
     return m, pivots
 
 
+def _minors(rows: Sequence[Sequence], ncols: int, stop: bool = False) -> Tuple[dict, int]:
+    """(minors, r) for exact rows (ints, or Z[t] int 4-tuples): r the rank and
+    minors the nonzero r x r minors of r independent rows, keyed by their
+    column subset as a bitmask. The minors of the rows kept so far expand
+    along the next row (`_laplace`), shared across column subsets, skipping
+    zero terms; a row that leaves every minor zero depends on the kept ones
+    and is skipped, so the rows kept count the rank. With `stop`, the first
+    skipped row ends the expansion, for a caller that needs every row."""
+    zt = bool(rows and rows[0]) and type(rows[0][0]) is tuple
+    zero = _ZT0 if zt else 0
+    level, found = {}, 0
+    for row in rows:
+        if found == ncols:
+            break
+        if not found:
+            minors = {1 << c: x for c, x in enumerate(row) if x != zero}
+        else:
+            minors = {}
+            for cols, terms in _laplace(ncols, found + 1):
+                v = zero
+                for c, rest, negate in terms:
+                    x, m = row[c], level.get(rest)
+                    if m is None or x == zero:
+                        continue
+                    if not zt:
+                        v = v - x * m if negate else v + x * m
+                        continue
+                    (y0, y1, y2, y3), (v0, v1, v2, v3) = zt_mul(x, m), v
+                    v = ((v0 - y0, v1 - y1, v2 - y2, v3 - y3) if negate
+                         else (v0 + y0, v1 + y1, v2 + y2, v3 + y3))
+                if v != zero:
+                    minors[cols] = v
+        if minors:
+            level, found = minors, found + 1
+        elif stop:
+            break
+    return level, found
+
+
 def null_vector(rows: Sequence[Sequence], ncols: int) -> Optional[List]:
     """The vector spanning the nullspace of ncols - 1 rows, None when the
     nullspace is larger: from `rref` for float rows, else the signed maximal
-    minors ((-1)**j times the minor without column j) of the ints or Z[t] int
-    4-tuples, all zero exactly when the rank is short. The minors of the first
-    k rows expand along row k from those of the first k - 1 (`_laplace`),
-    shared across column subsets, skipping zero terms."""
+    minors ((-1)**j times the minor without column j, from `_minors`) of the
+    ints or Z[t] int 4-tuples, which divide nothing."""
     if _is_float_matrix(rows):
         ns = nullspace(rows, ncols)
         return ns[0] if len(ns) == 1 else None
+    level, found = _minors(rows, ncols, stop=True)
+    if found < len(rows):
+        return None
     zt = type(rows[0][0]) is tuple
     zero = _ZT0 if zt else 0
-    level = {1 << c: x for c, x in enumerate(rows[0]) if x != zero}
-    for row, plan in zip(rows[1:], _laplace(ncols)):
-        minors = {}
-        for cols, terms in plan:
-            v = zero
-            for c, rest, negate in terms:
-                x, m = row[c], level.get(rest)
-                if m is None or x == zero:
-                    continue
-                if not zt:
-                    v = v - x * m if negate else v + x * m
-                    continue
-                (y0, y1, y2, y3), (v0, v1, v2, v3) = zt_mul(x, m), v
-                v = ((v0 - y0, v1 - y1, v2 - y2, v3 - y3) if negate
-                     else (v0 + y0, v1 + y1, v2 + y2, v3 + y3))
-            if v != zero:
-                minors[cols] = v
-        level = minors
-    if not level:
-        return None
     vec = [level.get((1 << ncols) - 1 - (1 << j), zero) for j in range(ncols)]
     return [(tuple(-c for c in x) if zt else -x) if j & 1 else x for j, x in enumerate(vec)]
 
 
 @cache
-def _laplace(ncols: int) -> tuple:
-    """For k = 2..ncols - 1, each k-subset of the columns as a bitmask with
-    the terms of its minor's expansion along the k-th row: (c, the subset
-    without c, whether the term is negated) for each column c in it."""
-    return tuple(tuple((sum(1 << c for c in cols),
-                        tuple((c, sum(1 << d for d in cols if d != c), (k - 1 - i) & 1)
-                              for i, c in enumerate(cols)))
-                       for cols in combinations(range(ncols), k)) for k in range(2, ncols))
+def _laplace(ncols: int, k: int) -> tuple:
+    """Each k-subset of ncols columns, 2 <= k <= ncols, as a bitmask with the
+    terms of its minor's expansion along the k-th row: (c, the subset without
+    c, whether the term is negated) for each column c in it. Cached per level,
+    so r rows build only the levels up to r."""
+    return tuple((sum(1 << c for c in cols),
+                  tuple((c, sum(1 << d for d in cols if d != c), (k - 1 - i) & 1)
+                        for i, c in enumerate(cols)))
+                 for cols in combinations(range(ncols), k))
 
 
 def zt_row(row: Sequence) -> List[Tuple[int, int, int, int]]:
@@ -169,21 +189,14 @@ def zt_vanishes(twisted: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
                 or sum(map(mul, w2, v)) or sum(map(mul, w3, v)))
 
 
-def _zt_step(p: Sequence[int], a: Sequence[int], f: Sequence[int], b: Sequence[int],
-             prev: tuple) -> Tuple[int, int, int, int]:
-    """(p * a - f * b) / q in Z[t], where q divides it, for prev = (q, c, norm)
-    with q * c = norm: the product with c divided by norm, coefficient by
-    coefficient (c is None when q = norm is an int)."""
+def _zt_step(p: Sequence[int], a: Sequence[int], f: Sequence[int],
+             b: Sequence[int]) -> Tuple[int, int, int, int]:
+    """p * a - f * b in Z[t], skipping a product with a zero factor."""
     x0, x1, x2, x3 = _ZT0 if a == _ZT0 else zt_mul(p, a)
     if f != _ZT0 and b != _ZT0:
         y0, y1, y2, y3 = zt_mul(f, b)
         x0, x1, x2, x3 = x0 - y0, x1 - y1, x2 - y2, x3 - y3
-    _, c, norm = prev
-    if c is not None:
-        x0, x1, x2, x3 = zt_mul((x0, x1, x2, x3), c)
-    elif norm == 1:
-        return x0, x1, x2, x3
-    return x0 // norm, x1 // norm, x2 // norm, x3 // norm
+    return x0, x1, x2, x3
 
 
 def cut(basis: Sequence[Sequence], row: Sequence) -> Optional[List[List]]:
@@ -206,8 +219,8 @@ def zt_cut(basis: Sequence[Sequence], twisted: Sequence[Sequence[int]]) -> Optio
     i = next((i for i, f in enumerate(dots) if f != _ZT0), -1)
     if i < 0:
         return None
-    p, top, unit = dots[i], basis[i], ((1, 0, 0, 0), None, 1)  # `_zt_step` divides by 1
-    return [zt_normal([_zt_step(p, x, f, y, unit) for x, y in zip(b, top)])[0]
+    p, top = dots[i], basis[i]
+    return [zt_normal([_zt_step(p, x, f, y) for x, y in zip(b, top)])[0]
             if f != _ZT0 else b for j, (b, f) in enumerate(zip(basis, dots)) if j != i]
 
 
@@ -247,34 +260,17 @@ def lead_one(v: Sequence, kind: str) -> List:
 
 
 def rank(rows: Sequence[Sequence], ncols: int) -> int:
-    """The rank of a matrix, its pivot count: by `rref` over floats, else by
-    fraction-free steps below the pivot alone on the `_exact_rows`. Each step pops
-    the first row with a nonzero lead p and keeps the trailing columns of each
-    other row r, (p * r - r[0] * the popped row) / the previous pivot, exactly
-    (an int row with r[0] = 0 as it is when p is that pivot, else p * r / it);
-    a column with no pivot is dropped."""
+    """The rank of a matrix: its `rref` pivot count over floats, else the
+    number of rows `_minors` keeps from the `_exact_rows`, the size of its
+    largest nonzero minor. A matrix with fewer rows than columns is ranked
+    as its transpose, whose minors span the r-subsets of r columns rather
+    than of ncols (a concyclic test in R^n has 4 rows and n+2 columns)."""
     m = _exact_rows(rows)
     if m is None:
         return len(rref(rows, ncols)[1])
-    zt, m, found = bool(m and m[0]) and type(m[0][0]) is tuple, list(m), 0
-    zero, prev = (_ZT0, ((1, 0, 0, 0), None, 1)) if zt else (0, 1)
-    for _ in range(ncols):
-        for i, top in enumerate(m):
-            if top[0] != zero:
-                break
-        else:
-            m = [r[1:] for r in m]
-            continue
-        del m[i]
-        p, tail, new = top[0], top[1:], []
-        for r in m:
-            f = r[0]
-            new.append([_zt_step(p, a, f, b, prev) for a, b in zip(r[1:], tail)] if zt
-                       else [(p * a - f * b) // prev for a, b in zip(r[1:], tail)] if f
-                       else r[1:] if p == prev else [p * a // prev for a in r[1:]])
-        m, found = new, found + 1
-        prev = p if not zt else (p, *zt_cofactor(p)) if p[1] or p[2] or p[3] else (p, None, p[0])
-    return found
+    if len(m) < ncols:
+        m, ncols = list(zip(*m)), len(m)
+    return _minors(m, ncols)[1]
 
 
 def identity(ncols: int, zt: bool = False) -> List[List]:

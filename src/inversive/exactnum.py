@@ -5,8 +5,8 @@ quartic field Q(t) with t = 2**(1/4) on integer numerators over one common
 denominator, with an exact integer sign and no refinement state, and IEEE
 floats with one constant tolerance, EPSILON, that only predicates consult.
 The numerators are elements of the ring Z[t]; `zt_mul` and `zt_cofactor`
-are its arithmetic on int 4-tuples, shared with the fraction-free
-elimination of `_linalg`.
+are its arithmetic on int 4-tuples, shared with the exact kernel of
+`_linalg`.
 """
 
 from __future__ import annotations

@@ -407,7 +407,7 @@ def concyclic(p1: Point, p2: Point, p3: Point, p4: Point) -> bool:
 def on_common_sphere(points: Sequence[Point]) -> bool:
     """Whether 3 to n+2 distinct points of R^n_inf lie on one generalized sphere of
     positive codimension (cospherical, for n+2): exactly when their lifted rows are
-    dependent, which `_linalg.rank` decides below each pivot on the trailing columns."""
+    dependent, which `_linalg.rank` decides on their signed minors."""
     rows, n = _lifted(points)
     _check_distinct(rows, "on_common_sphere")
     if not 3 <= len(rows) <= n + 2:

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
@@ -722,8 +723,8 @@ def _rank_events(rows, rank):
 
 
 class TestRank:
-    """`rank`'s fraction-free pass below the pivot against sympy's exact rank
-    over QQ, which shares no code with `_linalg`."""
+    """`rank`, the number of rows whose minors `_linalg._minors` keeps,
+    against sympy's exact rank over QQ, which shares no code with `_linalg`."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(["int", "fraction", "mixed"]).flatmap(lambda kind: rank_matrices(
@@ -741,22 +742,18 @@ class TestRank:
         ([[0, 1, 1], [-2, 0, 0], [0, 2, 2]], 2),
         ([[0, 0, 1], [1, 0, 0], [0, -2, 1]], 3)])
     def test_zero_lead_rows(self, sympy, rows, want):
-        # a row with a zero lead is carried over as it is when the pivot
-        # equals the previous one, else scaled by the pivot over it. In the
-        # first two matrices the first pivot, -2, differs from the starting
-        # 1; in the last the second pivot, -2, differs from the first, 1.
-        # Carried over unscaled, the first matrix's rows would meet a
-        # rounding division by -2 and read rank 2
+        # rows with zero leads, whose minors skip the zero terms: the
+        # second matrix's last row is twice its first and is skipped, and
+        # the others keep every row
         assert sympy.Matrix(rows).rank() == want
         assert _linalg.rank(rows, 3) == want
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_flag_tuples_match_sympy(self, sympy, n):
         # the lifted rows of `verify_flag`'s tuples: the origin row (0, .., 0, 1)
-        # has a zero lead; the row at infinity (1, 0, .., 0) is the first
-        # pivot, equal to the starting 1, so the origin row is carried over,
-        # then scaled by the second pivot. Each tuple is also checked with
-        # its last row replaced by a combination of the others, rank-deficient
+        # and the row at infinity (1, 0, .., 0) come first, so most terms of
+        # the minors are zero. Each tuple is also checked with its last row
+        # replaced by a combination of the others, rank-deficient
         config = ColoredConfig.sample(FlagInversive(n), 3, 0)
         classes = [config.points_of_color(i) for i in range(1, config.k + 1)]
         for tup in product(*classes):
@@ -766,6 +763,71 @@ class TestRank:
             for m in (rows, dependent, rows[:3], dependent[1:]):
                 assert _linalg.rank(m, n + 2) == sympy.Matrix(m).rank()
             assert not on_common_sphere(tup)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_square_lifted_matrices_match_sympy(self, sympy, n):
+        # the (n+2) x (n+2) lifted rows of a flag tuple, as `verify_flag`
+        # builds them, and of n+2 random points, each as it is and with its
+        # first row replaced by a zero row or by a combination of the rows
+        # after it (all of them, or all but the last), so the minors reach
+        # the full determinant and skip rows at every depth. `null_vector`
+        # of the first n+1 rows is None exactly when their rank is short
+        rng = random.Random(n)
+        config = ColoredConfig.sample(FlagInversive(n), 3, n)
+        flag = [rng.choice(config.points_of_color(i)) for i in range(1, n + 3)]
+        dense = [P([Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 5))
+                    for _ in range(n)]) for _ in range(n + 2)]
+        seen = set()
+        for points in (flag, dense):
+            rows = [list(r) for r in _lifted(points)[0]]
+            combos = []
+            for rest in (rows[1:], rows[1:-1]):
+                weights = [rng.choice((-2, -1, 1, 2)) for _ in rest]
+                combos.append([sum(map(mul, weights, col)) for col in zip(*rest)])
+            for first in (rows[0], [0] * (n + 2), *combos):
+                m = [first] + rows[1:]
+                want = sympy.Matrix(m).rank()
+                assert _linalg.rank(m, n + 2) == want
+                head = sympy.Matrix(m[:-1]).rank()
+                assert (_linalg.null_vector(m[:-1], n + 2) is None) == (head < n + 1)
+                seen.add((want, head))
+        assert seen == {(n + 2, n + 1), (n + 1, n), (n + 1, n + 1)}
+
+    @pytest.mark.parametrize("kind", ["rational", "quartic"])
+    def test_wide_concyclic_builds_small_plans(self, sympy, monkeypatch, kind):
+        # four points in R^20 on one circle, and the same with one moved off
+        # it: the 4 x 22 lifted matrix is ranked as its 22 x 4 transpose, so
+        # the minors' plans cover subsets of 4 columns, at most 4 * 2**3
+        # terms, not the k-subsets of 22
+        laplace, seen = _linalg._laplace, set()
+        monkeypatch.setattr(_linalg, "_laplace",
+                            lambda ncols, k: seen.add((ncols, k)) or laplace(ncols, k))
+        scale = THETA if kind == "quartic" else 1
+        circle = [(1, 0), (0, 1), (Fraction(3, 5), Fraction(4, 5)), (Fraction(-3, 5), Fraction(4, 5))]
+        for moved in (False, True):
+            points = []
+            for i, (a, b) in enumerate(circle):
+                x = [Fraction(1, 7 + j) for j in range(20)]
+                x[0], x[1], x[2] = x[0] + a, x[1] + b, x[2] + (Fraction(1, 3) if moved and i == 3 else 0)
+                points.append(P([promote(c * scale, "quartic") if kind == "quartic" else c
+                                 for c in x]))
+            assert concyclic(*points) is not moved
+            if kind == "rational":
+                rows = _lifted(points)[0]
+                assert _linalg.rank(rows, 22) == sympy.Matrix(rows).rank() == 3 + moved
+        assert sum(len(terms) for key in seen for _, terms in laplace(*key)) <= 32
+
+    def test_null_vector_stops_at_a_dependent_row(self, monkeypatch):
+        # the second row is twice the first: `null_vector` is None without
+        # expanding the later rows, so no plan beyond the 2 x 2 minors is asked for
+        laplace, seen = _linalg._laplace, []
+        monkeypatch.setattr(_linalg, "_laplace",
+                            lambda ncols, k: seen.append(k) or laplace(ncols, k))
+        rows = [[1, 2, 0, 3, 1, 4], [2, 4, 0, 6, 2, 8], [0, 1, 5, 2, 7, 1],
+                [3, 0, 1, 1, 2, 5], [1, 1, 1, 0, 4, 2]]
+        assert _linalg.null_vector(rows, 6) is None
+        assert seen == [2]
+        assert _linalg.rank(rows, 6) == 4
 
 
 @st.composite
@@ -856,7 +918,7 @@ def _from_field(x):
 
 
 class TestZtKernelAgainstSympy:
-    """The Z[t] elimination behind `rank`, `nullspace` and `echelon` on
+    """The Z[t] minors and cuts behind `rank`, `nullspace` and `echelon` on
     Q(2^(1/4)) matrices, and the Z[t] incidence behind `side`, against
     sympy's exact arithmetic in QQ<2**(1/4)>, which shares no code with
     `_linalg` or `exactnum`."""
@@ -879,36 +941,9 @@ class TestZtKernelAgainstSympy:
 
         return sympy, K, element, matrix
 
-    @staticmethod
-    def exact_divisions(monkeypatch):
-        """Check that every division of the Z[t] elimination leaves no
-        remainder: (p a - f b) c is a multiple of the norm, and the quotient
-        times the previous pivot gives p a - f b back. Returns the number of
-        steps checked, as a one-item list."""
-        real = _linalg._zt_step
-        count = [0]
-
-        def checked(p, a, f, b, prev):
-            q, c, norm = prev
-            x = tuple(u - v for u, v in zip(zt_mul(p, a), zt_mul(f, b)))
-            y = x if c is None else zt_mul(x, c)
-            assert all(v % norm == 0 for v in y)
-            out = real(p, a, f, b, prev)
-            assert zt_mul(out, q) == x
-            count[0] += 1
-            return out
-
-        monkeypatch.setattr(_linalg, "_zt_step", checked)
-        return count
-
     @settings(max_examples=120, deadline=None)
     @given(quartic_matrices())
     def test_rank_nullspace_echelon(self, field, rows):
-        with pytest.MonkeyPatch.context() as mp:
-            self.check_kernel(field, rows, self.exact_divisions(mp))
-
-    @staticmethod
-    def check_kernel(field, rows, steps):
         sympy, K, element, matrix = field
         ncols = len(rows[0])
         ref = matrix(rows, ncols)
@@ -927,25 +962,20 @@ class TestZtKernelAgainstSympy:
         for mine, theirs in zip(red, ref_red.to_list()):
             lead = element(next(x for x in mine if x))
             assert [K.quo(element(x), lead) for x in mine] == theirs
-        assert steps[0] > 0 or rank <= 1
 
     @settings(max_examples=120, deadline=None)
     @given(rank_matrices(_MIXED_ENTRIES))
-    def test_rank_below_the_pivot(self, field, rows):
-        # the rank's pass below the pivot on Quartic2, int and Fraction
-        # entries, and on the same rows as Z[t] int 4-tuples, every division
-        # of it checked exact
+    def test_rank_of_mixed_and_zt_rows(self, field, rows):
+        # the rank's minors on Quartic2, int and Fraction entries, and on the
+        # same rows as Z[t] int 4-tuples
         sympy, K, element, matrix = field
         if not any(isinstance(x, Quartic2) for r in rows for x in r):
             rows[0] = [x * THETA for x in rows[0]]
         ncols = len(rows[0])
         want = matrix(rows, ncols).rank()
         _rank_events(rows, want)
-        with pytest.MonkeyPatch.context() as mp:
-            steps = self.exact_divisions(mp)
-            assert _linalg.rank(rows, ncols) == want
-            assert _linalg.rank([_linalg.zt_row(r) for r in rows], ncols) == want
-        assert steps[0] > 0 or want <= 1
+        assert _linalg.rank(rows, ncols) == want
+        assert _linalg.rank([_linalg.zt_row(r) for r in rows], ncols) == want
 
     @settings(max_examples=100, deadline=None)
     @given(quartic_matrices())
