@@ -4,9 +4,10 @@ positive integer into Z for a rational one (int and Fraction entries), into
 Z[t], t**4 = 2, for any other (a Quartic2 entry), where an entry is the int
 4-tuple of its coefficients; every exact routine takes those rows, and there
 are two. `_minors` expands the signed minors of the rows row by row, skipping
-a row that leaves them all zero, and divides nothing: `rank` counts the rows
-it keeps, and `null_vector` reads the nullspace vector of n+1 rows in n+2
-columns off their signed maximal minors. `cut` adds a row to a nullspace
+a row that leaves them all zero and resuming after the rows its last call
+shared, and divides nothing: `rank` counts the rows it keeps, and
+`null_vector` reads the nullspace vector of n+1 rows in n+2 columns off
+their signed maximal minors. `cut` adds a row to a nullspace
 basis, `zt_cut` to a Z[t] one, and is the one exact subspace routine:
 `nullspace` is the identity cut by each row in turn, and `echelon` reads the
 reduced rows off the nullspace of the nullspace. `rref` is Gauss-Jordan for
@@ -78,6 +79,14 @@ def rref(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List], List[int]]:
     return m, pivots
 
 
+# The last expansion: for each row it expanded, the row as a tuple and the
+# (minors, r) after it. That state depends only on the rows up to it (each
+# ncols wide), so a call whose first rows equal the chain's resumes after them
+# and no answer changes. The package is single-threaded, so one chain serves
+# every caller; callers must not mutate the minors it shares.
+_memo: list = []
+
+
 def _minors(rows: Sequence[Sequence], ncols: int, stop: bool = False) -> Tuple[dict, int]:
     """(minors, r) for exact rows (ints, or Z[t] int 4-tuples): r the rank and
     minors the nonzero r x r minors of r independent rows, keyed by their
@@ -85,13 +94,27 @@ def _minors(rows: Sequence[Sequence], ncols: int, stop: bool = False) -> Tuple[d
     along the next row (`_laplace`), shared across column subsets, skipping
     zero terms; a row that leaves every minor zero depends on the kept ones
     and is skipped, so the rows kept count the rank. With `stop`, the first
-    skipped row ends the expansion, for a caller that needs every row."""
+    skipped row ends the expansion, for a caller that needs every row. The
+    rows the last call shared with this one are read off `_memo`, and this
+    call's chain replaces the rest of it."""
     zt = bool(rows and rows[0]) and type(rows[0][0]) is tuple
     zero = _ZT0 if zt else 0
-    level, found = {}, 0
+    memo = _memo
+    level, found, k = {}, 0, 0
     for row in rows:
         if found == ncols:
             break
+        row = tuple(row)
+        if k < len(memo):
+            if memo[k][0] == row:
+                _, minors, r = memo[k]
+                k += 1
+                if r > found:
+                    level, found = minors, r
+                elif stop:
+                    break
+                continue
+            del memo[k:]
         if not found:
             minors = {1 << c: x for c, x in enumerate(row) if x != zero}
         else:
@@ -112,7 +135,9 @@ def _minors(rows: Sequence[Sequence], ncols: int, stop: bool = False) -> Tuple[d
                     minors[cols] = v
         if minors:
             level, found = minors, found + 1
-        elif stop:
+        memo.append((row, level, found))
+        k += 1
+        if not minors and stop:
             break
     return level, found
 

@@ -3,7 +3,8 @@
 Every subcommand prints exactly one JSON report to standard output and
 exits 0 when the requested property verified (or no witness exists on the
 enumerated sample), 1 when a witness or violation was found (the payload is
-attached to the report), and 2 on malformed input or precondition errors.
+attached to the report), 2 on malformed input or precondition errors, and 3,
+with an `internal-error` report, when the program itself failed.
 Reports contain the seed and sample sizes that produced them and nothing
 clock- or host-dependent, so a rerun with the same arguments is
 byte-identical. `search --jobs` is accepted for compatibility and ignored;
@@ -428,6 +429,11 @@ def main(argv=None) -> int:
         sys.stderr.write("error: %s\n" % e)
         _print_report(name, {}, "error", {"error": str(e)})
         return 2
+    except Exception as e:  # a bug, not a verdict: exit 1 would read as a witness
+        import traceback
+        traceback.print_exc()
+        _print_report(name, {}, "internal-error", {"error": str(e), "exception": type(e).__name__})
+        return 3
     _print_report(name, parameters, verdict, payload, statistics)
     return _EXIT_BY_VERDICT[verdict]
 

@@ -273,14 +273,6 @@ def _stereographic(t: Sequence[Fraction]) -> Tuple[Fraction, ...]:
     return tuple(2 * x / denom for x in t) + ((tt - 1) / denom,)
 
 
-def rational_sphere_points(n: int, count: int, seed: int = 0) -> List[Point]:
-    """Seeded exact rational points of the unit n-sphere in R^(n+1)."""
-    if count < 1:
-        raise ColoringError("need a positive sample count")
-    return [Point.finite(_stereographic(p.coords))
-            for p in _distinct(_random_points(n, seed), count)]
-
-
 def generic_position_points(n: int, count: int, seed: int = 0) -> List[Point]:
     """Seeded rational points of R^n in spherically generic position: no n+2
     of them on a common (n-1)-sphere. A candidate must miss the `null_vector` sphere

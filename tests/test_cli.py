@@ -744,15 +744,28 @@ class TestUsageErrors:
         assert code == 2
         assert json.loads(out)["error"] == "descriptor needs %s" % field
 
-    def test_internal_key_error_is_not_bad_input(self, tmp_path, capsys, monkeypatch):
-        # an internal bug must surface as a traceback, never as exit 2
+    @staticmethod
+    def internal_failure(error, tmp_path, capsys, monkeypatch):
+        # an internal bug exits 3 with an internal-error report and its
+        # traceback on stderr: never 2, which reads as bad input, nor 1, which
+        # reads as a witness found
         def broken(args):
-            raise KeyError("internal")
+            raise error
 
         monkeypatch.setattr(cli, "cmd_validate", broken)
         report = write_json(tmp_path / "odd.json", {"hello": 1})
-        with pytest.raises(KeyError, match="internal"):
-            main(["validate", "--input", report])
+        code, out, err = run_cli(["validate", "--input", report], capsys)
+        assert code == 3
+        assert json.loads(out) == {"command": "validate", "parameters": {},
+                                   "verdict": "internal-error", "error": str(error),
+                                   "exception": type(error).__name__}
+        assert "Traceback" in err
+
+    def test_internal_key_error_is_not_bad_input(self, tmp_path, capsys, monkeypatch):
+        self.internal_failure(KeyError("internal"), tmp_path, capsys, monkeypatch)
+
+    def test_internal_runtime_error_is_not_a_witness(self, tmp_path, capsys, monkeypatch):
+        self.internal_failure(RuntimeError("internal"), tmp_path, capsys, monkeypatch)
 
 
 class TestRepeatedCalls:

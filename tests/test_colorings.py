@@ -25,13 +25,14 @@ from inversive.colorings import (
     _stereographic,
     generic_position_points,
     num_colors,
-    rational_sphere_points,
     sample_class,
 )
 from inversive.exactnum import BackendMismatch, THETA
 from inversive.geom import Point, concyclic, on_common_sphere
 from inversive.jsonio import FormatError, decode_coloring, encode_point
 from inversive.witness import ColoredConfig, ColoringError
+
+from helpers import rational_sphere_points
 
 nonzero_rationals = st.fractions(min_value=-30, max_value=30, max_denominator=9).filter(
     lambda q: q != 0

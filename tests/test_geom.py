@@ -831,6 +831,127 @@ class TestRank:
 
 
 @st.composite
+def minors_calls(draw):
+    """A sequence of 2 to 8 calls into the minors: each (name, rows, ncols),
+    name "rank", "null_vector" (on ncols - 1 >= 1 rows) or "stop" / "all" (a
+    direct `_minors` call with and without `stop`), on int rows or Z[t]
+    ones. A call keeps a random prefix of the last call's rows when it has
+    the same ring and ncols, which one draw in two does; its other rows are
+    random, zero, or an int combination of the rows before them, each as a
+    list or a tuple."""
+    calls, ncols, zt, rows = [], 0, False, []
+    for _ in range(draw(st.integers(2, 8))):
+        if not calls or draw(st.booleans()):
+            ncols, zt = draw(st.integers(1, 6)), draw(st.booleans())
+            rows = []
+        name = draw(st.sampled_from(["rank", "stop", "all"] + ["null_vector"] * (ncols > 1)))
+        size = ncols - 1 if name == "null_vector" else draw(st.integers(0, ncols + 1))
+        rows = rows[:draw(st.integers(0, min(len(rows), size)))]
+        zero = (0, 0, 0, 0) if zt else 0
+        entry = (st.tuples(*[st.integers(-2, 2)] * 4) if zt else st.integers(-3, 3))
+        while len(rows) < size:
+            how = draw(st.sampled_from(["random", "random", "zero", "combination"]))
+            if how == "zero":
+                row = [zero] * ncols
+            elif how == "combination" and rows:
+                weights = draw(st.lists(st.integers(-2, 2), min_size=len(rows),
+                                        max_size=len(rows)))
+                cols = list(zip(*rows))
+                row = ([tuple(sum(w * x[i] for w, x in zip(weights, c)) for i in range(4))
+                        for c in cols] if zt else
+                       [sum(map(mul, weights, c)) for c in cols])
+            else:
+                row = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+            rows.append(tuple(row) if draw(st.booleans()) else list(row))
+        calls.append((name, list(rows), ncols))
+    return calls
+
+
+def _minors_call(name, rows, ncols):
+    if name in ("rank", "null_vector"):
+        return getattr(_linalg, name)(rows, ncols)
+    return _linalg._minors(rows, ncols, stop=name == "stop")
+
+
+def _fresh_minors_call(name, rows, ncols):
+    """The same call made from an empty memo, which is then put back."""
+    saved = _linalg._memo[:]
+    _linalg._memo.clear()
+    try:
+        return _minors_call(name, rows, ncols)
+    finally:
+        _linalg._memo[:] = saved
+
+
+class TestMinorsMemo:
+    """`_minors` resumes after the rows a call shares with the last one: every
+    answer equals the one an empty memo gives, and the cut fold's and sympy's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(minors_calls())
+    def test_calls_in_sequence_match_fresh_ones(self, calls):
+        try:
+            import sympy
+        except ImportError:
+            sympy = None
+        for name, rows, ncols in calls:
+            zt = bool(rows) and type(rows[0][0]) is tuple
+            got = _minors_call(name, rows, ncols)
+            assert got == _fresh_minors_call(name, rows, ncols)
+            if name in ("stop", "all"):
+                continue
+            basis = _linalg.nullspace(rows, ncols)
+            if name == "rank":
+                event("rank-deficient" if got < min(len(rows), ncols) else "full rank")
+                assert got == ncols - len(basis)
+                if sympy is not None and not zt:
+                    assert got == (sympy.Matrix(rows).rank() if rows else 0)
+            elif got is None:
+                assert len(basis) != 1
+            else:
+                assert len(basis) == 1
+                assert _linalg.canonical(got) == _linalg.canonical(basis[0])
+
+    def test_a_shared_skipped_row_ends_a_stop_call(self, monkeypatch):
+        # the second row is twice the first: a rank call stores it as skipped
+        # and goes on, and a `stop` call that shares it ends there, as an
+        # expansion from an empty memo would, without expanding the third row
+        monkeypatch.setattr(_linalg, "_memo", [])
+        rows = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [5, 0, 1, 1]]
+        assert _linalg.rank(rows, 4) == 3
+        laplace, seen = _linalg._laplace, []
+        monkeypatch.setattr(_linalg, "_laplace",
+                            lambda ncols, k: seen.append(k) or laplace(ncols, k))
+        assert _linalg.null_vector(rows[:3], 4) is None
+        assert _linalg._minors(rows[:3], 4, stop=True) == ({1: 1, 2: 2, 4: 3, 8: 4}, 1)
+        resumed = _linalg._minors(rows, 4)
+        assert seen == []
+        assert resumed == _fresh_minors_call("all", rows, 4)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_verify_flag_expands_each_shared_row_once(self, monkeypatch, seed):
+        # verify_flag(3, 5) scans the 5**3 tuples (origin, infinity, x1, x2,
+        # x3), the last class fastest, with one on_common_sphere call each.
+        # From an empty memo, the second row's minors are expanded once, the
+        # third's 5 times, the fourth's 25 and the last's 125, where each
+        # tuple expanding all its rows would take 125 of each
+        from inversive import chromatic
+
+        monkeypatch.setattr(_linalg, "_memo", [])
+        laplace, levels = _linalg._laplace, []
+        monkeypatch.setattr(_linalg, "_laplace",
+                            lambda ncols, k: levels.append((ncols, k)) or laplace(ncols, k))
+        calls = []
+        monkeypatch.setattr(chromatic, "on_common_sphere",
+                            lambda tup: calls.append(tup) or on_common_sphere(tup))
+        report = chromatic.verify_flag(3, 5, seed)
+        assert (report["tuples_checked"], report["violations"]) == (125, [])
+        assert len(calls) == 125
+        assert {k: levels.count((5, k)) for k in range(2, 6)} == {2: 1, 3: 5, 4: 25, 5: 125}
+        assert len(levels) == 156
+
+
+@st.composite
 def spanning_sets(draw):
     """(rows, other): a matrix of int, Fraction or Q(2^(1/4)) entries and
     another spanning set of its row space. Row i of `other` is a nonzero

@@ -19,7 +19,6 @@ from inversive.colorings import (
     PointListBackground,
     TwoLine,
     num_colors,
-    rational_sphere_points,
 )
 from inversive.euclid import GreatFlat, GreatIntersection, great_flat_through, great_intersection
 from inversive.exactnum import (SQRT2, THETA, BackendMismatch, Quartic2, common_kind, is_zero,
@@ -48,6 +47,8 @@ from inversive.wcp import (
 )
 from inversive.witness import (ColoredConfig, ColoringError, PolychromaticWitness,
                                SeparationWitness, separating_circle_5pts)
+
+from helpers import rational_sphere_points
 
 F = Fraction
 P = Point.finite
