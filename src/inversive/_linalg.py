@@ -1,18 +1,18 @@
 """Dense linear algebra over the scalar backends (internal); the only module
-that picks an elimination. `_exact_rows` scales each row of an exact matrix by a
-positive integer into Z for a rational one (int and Fraction entries), into
-Z[t], t**4 = 2, for any other (a Quartic2 entry), where an entry is the int
-4-tuple of its coefficients; every exact routine takes those rows, and there
-are two. `_minors` expands the signed minors of the rows row by row, skipping
-a row that leaves them all zero and resuming after the rows its last call
-shared, and divides nothing: `rank` counts the rows it keeps, and
-`null_vector` reads the nullspace vector of n+1 rows in n+2 columns off
-their signed maximal minors. `cut` adds a row to a nullspace
-basis, `zt_cut` to a Z[t] one, and is the one exact subspace routine:
-`nullspace` is the identity cut by each row in turn, and `echelon` reads the
-reduced rows off the nullspace of the nullspace. `rref` is Gauss-Jordan for
-float matrices: partial pivoting, entries within EPSILON are zero. `zt_row`,
-`zt_lift` and `zt_twisted` give the Z[t] rows of one exact dot product.
+that picks an elimination. There are two exact routines. `_minors` expands
+the signed minors of an exact matrix's rows as given (geom's lifted rows are
+ints or Z[t] int 4-tuples already) row by row, skipping a row that leaves
+them all zero and resuming after the rows its last call shared, and divides
+nothing: `rank` counts the rows it keeps, and `null_vector` reads the
+nullspace vector of n+1 rows in n+2 columns off their signed maximal minors.
+`cut` adds a row to a nullspace basis, `zt_cut` to a Z[t] one, and is the
+one exact subspace routine: `nullspace` is the identity cut by each of the
+`_exact_rows` in turn (each row scaled by a positive integer into Z, or into
+Z[t], t**4 = 2, when it has a Quartic2 entry, each entry then the int
+4-tuple of its coefficients), and `echelon` reads the reduced rows off the
+nullspace of the nullspace. `rref` is Gauss-Jordan for float matrices:
+partial pivoting, entries within EPSILON are zero. `zt_row`, `zt_lift` and
+`zt_twisted` give the Z[t] rows of one exact dot product.
 """
 
 from __future__ import annotations
@@ -88,19 +88,20 @@ _memo: list = []
 
 
 def _minors(rows: Sequence[Sequence], ncols: int, stop: bool = False) -> Tuple[dict, int]:
-    """(minors, r) for exact rows (ints, or Z[t] int 4-tuples): r the rank and
-    minors the nonzero r x r minors of r independent rows, keyed by their
-    column subset as a bitmask. The minors of the rows kept so far expand
-    along the next row (`_laplace`), shared across column subsets, skipping
-    zero terms; a row that leaves every minor zero depends on the kept ones
-    and is skipped, so the rows kept count the rank. With `stop`, the first
-    skipped row ends the expansion, for a caller that needs every row. The
-    rows the last call shared with this one are read off `_memo`, and this
-    call's chain replaces the rest of it."""
+    """(minors, r) for exact rows (Z[t] int 4-tuples, or scalars that add,
+    subtract and multiply exactly, such as ints): r the rank and minors the
+    nonzero r x r minors of r independent rows, keyed by their column subset
+    as a bitmask (the empty minor, 1, for r = 0). The minors of the rows kept
+    so far expand along the next row (`_laplace`), shared across column
+    subsets, skipping zero terms; a row that leaves every minor zero depends
+    on the kept ones and is skipped, so the rows kept count the rank. With
+    `stop`, the first skipped row ends the expansion, for a caller that needs
+    every row. The rows the last call shared with this one are read off
+    `_memo`, and this call's chain replaces the rest of it."""
     zt = bool(rows and rows[0]) and type(rows[0][0]) is tuple
     zero = _ZT0 if zt else 0
     memo = _memo
-    level, found, k = {}, 0, 0
+    level, found, k = {0: (1, 0, 0, 0) if zt else 1}, 0, 0
     for row in rows:
         if found == ncols:
             break
@@ -146,14 +147,14 @@ def null_vector(rows: Sequence[Sequence], ncols: int) -> Optional[List]:
     """The vector spanning the nullspace of ncols - 1 rows, None when the
     nullspace is larger: from `rref` for float rows, else the signed maximal
     minors ((-1)**j times the minor without column j, from `_minors`) of the
-    ints or Z[t] int 4-tuples, which divide nothing."""
+    exact rows as given, which divide nothing: [1] for no rows in one column."""
     if _is_float_matrix(rows):
         ns = nullspace(rows, ncols)
         return ns[0] if len(ns) == 1 else None
     level, found = _minors(rows, ncols, stop=True)
     if found < len(rows):
         return None
-    zt = type(rows[0][0]) is tuple
+    zt = bool(rows) and type(rows[0][0]) is tuple
     zero = _ZT0 if zt else 0
     vec = [level.get((1 << ncols) - 1 - (1 << j), zero) for j in range(ncols)]
     return [(tuple(-c for c in x) if zt else -x) if j & 1 else x for j, x in enumerate(vec)]
@@ -286,16 +287,16 @@ def lead_one(v: Sequence, kind: str) -> List:
 
 def rank(rows: Sequence[Sequence], ncols: int) -> int:
     """The rank of a matrix: its `rref` pivot count over floats, else the
-    number of rows `_minors` keeps from the `_exact_rows`, the size of its
-    largest nonzero minor. A matrix with fewer rows than columns is ranked
-    as its transpose, whose minors span the r-subsets of r columns rather
-    than of ncols (a concyclic test in R^n has 4 rows and n+2 columns)."""
-    m = _exact_rows(rows)
-    if m is None:
+    number of rows `_minors` keeps of the exact rows as given (Fraction and
+    Quartic2 ones too), the size of its largest nonzero minor. A matrix with
+    fewer rows than columns is ranked as its transpose, whose minors span the
+    r-subsets of r columns rather than of ncols (a concyclic test in R^n has
+    4 rows and n+2 columns)."""
+    if _is_float_matrix(rows):
         return len(rref(rows, ncols)[1])
-    if len(m) < ncols:
-        m, ncols = list(zip(*m)), len(m)
-    return _minors(m, ncols)[1]
+    if len(rows) < ncols:
+        rows, ncols = list(zip(*rows)), len(rows)
+    return _minors(rows, ncols)[1]
 
 
 def identity(ncols: int, zt: bool = False) -> List[List]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain, combinations
+from operator import mul
 from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ._linalg import null_vector
@@ -294,10 +295,11 @@ def generic_position_points(n: int, count: int, seed: int = 0) -> List[Point]:
         if cand in chosen:
             continue
         row = lift_row(cand)
-        if any(not vec_dot(v, row) for v in normals):
+        if any(not sum(map(mul, v, row)) for v in normals):
             continue
         if len(chosen) + 1 < count:
-            new = [null_vector([*s, row], n + 2) for s in combinations(rows, n)]
+            # the new row first, so the minor chain shares it across combinations
+            new = [null_vector([row, *s], n + 2) for s in combinations(rows, n)]
             if None in new:
                 continue
             normals += new

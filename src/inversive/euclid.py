@@ -189,7 +189,8 @@ def great_intersection(s: GreatFlat, c: GreatFlat) -> GreatIntersection:
         plus = Point.finite(vec_scale(1 / root, w))
         return GreatIntersection(w, (plus, Point.finite(vec_scale(-1, plus.coords))),
                                  True)
-    wf = tuple(float(x) for x in w)
+    top = max(abs(x) for x in w)  # beyond 2**500 a float square would overflow
+    wf = tuple(float(x / top if top > 2 ** 500 else x) for x in w)
     norm = math.sqrt(sum(x * x for x in wf))
     plus = Point.finite(tuple(x / norm for x in wf))
     minus = Point.finite(tuple(-x for x in plus.coords))

@@ -78,7 +78,8 @@ class Frozen:
     of its __init__, which stores each in the instance __dict__ and their
     tuple as `_values`: ==, hash (of that tuple) and the default repr read
     it, and whatever a class caches in its __dict__ beside them stays outside
-    the value. Assignment and del raise AttributeError."""
+    the value, as the hash does after its first call (a Fraction computes a
+    modular inverse for each hash). Assignment and del raise AttributeError."""
 
     def __init_subclass__(cls) -> None:
         code = cls.__init__.__code__
@@ -90,7 +91,10 @@ class Frozen:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values)
+        d = self.__dict__
+        if "_hash" not in d:  # item stores: no cached_property lock per value
+            d["_hash"] = hash(self._values)
+        return d["_hash"]
 
     def __repr__(self) -> str:
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
@@ -173,9 +177,12 @@ class Point(Frozen):
 
 def _family_kind(points: Sequence[Point]) -> str:
     """The one backend a family of points of one dimension shares."""
-    if len({p.dim for p in points}) > 1:
-        raise GeometryError("points live in different ambient dimensions")
-    kinds = {p._kind for p in points if p.coords is not None}
+    dim, kinds = points[0].dim, set()
+    for p in points:  # one pass: this runs once per predicate call
+        if p.dim != dim:
+            raise GeometryError("points live in different ambient dimensions")
+        if p.coords is not None:
+            kinds.add(p._kind)
     if "float" in kinds and kinds != {"float"}:
         raise BackendMismatch("cannot mix float with exact points")
     return "float" if "float" in kinds else ("quartic" if "quartic" in kinds else "rational")

@@ -192,6 +192,9 @@ def render_svg(obj: Drawable, config: Optional[ColoredConfig] = None) -> str:
 def emit_svg(obj: Drawable, path: str,
              config: Optional[ColoredConfig] = None) -> None:
     """Write the rendering of a configuration or witness to a file."""
-    text = render_svg(obj, config)
+    try:
+        text = render_svg(obj, config)
+    except OverflowError as e:  # an exact coordinate beyond the float range
+        raise GeometryError("cannot draw in floats: %s" % e) from e
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -3,13 +3,19 @@ byte-identical reruns, the validate round trip, and the modules each
 command loads."""
 
 import argparse
+import contextlib
+import copy
+import functools
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from inversive import cli
 from inversive.cli import main
@@ -505,6 +511,17 @@ class TestPlotAndDeterminism:
                               "--out", str(tmp_path / "f.svg")], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["plot", "--out"], ["separate", "--plot"]])
+    def test_coordinates_beyond_floats_cannot_be_drawn(self, tmp_path, capsys, argv):
+        # the drawing is in floats, and 10**999 has none: bad input, not a crash
+        doc = copy.deepcopy(FIVE_POINT_DOC)
+        doc["points"][4]["coords"] = ["1e999", "0"]
+        cfg = write_json(tmp_path / "huge.json", doc)
+        code, out, _ = run_cli([argv[0], "--input", cfg, argv[1], str(tmp_path / "f.svg")],
+                               capsys)
+        assert code == 2
+        assert json.loads(out)["error"].startswith("cannot draw in floats")
+
     @pytest.mark.parametrize("dim, target, on", [(1, 3, 4), (0, 2, 2)])
     def test_search_plots_a_witness_on_a_line(self, tmp_path, capsys, dim, target, on):
         # the x-axis carries colors 1-3; the 0-sphere {0, infinity} is drawn
@@ -967,3 +984,189 @@ class TestBadCounts:
     def test_zero_construction_samples(self, capsys, kind):
         self.refused(["verify-construction", "--kind", kind, "--samples", "0"], capsys,
                      "need a positive sample count")
+
+
+# ---- seeded fuzz over every command's input ----
+
+SPACE_DOC = {
+    "n": 3, "k": 6,
+    "points": [{"coords": c, "color": i} for i, c in enumerate(
+        [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"],
+         ["1", "1", "2"], ["3", "5", "7"]], start=1)],
+}
+
+FOUR_POINT_DOC = {"n": 2, "points": [{"coords": ["0", "0"]}, {"coords": ["1", "0"]},
+                                     {"infinity": True}, {"coords": ["0", "1"]}]}
+
+GREAT_PAIR_DOC = {"sphere": {"basis": [["1", "0", "0"], ["0", "1", "0"]]},
+                  "circle": {"basis": [["1", "0", "0"], ["0", "0", "1"]]}}
+
+_FUZZ_KEYS = ["n", "k", "points", "coords", "color", "colors", "infinity", "kind", "extended",
+              "background", "image", "table", "coloring", "sphere", "circle", "basis",
+              "defining", "separated", "witness", "a", "b", "c"]
+_FUZZ_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6),
+    st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4", "1/0", "x", "", "2.5", "1e999",
+                     "nan", "two-line", "flag", "point-list"]),
+    st.sampled_from([0.5, -1.0, 1e308, float("nan"), float("inf")]))
+_FUZZ_JSON = st.recursive(_FUZZ_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.sampled_from(_FUZZ_KEYS), inner, max_size=3)), max_leaves=6)
+
+
+def _json_paths(doc, path=()):
+    """The path of every value in a JSON document, the root's () first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _json_paths(value, path + (key,))
+
+
+@st.composite
+def mutated(draw, docs):
+    """One of `docs` with up to three mutations, each a scalar replaced by
+    another (three times in six), a value replaced by random JSON, a key or
+    an item deleted, or a value copied to another key or item."""
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
+    for _ in range(draw(st.integers(0, 3))):
+        how = draw(st.sampled_from(["scalar"] * 3 + ["replace", "delete", "copy"]))
+        paths = list(_json_paths(doc))
+        if how == "scalar":
+            paths = [p for p in paths if not isinstance(_at(doc, p), (dict, list))] or paths
+        path = draw(st.sampled_from(paths))
+        if not path:
+            doc = draw(_FUZZ_JSON) if how == "replace" else doc
+            continue
+        parent, key = _at(doc, path[:-1]), path[-1]
+        if how in ("scalar", "replace"):
+            parent[key] = draw(_FUZZ_LEAVES if how == "scalar" else _FUZZ_JSON)
+        elif how == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(draw(st.integers(0, len(parent))), copy.deepcopy(parent[key]))
+        else:
+            parent[draw(st.sampled_from(_FUZZ_KEYS))] = copy.deepcopy(parent[key])
+    return doc
+
+
+def _at(doc, path):
+    return functools.reduce(lambda d, k: d[k], path, doc)
+
+
+def _quiet_main(argv):
+    """(exit code, stdout) of one main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@functools.cache
+def _genuine_reports():
+    """The search and separation reports that validate is fuzzed from."""
+    with tempfile.TemporaryDirectory() as tmp:
+        reports = []
+        for doc, argv in ((UNIT_CIRCLE_DOC, ["search", "--dim", "1", "--target", "4"]),
+                          (FIVE_POINT_DOC, ["separate"]), (SPACE_DOC, ["separate"])):
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            code, out = _quiet_main(argv + ["--input", path])
+            assert code == 1
+            reports.append(json.loads(out))
+    return reports
+
+
+_SMALL = st.integers(-1, 4).map(str)
+_SEED = st.integers(0, 3).map(str)
+_SVG = st.just("out.svg")
+_CONFIGS = [FIVE_POINT_DOC, UNIT_CIRCLE_DOC, FLAG_DOC, SPACE_DOC]
+_COLORINGS = [
+    {"kind": "two-line", "extended": True}, {"kind": "flag", "n": 2},
+    {"kind": "flag-euclidean", "n": 1},
+    {"kind": "point-list", "n": 2, "background": 3,
+     "points": [{"coords": ["0", "0"], "color": 1}, {"coords": ["1", "0"], "color": 2}]}]
+
+_DIM = st.integers(-1, 2).map(str)
+
+# each command's input documents (None when it reads no file), the option
+# that names the file, and its other options with the values they take; the
+# counts stay small, and a scan's dimension at most 2 (with its default
+# sample count a flag scan in R^4 would take 30**4 tuples), so each run is short
+FUZZ_COMMANDS = {
+    "verify-construction": (None, None, {
+        "--kind": st.sampled_from(["flag", "generic", "two-line", "flag-euclidean"]),
+        "--n": _DIM, "--k": _SMALL, "--samples": _SMALL, "--seed": _SEED}),
+    "euclid verify": (None, None, {"--n": _DIM, "--samples": _SMALL, "--seed": _SEED}),
+    "search": (_CONFIGS, "--input", {"--dim": _SMALL, "--target": _SMALL, "--jobs": _SMALL,
+                                     "--plot": _SVG}),
+    "search-procedural": (_COLORINGS, "--coloring", {
+        "--target": _SMALL, "--budget": st.integers(-1, 30).map(str),
+        "--samples-per-class": _SMALL, "--seed": _SEED}),
+    "separate": (_CONFIGS, "--input", {"--plot": _SVG}),
+    "plot": (_CONFIGS, "--input", {"--out": _SVG}),
+    "validate": (_genuine_reports, "--input", {}),
+    "euclid intersect": ([GREAT_PAIR_DOC], "--input", {}),
+    "wcp check": ([SHARP_MAP_DOC], "--map", {"--samples": _SMALL, "--seed": _SEED}),
+    "wcp refute": ([SHARP_MAP_DOC], "--map", {"--budget": _SMALL, "--seed": _SEED}),
+    "wcp sharp": ([FOUR_POINT_DOC], "--input", {"--check": _SMALL, "--seed": _SEED}),
+}
+
+
+def _options(command):
+    """(every option, the required ones) of a command, by their first flag."""
+    parser = dict(_commands(cli._build_parser()))[tuple(command.split())]
+    actions = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+    return {a.option_strings[0] for a in actions}, {a.option_strings[0] for a in actions
+                                                    if a.required}
+
+
+@st.composite
+def fuzzed_argv(draw, tmp):
+    """A well-formed command line for a random command: its input file a
+    mutated valid document (or, for a coloring, a builtin name), and each
+    option it must take, and about half of the others, a small value."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    docs, file_option, options = FUZZ_COMMANDS[command]
+    argv = command.split()
+    if docs is not None:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            json.dump(draw(mutated(docs() if callable(docs) else docs)), fh)
+        if file_option == "--coloring" and draw(st.booleans()):
+            path = draw(st.sampled_from(["two-line", "two-line-extended", "flag-2", "flag-x",
+                                         "flag-euclidean-1"]))
+        argv += [file_option, path]
+    required = _options(command)[1]
+    for flag, values in options.items():
+        if flag in required or draw(st.booleans()):
+            value = draw(values)
+            argv += [flag, os.path.join(tmp, value) if values is _SVG else value]
+    return argv
+
+
+class TestFuzz:
+    """Malformed, degenerate or out-of-range input to any command ends in
+    exit 0, 1 or 2 with one JSON report, never in a traceback (exit 3): a
+    derandomized hypothesis run over mutations of valid inputs."""
+
+    def test_every_command_is_fuzzed(self):
+        # with every option it takes
+        paths = [" ".join(path) for path, _ in _commands(cli._build_parser())]
+        assert sorted(FUZZ_COMMANDS) == sorted(paths)
+        for command, (_, file_option, options) in FUZZ_COMMANDS.items():
+            assert _options(command)[0] == set(options) | {file_option} - {None}
+
+    @settings(max_examples=800, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_only_verdicts_and_input_errors(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = data.draw(fuzzed_argv(tmp))
+            code, out = _quiet_main(argv)
+        report, end = json.JSONDecoder().raw_decode(out)
+        event("exit %d" % code)
+        assert code in (0, 1, 2), report
+        assert out[end:] == "\n"
+        assert report["command"] == " ".join(a for a in argv[:2] if not a.startswith("--"))
+        assert (report["verdict"] == "error") == (code == 2)

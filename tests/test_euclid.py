@@ -1,6 +1,7 @@
 """Great flats, the forced intersection of great spheres, and the
 polychromatic scan over great hyperspheres."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -172,6 +173,19 @@ class TestGreatIntersection:
         assert got.direction == (F(1), F(1), F(0))
         for p in got.points:
             assert abs(vec_dot(p.coords, p.coords) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("big", [10 ** 999, 2 ** 600], ids=["10^999", "2^600"])
+    def test_float_fallback_of_a_huge_direction(self, big):
+        # a direction whose exact entries lie beyond the float range (or whose
+        # squares would) is scaled down before it is rounded, where float()
+        # raised OverflowError; directions of ordinary size keep their floats
+        for first, want in ((1, (0.0, 1.0, 0.0)), (big, (2 ** -0.5, 2 ** -0.5, 0.0))):
+            got = great_intersection(XY_PLANE, GreatFlat.span([[first, big, 0], [0, 0, 1]]))
+            assert not got.exact and got.direction == (F(1), F(big, first), F(0))
+            assert got.points[0].coords == pytest.approx(want)
+        c = GreatFlat.span([[1, 1, 0], [0, 0, 1]])
+        half = 1 / math.sqrt(2)
+        assert great_intersection(XY_PLANE, c).points[0].coords == (half, half, 0.0)
 
     def test_quartic_scale_stays_exact(self):
         c = GreatFlat.span([[THETA ** 0, THETA ** 0, 0 * THETA], [0 * THETA, 0 * THETA, THETA]])

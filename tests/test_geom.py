@@ -4,6 +4,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from operator import mul
 
@@ -829,26 +830,55 @@ class TestRank:
         assert seen == [2]
         assert _linalg.rank(rows, 6) == 4
 
+    def test_null_vector_of_no_rows(self):
+        # the one maximal minor of the 0 x 1 matrix is the empty minor, 1,
+        # and its nullspace is the cut fold's unit basis
+        assert _linalg.null_vector([], 1) == [1] == _linalg.nullspace([], 1)[0]
+
+
+_RING_ENTRIES = {"int": st.integers(-3, 3), "fraction": small_fractions, "quartic": _QUARTICS,
+                 "zt": st.tuples(*[st.integers(-2, 2)] * 4)}
+
+
+def _recast(x, ring):
+    """The scalar of `ring` ("int", "fraction" or "quartic") equal in value
+    to x, or x itself when there is none."""
+    if ring == "quartic":
+        return promote(x, "quartic")
+    if isinstance(x, Quartic2):
+        if not x.is_rational:
+            return x
+        x = x.to_fraction()
+    return Fraction(x) if ring == "fraction" or Fraction(x).denominator != 1 else int(x)
+
 
 @st.composite
 def minors_calls(draw):
     """A sequence of 2 to 8 calls into the minors: each (name, rows, ncols),
-    name "rank", "null_vector" (on ncols - 1 >= 1 rows) or "stop" / "all" (a
-    direct `_minors` call with and without `stop`), on int rows or Z[t]
-    ones. A call keeps a random prefix of the last call's rows when it has
-    the same ring and ncols, which one draw in two does; its other rows are
-    random, zero, or an int combination of the rows before them, each as a
-    list or a tuple."""
-    calls, ncols, zt, rows = [], 0, False, []
+    name "rank", "null_vector" (on ncols - 1 rows) or "stop" / "all" (a
+    direct `_minors` call with and without `stop`), on rows over one ring:
+    ints, Fractions, Quartic2s (each row as given, as `rank` takes it) or
+    Z[t] int 4-tuples. One draw in two keeps ncols and a random prefix of
+    the last call's rows; a scalar ring may change then, each kept row
+    recast into the new one where its values lie in it, so rows equal in
+    value to an earlier ring's share its chain. The other rows are random,
+    zero, or an int combination of the rows before them, each as a list or
+    a tuple."""
+    calls, ncols, ring, rows = [], 0, "int", []
     for _ in range(draw(st.integers(2, 8))):
         if not calls or draw(st.booleans()):
-            ncols, zt = draw(st.integers(1, 6)), draw(st.booleans())
+            ncols, ring = draw(st.integers(1, 6)), draw(st.sampled_from(list(_RING_ENTRIES)))
             rows = []
-        name = draw(st.sampled_from(["rank", "stop", "all"] + ["null_vector"] * (ncols > 1)))
+        elif ring != "zt":
+            ring = draw(st.sampled_from(["int", "fraction", "quartic"]))
+        name = draw(st.sampled_from(["rank", "stop", "all", "null_vector"]))
         size = ncols - 1 if name == "null_vector" else draw(st.integers(0, ncols + 1))
         rows = rows[:draw(st.integers(0, min(len(rows), size)))]
-        zero = (0, 0, 0, 0) if zt else 0
-        entry = (st.tuples(*[st.integers(-2, 2)] * 4) if zt else st.integers(-3, 3))
+        if ring != "zt":
+            kept, rows = rows, [[_recast(x, ring) for x in r] for r in rows]
+            if [list(map(type, r)) for r in kept] != [list(map(type, r)) for r in rows]:
+                event("rows recast from another ring")
+        zero = (0, 0, 0, 0) if ring == "zt" else 0
         while len(rows) < size:
             how = draw(st.sampled_from(["random", "random", "zero", "combination"]))
             if how == "zero":
@@ -858,11 +888,13 @@ def minors_calls(draw):
                                         max_size=len(rows)))
                 cols = list(zip(*rows))
                 row = ([tuple(sum(w * x[i] for w, x in zip(weights, c)) for i in range(4))
-                        for c in cols] if zt else
+                        for c in cols] if ring == "zt" else
                        [sum(map(mul, weights, c)) for c in cols])
             else:
-                row = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+                row = draw(st.lists(_RING_ENTRIES[ring], min_size=ncols, max_size=ncols))
             rows.append(tuple(row) if draw(st.booleans()) else list(row))
+        if ring in ("fraction", "quartic"):
+            event("%s rows" % ring)
         calls.append((name, list(rows), ncols))
     return calls
 
@@ -895,7 +927,6 @@ class TestMinorsMemo:
         except ImportError:
             sympy = None
         for name, rows, ncols in calls:
-            zt = bool(rows) and type(rows[0][0]) is tuple
             got = _minors_call(name, rows, ncols)
             assert got == _fresh_minors_call(name, rows, ncols)
             if name in ("stop", "all"):
@@ -904,13 +935,28 @@ class TestMinorsMemo:
             if name == "rank":
                 event("rank-deficient" if got < min(len(rows), ncols) else "full rank")
                 assert got == ncols - len(basis)
-                if sympy is not None and not zt:
-                    assert got == (sympy.Matrix(rows).rank() if rows else 0)
+                if sympy is not None:
+                    matrix = _algebraic_field(sympy)[3]
+                    assert got == (matrix(rows, ncols).rank() if rows else 0)
             elif got is None:
                 assert len(basis) != 1
             else:
                 assert len(basis) == 1
                 assert _linalg.canonical(got) == _linalg.canonical(basis[0])
+
+    def test_rows_equal_in_value_share_the_chain(self, monkeypatch):
+        # `rank` hands Fraction and Quartic2 rows to the minors as given, so
+        # rows equal in value to the last call's int rows resume after them
+        # and expand nothing
+        monkeypatch.setattr(_linalg, "_memo", [])
+        rows = [[1, 2, 0], [0, 1, 3], [2, 0, 1]]
+        assert _linalg.rank(rows, 3) == 3
+        laplace, seen = _linalg._laplace, []
+        monkeypatch.setattr(_linalg, "_laplace",
+                            lambda ncols, k: seen.append(k) or laplace(ncols, k))
+        for ring in ("fraction", "quartic"):
+            assert _linalg.rank([[_recast(x, ring) for x in r] for r in rows], 3) == 3
+        assert seen == []
 
     def test_a_shared_skipped_row_ends_a_stop_call(self, monkeypatch):
         # the second row is twice the first: a rank call stores it as skipped
@@ -1031,6 +1077,28 @@ def _seeded_rows(rng, n, zt):
     return rows
 
 
+@cache
+def _algebraic_field(sympy):
+    """(sympy, K, element, matrix): sympy's QQ<2**(1/4)> as K, the element of
+    an int, Fraction, Quartic2 or Z[t] int 4-tuple in it, and the DomainMatrix
+    of rows of such entries, whose rank shares no code with `_linalg`."""
+    from sympy.polys.matrices import DomainMatrix
+
+    t = sympy.Integer(2) ** sympy.Rational(1, 4)
+    K = sympy.QQ.algebraic_field(t)
+    powers = [K.from_sympy(t) ** i for i in range(4)]
+
+    def element(x):
+        cs = x.coeffs if isinstance(x, Quartic2) else x if type(x) is tuple else (x, 0, 0, 0)
+        return sum((K.convert(sympy.QQ(Fraction(c).numerator, Fraction(c).denominator)) * g
+                    for c, g in zip(cs, powers)), K.zero)
+
+    def matrix(rows, ncols):
+        return DomainMatrix([[element(x) for x in r] for r in rows], (len(rows), ncols), K)
+
+    return sympy, K, element, matrix
+
+
 def _from_field(x):
     """An element of sympy's QQ<2**(1/4)> as a Quartic2, from its
     coefficients in 2**(1/4), highest power first."""
@@ -1046,21 +1114,7 @@ class TestZtKernelAgainstSympy:
 
     @pytest.fixture(scope="class")
     def field(self, sympy):
-        from sympy.polys.matrices import DomainMatrix
-
-        t = sympy.Integer(2) ** sympy.Rational(1, 4)
-        K = sympy.QQ.algebraic_field(t)
-        powers = [K.from_sympy(t) ** i for i in range(4)]
-
-        def element(x):
-            cs = x.coeffs if isinstance(x, Quartic2) else (x, 0, 0, 0)
-            return sum((K.convert(sympy.QQ(Fraction(c).numerator, Fraction(c).denominator)) * g
-                        for c, g in zip(cs, powers)), K.zero)
-
-        def matrix(rows, ncols):
-            return DomainMatrix([[element(x) for x in r] for r in rows], (len(rows), ncols), K)
-
-        return sympy, K, element, matrix
+        return _algebraic_field(sympy)
 
     @settings(max_examples=120, deadline=None)
     @given(quartic_matrices())

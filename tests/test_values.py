@@ -486,3 +486,43 @@ def test_rejections_raise_the_twins_exception_class(cls, args):
         TWINS[cls](*args)
     assert type(ours.value) is type(theirs.value)
     assert isinstance(ours.value, (GeometryError, BackendMismatch))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=IDS)
+def test_the_cached_hash_is_the_hash_of_the_values(cls, seed):
+    # the first hash is kept in the instance __dict__ beside the fields:
+    # every later call returns hash(x._values), and ==, repr and the fields
+    # do not see it
+    for x in instances(cls, seed):
+        before, rebuilt = repr(x), cls(*_args(cls, x))
+        assert _hash(x) == _hash(x) == _hash(x._values) == _hash(rebuilt)
+        assert repr(x) == before == repr(rebuilt) and x == rebuilt and not x != rebuilt
+        assert x._values == _args(cls, x)
+
+
+def test_equal_points_built_apart_hash_alike():
+    coords = (F(1, 2), F(-2, 3), F(5))
+    p = P(coords)
+    others = [P([F(2, 4), F(-4, 6), 5]), Point(coords, 3), P((0.5, 1.0, 5.0)),
+              P((THETA, F(1), 0)), P((THETA, 1, F(0)))]
+    hash(p)
+    assert [q == p for q in others] == [True, True, False, False, False]
+    assert hash(others[0]) == hash(others[1]) == hash(p) == hash((coords, 3)) == hash(p)
+    assert others[3] == others[4] and hash(others[3]) == hash(others[4])
+    assert len({p, *others}) == 3
+
+
+def test_hashing_a_sampled_point_again_hashes_no_fraction(monkeypatch):
+    # a Fraction computes a modular inverse for each hash; a point hashes
+    # its coordinates once, so the set lookups that sampling and
+    # ColoredConfig make on the same points do not hash them again
+    config = ColoredConfig.sample(FlagInversive(3), 3, 0)
+    points = [p for p, _ in config.items]
+    assert sum(not p.is_infinity for p in points) == 10
+    first = [hash(p) for p in points]
+    calls, fraction_hash = [], Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda x: calls.append(x) or fraction_hash(x))
+    assert hash(F(1, 3)) == fraction_hash(F(1, 3)) and len(calls) == 1
+    assert [hash(p) for p in points] == first
+    assert len(calls) == 1
