@@ -48,7 +48,8 @@ from .jsonio import (
     encode_separation_witness,
     encode_violation,
 )
-from .witness import SearchBudgetError, separating_circle_5pts, separating_sphere_bruteforce
+from .witness import (ColoringError, SearchBudgetError, separating_circle_5pts,
+                      separating_sphere_bruteforce)
 
 __all__ = ["main"]
 
@@ -323,12 +324,32 @@ def cmd_validate(args) -> Tuple[str, Dict, Dict, Dict]:
             witness = decode_polychromatic_witness(body)
             encoded = encode_polychromatic_witness(witness)
             kind = "polychromatic"
+            if obj.get("command") == "search-procedural":
+                _check_procedural_colors(obj.get("parameters"), witness)
         else:
             raise FormatError("no witness object found")
     except (GeometryError, BackendMismatch) as e:
         return ("invalid-witness", {"reason": str(e)},
                 {"kind": "unknown"}, params)
     return "validated", {"witness": encoded}, {"kind": kind}, params
+
+
+def _check_procedural_colors(params: Any, witness) -> None:
+    """Re-derive each witness point's color from the coloring a procedural
+    search report names; a coloring that cannot be loaded stays unchecked."""
+    arg = params.get("coloring") if isinstance(params, dict) else None
+    try:
+        coloring = _load_coloring(arg) if isinstance(arg, str) else None
+    except (OSError, ValueError, BackendMismatch):
+        return
+    for p, c in witness.on_points if coloring else ():
+        try:
+            actual = coloring.color_of(p)
+        except ColoringError as e:  # the point lies outside the coloring's domain
+            actual = "none (%s)" % e
+        if actual != c:
+            raise GeometryError("witness point %r has color %s in %s, not the claimed %d"
+                                % (p, actual, arg, c))
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ class FlagInversive(Frozen):
     def __init__(self, n: int):
         if n < 1:
             raise ColoringError("ambient dimension must be at least 1")
-        self.__dict__.update(n=n, _values=(n,))
+        self._freeze(n)
 
     @property
     def k(self) -> int:
@@ -116,7 +116,7 @@ class TwoLine(Frozen):
     5-coloring of S^2."""
 
     def __init__(self, extended: bool = False):
-        self.__dict__.update(extended=extended, _values=(extended,))
+        self._freeze(extended)
 
     @property
     def n(self) -> int:
@@ -173,7 +173,7 @@ class FlagEuclidean(Frozen):
     def __init__(self, n: int):
         if n < 1:
             raise ColoringError("ambient dimension must be at least 1")
-        self.__dict__.update(n=n, _values=(n,))
+        self._freeze(n)
 
     @property
     def k(self) -> int:
@@ -224,8 +224,7 @@ class PointListBackground(Frozen):
         realized = set(colors) | {background}
         if min(realized) < 1 or realized != set(range(1, max(realized) + 1)):
             raise ColoringError("colors must realize 1..k with no gaps")
-        self.__dict__.update(n=n, points=points, colors=colors, background=background,
-                             _values=(n, points, colors, background))
+        self._freeze(n, points, colors, background)
 
     @property
     def k(self) -> int:

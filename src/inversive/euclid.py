@@ -84,7 +84,7 @@ class GreatFlat(Frozen):
     (dim-1)-sphere."""
 
     def __init__(self, basis: Tuple[Tuple[Scalar, ...], ...]):
-        self.__dict__.update(basis=basis, _values=(basis,))
+        self._freeze(basis)
 
     @classmethod
     def span(cls, vectors: Sequence[Sequence[Scalar]]) -> "GreatFlat":
@@ -157,8 +157,7 @@ class GreatIntersection(Frozen):
     the scalar field and the points fall back to floats."""
 
     def __init__(self, direction: Tuple[Scalar, ...], points: Tuple[Point, Point], exact: bool):
-        self.__dict__.update(direction=direction, points=points, exact=exact,
-                             _values=(direction, points, exact))
+        self._freeze(direction, points, exact)
 
 
 def great_intersection(s: GreatFlat, c: GreatFlat) -> GreatIntersection:

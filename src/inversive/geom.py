@@ -75,15 +75,18 @@ def vec_is_zero(u: Sequence) -> bool:
 
 class Frozen:
     """Base of the immutable value types. A class's fields are the parameters
-    of its __init__, which stores each in the instance __dict__ and their
-    tuple as `_values`: ==, hash (of that tuple) and the default repr read
-    it, and whatever a class caches in its __dict__ beside them stays outside
-    the value, as the hash does after its first call (a Fraction computes a
+    of its __init__, which validates them and hands them to `_freeze` in
+    signature order: it stores each by name and their tuple as `_values`, read
+    by ==, hash and the default repr. Caches kept beside them stay outside the
+    value, as the hash does after its first call (a Fraction computes a
     modular inverse for each hash). Assignment and del raise AttributeError."""
 
     def __init_subclass__(cls) -> None:
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _freeze(self, *values, **cached) -> None:
+        self.__dict__.update(zip(self._fields, values), _values=values, **cached)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is self.__class__:
@@ -114,7 +117,7 @@ class Point(Frozen):
     ==, hash and repr)."""
 
     def __init__(self, coords: Optional[Tuple[Scalar, ...]], dim: int):
-        d = self.__dict__  # item stores build the dict faster than update()
+        d = self.__dict__  # the hot constructor: item stores beat _freeze
         d["coords"], d["dim"], d["_values"] = coords, dim, (coords, dim)
 
     @classmethod
@@ -220,7 +223,7 @@ class Hypersphere(Frozen):
     it, and a directly built sphere takes the one `make` gives its fields."""
 
     def __init__(self, c: Scalar, b: Tuple[Scalar, ...], a: Scalar):
-        self.__dict__.update(c=c, b=b, a=a, _values=(c, b, a))
+        self._freeze(c, b, a)
 
     @classmethod
     def make(cls, c: Scalar, b: Sequence[Scalar], a: Scalar) -> "Hypersphere":
@@ -502,7 +505,7 @@ class Flat(Frozen):
     as extended through infinity."""
 
     def __init__(self, basepoint: Tuple[Scalar, ...], basis: Tuple[Tuple[Scalar, ...], ...]):
-        self.__dict__.update(basepoint=basepoint, basis=basis, _values=(basepoint, basis))
+        self._freeze(basepoint, basis)
 
     @classmethod
     def through(cls, points: Sequence[Point]) -> "Flat":
@@ -564,7 +567,7 @@ class SubSphere(Frozen):
                                 % (surface.dim, carrier.ambient))
         elif carrier.dim < 1:
             raise GeometryError("a surface cannot cut a carrier of dimension 0")
-        self.__dict__.update(carrier=carrier, surface=surface, _values=(carrier, surface))
+        self._freeze(carrier, surface)
 
     @property
     def dim(self) -> int:

@@ -80,9 +80,8 @@ class MoebiusMap(Frozen):
     def __init__(self, factors: Tuple[PrimitiveMap, ...], dim: int):
         if any(f.dim != dim for f in factors):
             raise GeometryError("factor dimension mismatch")
-        self.__dict__.update(factors=factors, dim=dim, _values=(factors, dim),
-                             _mirrors=tuple(f._mirrors[0] for f in factors),
-                             _float=any(f._float for f in factors))
+        self._freeze(factors, dim, _mirrors=tuple(f._mirrors[0] for f in factors),
+                     _float=any(f._float for f in factors))
 
     @classmethod
     def identity(cls, dim: int) -> "MoebiusMap":
@@ -139,8 +138,7 @@ class SphereInversion(_Primitive, Frozen):
             raise GeometryError("inversion needs a positive squared radius")
         *m, rho = _dyadic([*center, radius_sq])
         row = [promote(1, k), *vec_scale(-2, m), vec_dot(m, m) - rho]
-        self.__dict__.update(center=center, radius_sq=radius_sq, _values=(center, radius_sq),
-                             _mirrors=(_mirror(row),), _float=k == "float")
+        self._freeze(center, radius_sq, _mirrors=(_mirror(row),), _float=k == "float")
 
     @property
     def dim(self) -> int:
@@ -154,8 +152,7 @@ class HyperplaneReflection(_Primitive, Frozen):
         if all(is_zero(x) for x in normal):
             raise GeometryError("reflection needs a nonzero normal")
         row = [promote(0, k), *normal, offset]
-        self.__dict__.update(normal=normal, offset=offset, _values=(normal, offset),
-                             _mirrors=(_mirror(row),), _float=k == "float")
+        self._freeze(normal, offset, _mirrors=(_mirror(row),), _float=k == "float")
 
     @property
     def dim(self) -> int:

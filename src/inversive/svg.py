@@ -77,23 +77,17 @@ class _Frame:
 
 def _gather(obj: Drawable, config: Optional[ColoredConfig]):
     """Split a drawable into colored points, styled spheres, and rings."""
-    points: Dict[Point, int] = {}
+    points: Dict[Point, int] = dict(config.items) if config is not None else {}
     spheres: List[Hypersphere] = []
     rings: List[Point] = []
-    if config is not None:
-        for p, c in config.items:
-            points[p] = c
     if isinstance(obj, ColoredConfig):
-        for p, c in obj.items:
-            points[p] = c
+        points.update(obj.items)
     elif isinstance(obj, PolychromaticWitness):
-        for p, c in obj.on_points:
-            points[p] = c
-            rings.append(p)
+        points.update(obj.on_points)
+        rings.extend(p for p, _ in obj.on_points)
         spheres.append(_plane_sphere(obj.sphere))
     elif isinstance(obj, SeparationWitness):
-        for p, c in obj.defining + obj.separated_pair:
-            points[p] = c
+        points.update(obj.defining + obj.separated_pair)
         rings.extend(p for p, _ in obj.separated_pair)
         spheres.append(_plane_sphere(obj.sphere))
     else:
@@ -102,22 +96,17 @@ def _gather(obj: Drawable, config: Optional[ColoredConfig]):
 
 
 def _sphere_extent(s: Hypersphere, xs: List[float], ys: List[float]) -> None:
-    from .exactnum import is_zero
-
-    if is_zero(s.c):
+    if s.is_flat:
         return
-    c = s.center()
     r = math.sqrt(float(s.radius_sq()))
-    x, y = _as_float_pair(c)
+    x, y = _as_float_pair(s.center())
     xs.extend([x - r, x + r])
     ys.extend([y - r, y + r])
 
 
 def _sphere_element(s: Hypersphere, frame: _Frame) -> str:
-    from .exactnum import is_zero
-
     style = 'fill="none" stroke="%s" stroke-width="3"' % HIGHLIGHT
-    if not is_zero(s.c):
+    if not s.is_flat:
         cx, cy = _as_float_pair(s.center())
         r = math.sqrt(float(s.radius_sq()))
         vx, vy = frame.to_view(cx, cy)
@@ -137,10 +126,7 @@ def _sphere_element(s: Hypersphere, frame: _Frame) -> str:
 
 def render_svg(obj: Drawable, config: Optional[ColoredConfig] = None) -> str:
     """Render a planar configuration or witness to SVG text."""
-    ambient = obj.n if isinstance(obj, ColoredConfig) else None
-    if ambient is not None and ambient != 2:
-        raise GeometryError("only planar configurations can be drawn")
-    if config is not None and config.n != 2:
+    if any(c.n != 2 for c in (obj, config) if isinstance(c, ColoredConfig)):
         raise GeometryError("only planar configurations can be drawn")
     points, spheres, rings = _gather(obj, config)
 

@@ -64,8 +64,7 @@ class FiniteImageMap(Frozen):
             raise GeometryError("table must assign every color 1..%d" % k)
         if any(not 0 <= v < len(image) for v in table.values()):
             raise GeometryError("table entry points outside the image list")
-        self.__dict__.update(coloring=coloring, image=image, table=table,
-                             _values=(coloring, image, table))
+        self._freeze(coloring, image, table)
 
     def apply(self, p: Point) -> Point:
         return self.image[self.table[self.coloring.color_of(p)]]
@@ -83,8 +82,7 @@ class CgpReport(Frozen):
             for p in on_circle:
                 if not circle.contains(p):
                     raise GeometryError("reported point is off the violating circle")
-        self.__dict__.update(verdict=verdict, circle=circle, on_circle=on_circle,
-                             _values=(verdict, circle, on_circle))
+        self._freeze(verdict, circle, on_circle)
 
 
 def _aux_candidates(dim: int):
@@ -144,9 +142,7 @@ class WcpViolation(Frozen):
         for p in domain_points:
             if not on_sphere(p, circle):
                 raise GeometryError("domain point is off the sampled circle")
-        self.__dict__.update(sample_index=sample_index, circle=circle,
-                             domain_points=domain_points, images=images,
-                             _values=(sample_index, circle, domain_points, images))
+        self._freeze(sample_index, circle, domain_points, images)
 
 
 CircleSample = Tuple[Hypersphere, Sequence[Point]]
@@ -217,8 +213,7 @@ class FivePointRefutation(Frozen):
             raise GeometryError("a refutation needs four distinct image points")
         if concyclic(*images):
             raise GeometryError("refutation images are concyclic")
-        self.__dict__.update(witness=witness, domain_points=domain_points, images=images,
-                             _values=(witness, domain_points, images))
+        self._freeze(witness, domain_points, images)
 
 
 def five_point_refute(t: FiniteImageMap, budget: int = 2000,

@@ -53,7 +53,7 @@ class ColoredConfig(Frozen):
                 raise ColoringError("configuration point has the wrong dimension")
             if not 1 <= c <= k:
                 raise ColoringError("color %d outside 1..%d" % (c, k))
-        self.__dict__.update(n=n, k=k, items=items, _values=(n, k, items))
+        self._freeze(n, k, items)
 
     @classmethod
     def sample(cls, coloring: ProceduralColoring, per_class: int,
@@ -88,8 +88,7 @@ class PolychromaticWitness(Frozen):
                 raise GeometryError("witness point %r is off the sphere" % (p,))
         if frozenset(c for _, c in on_points) != color_set:
             raise GeometryError("witness color set does not match its points")
-        self.__dict__.update(sphere=sphere, on_points=on_points, color_set=color_set,
-                             _values=(sphere, on_points, color_set))
+        self._freeze(sphere, on_points, color_set)
 
 
 class SeparationWitness(Frozen):
@@ -109,8 +108,7 @@ class SeparationWitness(Frozen):
         (x, _), (y, _) = separated_pair
         if not separated(x, y, sphere):
             raise GeometryError("claimed pair is not separated")
-        self.__dict__.update(sphere=sphere, defining=defining, separated_pair=separated_pair,
-                             _values=(sphere, defining, separated_pair))
+        self._freeze(sphere, defining, separated_pair)
 
 
 def _line_role(triple: Sequence[Point]):

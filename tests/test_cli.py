@@ -660,6 +660,53 @@ class TestValidate:
         assert code == 1 and rep["verdict"] == "invalid-witness"
         assert rep["reason"] == reason
 
+    def _procedural_report(self, capsys):
+        code, out, _ = run_cli(["search-procedural", "--coloring", "two-line-extended",
+                                "--target", "4"], capsys)
+        assert code == 1
+        return json.loads(out)
+
+    def test_procedural_witness_revalidates(self, tmp_path, capsys):
+        rep = self._procedural_report(capsys)
+        code, out, _ = run_cli(["validate", "--input",
+                                write_json(tmp_path / "report.json", rep)], capsys)
+        assert code == 0
+        out = json.loads(out)
+        assert out["verdict"] == "validated" and out["witness"] == rep["witness"]
+
+    def test_relabeled_procedural_color_is_invalid(self, tmp_path, capsys):
+        # two-line-extended has no color 5: the colors are re-derived from
+        # the coloring the report names, not taken from the witness
+        rep = self._procedural_report(capsys)
+        (entry,) = [e for e in rep["witness"]["points"] if e["color"] == 1]
+        entry["color"] = 5
+        rep["witness"]["colors"] = [2, 3, 4, 5]
+        code, out, _ = run_cli(["validate", "--input",
+                                write_json(tmp_path / "bad.json", rep)], capsys)
+        out = json.loads(out)
+        assert code == 1 and out["verdict"] == "invalid-witness"
+        point = repr(decode_point(entry["point"]))
+        assert out["reason"] == ("witness point %s has color 1 in two-line-extended, "
+                                 "not the claimed 5" % point)
+
+    def test_point_outside_the_named_coloring_is_invalid(self, tmp_path, capsys):
+        rep = self._procedural_report(capsys)
+        rep["parameters"]["coloring"] = "flag-3"
+        code, out, _ = run_cli(["validate", "--input",
+                                write_json(tmp_path / "bad.json", rep)], capsys)
+        out = json.loads(out)
+        assert code == 1 and out["verdict"] == "invalid-witness"
+        assert out["reason"].endswith(" has color none (point has the wrong ambient "
+                                      "dimension) in flag-3, not the claimed 2")
+
+    @pytest.mark.parametrize("coloring", ["no-such-coloring", "flag-0", None, 7])
+    def test_unloadable_coloring_leaves_colors_unchecked(self, tmp_path, capsys, coloring):
+        rep = self._procedural_report(capsys)
+        rep["parameters"]["coloring"] = coloring
+        code, out, _ = run_cli(["validate", "--input",
+                                write_json(tmp_path / "report.json", rep)], capsys)
+        assert code == 0 and json.loads(out)["verdict"] == "validated"
+
     def test_not_a_witness(self, tmp_path, capsys):
         report = write_json(tmp_path / "odd.json", {"hello": 1})
         code, _, _ = run_cli(["validate", "--input", report], capsys)
@@ -861,6 +908,15 @@ class TestImports:
         report.write_text(run_cli(["separate", "--input", cfg], capsys)[1])
         for argv in (["separate", "--input", cfg], ["validate", "--input", str(report)]):
             assert _loaded_by(_run_main(argv)) & (OPTIONAL | SEARCH) == set(), argv
+
+    def test_validating_a_search_report_loads_no_coloring(self, tmp_path, capsys):
+        # only a procedural report names a coloring to re-derive colors from
+        cfg = write_json(tmp_path / "cfg.json", UNIT_CIRCLE_DOC)
+        report = tmp_path / "report.json"
+        report.write_text(run_cli(["search", "--input", cfg, "--dim", "1", "--target", "4"],
+                                  capsys)[1])
+        loaded = _loaded_by(_run_main(["validate", "--input", str(report)]))
+        assert loaded & (OPTIONAL | SEARCH) == set()
 
     def test_wcp_check_loads_wcp_alone(self, tmp_path):
         map_path = write_json(tmp_path / "map.json", SHARP_MAP_DOC)

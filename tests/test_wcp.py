@@ -115,7 +115,7 @@ class TestCircularGeneralPosition:
         pole = fp(0, 0, 1)
         report = circular_general_position(eq + [pole])
         assert not report.verdict
-        assert set(report.on_circle) == set(eq)
+        assert report.on_circle == tuple(eq) and not report.circle.contains(pole)
         tilted = [fp(1, 0, 0), fp(0, 1, 0), fp(0, 0, 1), fp(-1, 0, 0), fp(0, -1, 0)]
         assert circular_general_position(tilted) == circular_general_position(eq + [pole])
 
@@ -151,6 +151,38 @@ class TestCircularGeneralPosition:
     def test_report_validation(self):
         with pytest.raises(GeometryError):
             CgpReport(True, circular_general_position([Z0]).circle)
+
+
+E1, NEG_E1, E2 = EQUATOR[0], EQUATOR[2], EQUATOR[1]
+OFF_AXIS = fp(0, 1, 1)
+
+
+class TestCircularGeneralPositionInSpace:
+    """Points of R^3, the ambient coordinates of S^2: below five points the
+    circle through the first three is completed by the first unused ±e_i."""
+
+    @pytest.mark.parametrize("pts, aux, on", [
+        ([OFF_AXIS], [E1, NEG_E1], [OFF_AXIS]),
+        ([E1, OFF_AXIS], [NEG_E1], [E1, OFF_AXIS]),
+        ([E1, NEG_E1], [E2], [E1, NEG_E1]),
+        ([OFF_AXIS, fp(1, 1, 1), fp(2, 3, 5)], [], [OFF_AXIS, fp(1, 1, 1), fp(2, 3, 5)]),
+        ([OFF_AXIS, fp(1, 1, 1), fp(2, 3, 5), E1], [], [OFF_AXIS, fp(1, 1, 1), fp(2, 3, 5)]),
+        (EQUATOR, [], EQUATOR),
+    ], ids=["one", "two", "two-antipodal", "three", "four", "four-concyclic"])
+    def test_tiny_inputs_fail_on_the_completed_circle(self, pts, aux, on):
+        report = circular_general_position(pts)
+        assert not report.verdict
+        assert report.circle == smallest_sphere((pts + aux)[:3])
+        assert all(report.circle.contains(p) for p in pts[:3] + aux)
+        assert report.on_circle == tuple(on)
+
+    @pytest.mark.parametrize("pts, reason", [
+        ([E1, Point.infinity(3)], "ambient sphere coordinates have no infinity"),
+        ([Z0, E1], "points disagree in dimension"),
+    ], ids=["infinity", "mixed-dimensions"])
+    def test_refusals(self, pts, reason):
+        with pytest.raises(GeometryError, match=reason):
+            circular_general_position(pts)
 
 
 class TestFiniteImageMap:
